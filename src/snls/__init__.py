@@ -1,7 +1,7 @@
 """Spectral simulator and verification harness for the stochastic
 Gross-Pitaevskii equation with additive trace-class noise on a periodic box."""
 
-from .errors import BlowUpError, ConfigurationError, SnlsError, UsageError
+from .errors import BlowUpError, ConfigurationError, FormatError, SnlsError, UsageError
 from .lattice import (
     ComplexField,
     GridSpec,
@@ -32,7 +32,6 @@ from .dynamics import (
     gp_nonlinearity,
     nonlinear_phase_substep,
     solve,
-    strang_step_direct,
     strang_step_dpd,
 )
 from .diagnostics import (

@@ -13,8 +13,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import diagnostics, dynamics, harness, lattice, noise as noise_mod
 from .errors import ConfigurationError, SnlsError
 
@@ -85,9 +83,7 @@ def _cmd_noise_stats(args) -> int:
             rng = noise_mod.step_rng(rc.master_seed, member, j)
             psi, _ = noise_mod.step_stochastic_convolution(psi, spec, rc.dt, rng)
         h1_sq.append(lattice.sobolev_norm(psi, 1.0) ** 2)
-    h1_sq = np.asarray(h1_sq)
-    est = float(h1_sq.mean())
-    se = float(h1_sq.std(ddof=1) / np.sqrt(len(h1_sq))) if len(h1_sq) > 1 else 0.0
+    est, se = noise_mod.mean_and_se(h1_sq)
     target = rc.t_final * noise_mod.hs_norm(spec, 1.0) ** 2
     lines = [
         "[noise-stats]",

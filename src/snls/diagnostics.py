@@ -55,16 +55,17 @@ class EnergyLedger:
     x1_cum: np.ndarray
     l6_cum: np.ndarray
 
+    CSV_COLUMNS = ("time", "energy", "ham1", "ham2", "ham3", "residual", "x1_cum", "l6_cum")
+
     def csv_rows(self) -> List[dict]:
-        cols = ("time", "energy", "ham1", "ham2", "ham3", "residual", "x1_cum", "l6_cum")
-        rows = []
-        for i in range(len(self.times)):
-            vals = (
-                self.times[i], self.energy[i], self.ham1[i], self.ham2[i],
-                self.ham3[i], self.residual[i], self.x1_cum[i], self.l6_cum[i],
-            )
-            rows.append(dict(zip(cols, (float(v) for v in vals))))
-        return rows
+        series = (
+            self.times, self.energy, self.ham1, self.ham2,
+            self.ham3, self.residual, self.x1_cum, self.l6_cum,
+        )
+        return [
+            dict(zip(self.CSV_COLUMNS, (float(col[i]) for col in series)))
+            for i in range(len(self.times))
+        ]
 
 
 def _mode_density(spec) -> object:
@@ -96,10 +97,9 @@ def ito_ledger(traj) -> EnergyLedger:
     snapshot_stride = 1 for stochastic trajectories so every consumed
     increment has a matching left-point state.
     """
-    cfg = traj.config
+    cfg = traj.solver_config("ito_ledger")
     g = traj.grid
-    stochastic = cfg.noise.kind != "zero" and cfg.scheme in ("direct", "dpd")
-    if stochastic:
+    if cfg.stochastic:
         if traj.noise_path is None:
             raise UsageError("ito_ledger needs the trajectory's recorded noise path")
         if cfg.snapshot_stride != 1:
@@ -136,7 +136,7 @@ def ito_ledger(traj) -> EnergyLedger:
         ham2_b[i] = ham2_b[i - 1] + w * (bal[i] + bal[i - 1])
 
     ham3 = np.zeros(n)
-    if stochastic:
+    if cfg.stochastic:
         for i in range(1, n):
             f = _ham3_integrand(v_stars[i - 1])
             inc = traj.noise_path.increments[i - 1].values
@@ -176,18 +176,21 @@ def energy_bound_report(trajectories: Sequence) -> dict:
         es = [energy(traj.v_star_snapshot(i)) for i in range(traj.n_snapshots)]
         sups.append(max(es))
         finals.append(es[-1])
-    sups = np.asarray(sups)
-    n = len(sups)
-    se = float(sups.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    qs = np.quantile(sups, [0.0, 0.25, 0.5, 0.75, 1.0])
+    mean, se = noise_mod.mean_and_se(sups)
     return {
-        "n_members": n,
-        "sup_energy_mean": float(sups.mean()),
+        "n_members": len(sups),
+        "sup_energy_mean": mean,
         "sup_energy_se": se,
-        "sup_energy_quantiles": {p: float(q) for p, q in zip((0, 25, 50, 75, 100), qs)},
+        "sup_energy_quantiles": quantile_summary(sups),
         "final_energy_mean": float(np.mean(finals)),
-        "per_member_sup": sups.tolist(),
+        "per_member_sup": sups,
     }
+
+
+def quantile_summary(samples: Sequence[float]) -> dict:
+    """Minimum, quartiles and maximum, keyed by percentile."""
+    qs = np.quantile(np.asarray(samples, dtype=float), [0.0, 0.25, 0.5, 0.75, 1.0])
+    return {p: float(q) for p, q in zip((0, 25, 50, 75, 100), qs)}
 
 
 # --- interval partition -------------------------------------------------------

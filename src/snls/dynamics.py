@@ -13,6 +13,7 @@ deterministic_cubic (i u_t + Lap u = |u|^2 u, the gauge image of GP).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import List, Optional
@@ -20,13 +21,20 @@ from typing import List, Optional
 import numpy as np
 
 from . import lattice, noise as noise_mod
-from .errors import BlowUpError, ConfigurationError, UsageError
+from .errors import BlowUpError, ConfigurationError, FormatError, UsageError
 from .lattice import ComplexField, GridSpec
 from .noise import NoisePath, NoiseSpec
 
 SCHEMES = ("direct", "dpd", "deterministic_gp", "deterministic_cubic")
-_SCHEME_TAGS = {name: i for i, name in enumerate(SCHEMES)}
 TRAJ_MAGIC = b"SNLSTRJ1"
+# dim, points per axis, snapshot count, box length, snapshot spacing, scheme tag
+_TRAJ_HEADER = "<QQQddB"
+
+
+def is_whole(x: float) -> bool:
+    """True when x is a finite integer up to a relative 1e-9: the test that a
+    time span is a whole number of steps, or one step a multiple of another."""
+    return math.isfinite(x) and abs(x - round(x)) <= 1e-9 * max(1.0, x)
 
 
 @dataclass(frozen=True)
@@ -49,7 +57,7 @@ class SolverConfig:
         if self.dt <= 0 or self.t_final <= 0 or self.dt > self.t_final:
             raise ConfigurationError("need 0 < dt <= t_final")
         steps = self.t_final / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if not is_whole(steps):
             raise ConfigurationError(f"t_final/dt = {steps} is not an integer")
         if self.snapshot_stride < 1 or round(steps) % self.snapshot_stride != 0:
             raise ConfigurationError("snapshot_stride must divide the step count")
@@ -58,23 +66,36 @@ class SolverConfig:
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
 
+    @property
+    def stochastic(self) -> bool:
+        """True when the scheme consumes Wiener increments."""
+        return self.scheme in ("direct", "dpd") and self.noise.kind != "zero"
+
 
 @dataclass
 class Trajectory:
-    config: SolverConfig
+    """Snapshots of one run.  A trajectory read from a file has no solver
+    config and no noise path."""
+
+    grid: GridSpec
+    scheme: str
     times: np.ndarray
     v_snapshots: List[ComplexField]
     psi_snapshots: List[ComplexField]
+    config: Optional[SolverConfig] = None
     noise_path: Optional[NoisePath] = None
     frame: str = "gp"  # "gp" or "cubic" (gauge-transformed)
 
     @property
-    def grid(self) -> GridSpec:
-        return self.config.grid
-
-    @property
     def n_snapshots(self) -> int:
         return len(self.times)
+
+    def solver_config(self, caller: str) -> SolverConfig:
+        if self.config is None:
+            raise UsageError(
+                f"{caller} needs the solver config, which a trajectory read from a file lacks"
+            )
+        return self.config
 
     def u_snapshot(self, i: int) -> ComplexField:
         """Reconstruct u = 1 + v (+ Psi for the dpd scheme)."""
@@ -142,24 +163,6 @@ def _strang_u_step(v: ComplexField, dt: float, cubic: bool, skip_nl: bool) -> Co
     return ComplexField(g, u.values - 1.0)
 
 
-def strang_step_direct(
-    v_field: ComplexField,
-    noise_spec: NoiseSpec,
-    dt: float,
-    rng_state: Optional[np.random.Generator] = None,
-    increment: Optional[ComplexField] = None,
-) -> tuple:
-    """One direct split step; returns (v_next, increment_used)."""
-    if dt <= 0:
-        raise UsageError("dt must be positive")
-    v = _strang_u_step(v_field, dt, cubic=False, skip_nl=False)
-    if increment is None:
-        if noise_spec.kind == "zero":
-            return v, lattice.zero_field(v.grid)
-        increment = noise_mod.sample_wiener_increment(noise_spec, dt, rng_state)
-    return ComplexField(v.grid, v.values - 1j * increment.values), increment
-
-
 def strang_step_dpd(v_field: ComplexField, psi_field: ComplexField, dt: float) -> ComplexField:
     """Strang step for the remainder v with Psi frozen over the step.
 
@@ -191,7 +194,6 @@ def solve(config: SolverConfig) -> Trajectory:
     g = config.grid
     n_steps = config.n_steps
     stride = config.snapshot_stride
-    stochastic = config.scheme in ("direct", "dpd") and config.noise.kind != "zero"
     path = config.prescribed_path
     if path is not None and path.n_steps != n_steps:
         raise ConfigurationError(
@@ -212,7 +214,7 @@ def solve(config: SolverConfig) -> Trajectory:
     for j in range(n_steps):
         if path is not None:
             inc = path.increments[j]
-        elif stochastic:
+        elif config.stochastic:
             rng = noise_mod.step_rng(config.master_seed, config.stream_id, j)
             inc = noise_mod.sample_wiener_increment(config.noise, config.dt, rng)
         else:
@@ -252,10 +254,12 @@ def solve(config: SolverConfig) -> Trajectory:
             psi_snaps.append(psi if config.scheme == "dpd" else zero)
 
     return Trajectory(
-        config=config,
+        grid=g,
+        scheme=config.scheme,
         times=np.asarray(times),
         v_snapshots=v_snaps,
         psi_snapshots=psi_snaps,
+        config=config,
         noise_path=record if record.n_steps else None,
     )
 
@@ -273,8 +277,8 @@ def duhamel_residual(traj: Trajectory, time_index: int) -> float:
     if time_index < 0 or time_index >= traj.n_snapshots:
         raise UsageError("time_index out of range")
     g = traj.grid
-    stochastic = traj.config.scheme in ("direct", "dpd") and traj.config.noise.kind != "zero"
-    if stochastic and traj.noise_path is None:
+    cfg = traj.solver_config("duhamel_residual")
+    if cfg.stochastic and traj.noise_path is None:
         raise UsageError("duhamel_residual needs the recorded noise path")
     t = float(traj.times[time_index])
     u_t = traj.u_snapshot(time_index).values
@@ -293,10 +297,9 @@ def duhamel_residual(traj: Trajectory, time_index: int) -> float:
             drift += w * (integrands[m] + integrands[m + 1])
 
     conv = np.zeros(g.total_points, dtype=np.complex128)
-    if stochastic:
+    if cfg.stochastic:
         path = traj.noise_path
-        stride = traj.config.snapshot_stride
-        n_used = time_index * stride
+        n_used = time_index * cfg.snapshot_stride
         for j in range(n_used):
             t_end = (j + 1) * path.dt
             moved = lattice.apply_schrodinger_group(path.increments[j], t - t_end)
@@ -314,10 +317,12 @@ def gauge_transform(traj: Trajectory) -> Trajectory:
         u = traj.u_snapshot(i).values
         v_new.append(ComplexField(g, np.exp(-1j * float(t)) * u - 1.0))
     return Trajectory(
-        config=traj.config,
+        grid=g,
+        scheme=traj.scheme,
         times=traj.times.copy(),
         v_snapshots=v_new,
         psi_snapshots=[zero] * traj.n_snapshots,
+        config=traj.config,
         noise_path=traj.noise_path,
         frame="cubic",
     )
@@ -375,90 +380,52 @@ def initial_random_band(
 def write_trajectory(traj: Trajectory, filename: str) -> None:
     """Binary export; the stored dt is the snapshot spacing (solver dt times
     the snapshot stride), so a reader can reconstruct snapshot times."""
-    cfg = traj.config
+    cfg = traj.solver_config("write_trajectory")
+    g = traj.grid
+    header = struct.pack(
+        _TRAJ_HEADER, g.dim, g.points_per_axis, traj.n_snapshots, g.box_length,
+        cfg.dt * cfg.snapshot_stride, SCHEMES.index(traj.scheme),
+    )
     with open(filename, "wb") as fh:
-        fh.write(TRAJ_MAGIC)
-        fh.write(struct.pack("<QQQ", cfg.grid.dim, cfg.grid.points_per_axis, traj.n_snapshots))
-        fh.write(struct.pack("<dd", cfg.grid.box_length, cfg.dt * cfg.snapshot_stride))
-        fh.write(struct.pack("B", _SCHEME_TAGS[cfg.scheme]))
-        fields = list(traj.v_snapshots)
-        if cfg.scheme == "dpd":
-            fields += list(traj.psi_snapshots)
-        for f in fields:
-            inter = np.empty(2 * f.values.size)
-            inter[0::2] = f.values.real
-            inter[1::2] = f.values.imag
-            fh.write(inter.astype("<f8").tobytes())
+        fh.write(TRAJ_MAGIC + header)
+        lattice.write_fields(fh, traj.v_snapshots)
+        if traj.scheme == "dpd":
+            lattice.write_fields(fh, traj.psi_snapshots)
 
 
-@dataclass
-class LoadedTrajectory:
-    """Snapshot data reconstructed from a trajectory file (no solver config)."""
-
-    grid: GridSpec
-    times: np.ndarray
-    v_snapshots: List[ComplexField]
-    psi_snapshots: List[ComplexField]
-    scheme: str
-
-    @property
-    def n_snapshots(self) -> int:
-        return len(self.times)
-
-    def u_snapshot(self, i: int) -> ComplexField:
-        vals = 1.0 + self.v_snapshots[i].values + self.psi_snapshots[i].values
-        return ComplexField(self.grid, vals)
-
-    def v_star_snapshot(self, i: int) -> ComplexField:
-        vals = self.v_snapshots[i].values + self.psi_snapshots[i].values
-        return ComplexField(self.grid, vals)
+def _read_header(fh) -> tuple:
+    """(grid, snapshot count, snapshot spacing, scheme) of an open trajectory file."""
+    dim, n, snaps, box_length, dt, tag = lattice.read_header(fh, TRAJ_MAGIC, _TRAJ_HEADER)
+    if tag >= len(SCHEMES):
+        raise FormatError(f"{fh.name}: unknown scheme tag {tag}")
+    return lattice.header_grid(fh, dim, n, box_length, dt), snaps, dt, SCHEMES[tag]
 
 
-def read_trajectory(filename: str) -> LoadedTrajectory:
+def read_trajectory(filename: str) -> Trajectory:
     """Read back a file written by write_trajectory.  The stored dt is the
-    snapshot spacing, so times are i * dt."""
+    snapshot spacing, so times are i * dt.  Raises FormatError when the file
+    is malformed or holds a non-finite value."""
     with open(filename, "rb") as fh:
-        magic = fh.read(8)
-        if magic != TRAJ_MAGIC:
-            raise UsageError(f"{filename}: bad magic {magic!r}")
-        dim, n, snaps = struct.unpack("<QQQ", fh.read(24))
-        box_length, dt = struct.unpack("<dd", fh.read(16))
-        (tag,) = struct.unpack("B", fh.read(1))
-        grid = lattice.make_grid(int(dim), int(n), box_length)
-        npts = grid.total_points
-
-        def read_fields(count):
-            out = []
-            for _ in range(count):
-                raw = np.frombuffer(fh.read(16 * npts), dtype="<f8")
-                out.append(ComplexField(grid, raw[0::2] + 1j * raw[1::2]))
-            return out
-
-        v_snaps = read_fields(int(snaps))
-        scheme = SCHEMES[tag]
-        if scheme == "dpd":
-            psi_snaps = read_fields(int(snaps))
-        else:
-            psi_snaps = [lattice.zero_field(grid)] * int(snaps)
-    times = np.arange(int(snaps)) * dt
-    return LoadedTrajectory(
-        grid=grid, times=times, v_snapshots=v_snaps, psi_snapshots=psi_snaps, scheme=scheme
+        grid, snaps, dt, scheme = _read_header(fh)
+        fields = lattice.read_fields(fh, grid, 2 * snaps if scheme == "dpd" else snaps)
+    if scheme == "dpd":
+        psi_snaps = fields[snaps:]
+    else:
+        psi_snaps = [lattice.zero_field(grid)] * snaps
+    return Trajectory(
+        grid=grid, scheme=scheme, times=np.arange(snaps) * dt,
+        v_snapshots=fields[:snaps], psi_snapshots=psi_snaps,
     )
 
 
 def read_trajectory_header(filename: str) -> dict:
     with open(filename, "rb") as fh:
-        magic = fh.read(8)
-        if magic != TRAJ_MAGIC:
-            raise UsageError(f"{filename}: bad magic {magic!r}")
-        dim, n, snaps = struct.unpack("<QQQ", fh.read(24))
-        box_length, dt = struct.unpack("<dd", fh.read(16))
-        (tag,) = struct.unpack("B", fh.read(1))
+        grid, snaps, dt, scheme = _read_header(fh)
     return {
-        "dim": int(dim),
-        "points_per_axis": int(n),
-        "n_snapshots": int(snaps),
-        "box_length": box_length,
+        "dim": grid.dim,
+        "points_per_axis": grid.points_per_axis,
+        "n_snapshots": snaps,
+        "box_length": grid.box_length,
         "dt": dt,
-        "scheme": SCHEMES[tag],
+        "scheme": scheme,
     }

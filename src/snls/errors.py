@@ -13,6 +13,10 @@ class UsageError(SnlsError):
     """An operation was called with arguments it cannot accept."""
 
 
+class FormatError(UsageError):
+    """A binary trajectory or noise file is malformed."""
+
+
 class BlowUpError(SnlsError):
     """A non-finite value appeared during time integration."""
 

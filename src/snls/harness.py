@@ -23,46 +23,43 @@ from .dynamics import SolverConfig
 
 VERSION = "snls 0.1.0"
 
-_DEFAULTS = {
-    "grid": {"dim": 2, "points_per_axis": 64, "box_length": 2.0 * math.pi},
-    "time": {"dt": 1e-3, "t_final": 1.0, "snapshot_stride": 1, "scheme": "deterministic_gp"},
-    "noise": {"kind": "zero", "amplitude": 0.1, "sigma": 3.0, "cutoff": None},
-    "initial": {
-        "kind": "constant", "alpha_re": 1.0, "alpha_im": 0.0,
-        "amplitude": 0.1, "width": 0.5, "mode": (1, 0, 0, 0),
-        "h1_norm": 1.0, "band_max": 4.0, "seed": 0,
-    },
-    "ensemble": {"size": 1, "master_seed": 0, "workers": 1, "eta": 0.5},
-    "output": {"dir": "out", "emit_snapshots": False},
-}
 
-_PARSERS = {
-    ("grid", "dim"): int,
-    ("grid", "points_per_axis"): int,
-    ("grid", "box_length"): float,
-    ("time", "dt"): float,
-    ("time", "t_final"): float,
-    ("time", "snapshot_stride"): int,
-    ("time", "scheme"): str,
-    ("noise", "kind"): str,
-    ("noise", "amplitude"): float,
-    ("noise", "sigma"): float,
-    ("noise", "cutoff"): float,
-    ("initial", "kind"): str,
-    ("initial", "alpha_re"): float,
-    ("initial", "alpha_im"): float,
-    ("initial", "amplitude"): float,
-    ("initial", "width"): float,
-    ("initial", "mode"): "mode",
-    ("initial", "h1_norm"): float,
-    ("initial", "band_max"): float,
-    ("initial", "seed"): int,
-    ("ensemble", "size"): int,
-    ("ensemble", "master_seed"): int,
-    ("ensemble", "workers"): int,
-    ("ensemble", "eta"): float,
-    ("output", "dir"): str,
-    ("output", "emit_snapshots"): "bool",
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _parse_mode(raw: str) -> tuple:
+    return tuple(int(p) for p in raw.split(","))
+
+
+# section -> key -> (parser, default); the key order fixes the order of
+# RunConfig.initial_params, which config_hash depends on
+_SCHEMA = {
+    "grid": {
+        "dim": (int, 2), "points_per_axis": (int, 64), "box_length": (float, 2.0 * math.pi),
+    },
+    "time": {
+        "dt": (float, 1e-3), "t_final": (float, 1.0), "snapshot_stride": (int, 1),
+        "scheme": (str, "deterministic_gp"),
+    },
+    "noise": {
+        "kind": (str, "zero"), "amplitude": (float, 0.1), "sigma": (float, 3.0),
+        "cutoff": (float, None),
+    },
+    "initial": {
+        "kind": (str, "constant"), "alpha_re": (float, 1.0), "alpha_im": (float, 0.0),
+        "amplitude": (float, 0.1), "width": (float, 0.5), "mode": (_parse_mode, (1, 0, 0, 0)),
+        "h1_norm": (float, 1.0), "band_max": (float, 4.0), "seed": (int, 0),
+    },
+    "ensemble": {
+        "size": (int, 1), "master_seed": (int, 0), "workers": (int, 1), "eta": (float, 0.5),
+    },
+    "output": {"dir": (str, "out"), "emit_snapshots": (_parse_bool, False)},
 }
 
 
@@ -94,19 +91,10 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config document; raises ConfigurationError listing
     every field-level problem with its line number."""
-    values = {sec: dict(d) for sec, d in _DEFAULTS.items()}
+    values = {sec: {k: d for k, (_, d) in keys.items()} for sec, keys in _SCHEMA.items()}
     errors: List[str] = []
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -130,17 +118,11 @@ def parse_config(text: str) -> RunConfig:
         key, _, rawval = line.partition("=")
         key = key.strip()
         rawval = rawval.strip()
-        parser = _PARSERS.get((section, key))
-        if parser is None:
+        if key not in _SCHEMA[section]:
             errors.append(f"line {lineno}: unknown key {key!r} in section [{section}]")
             continue
         try:
-            if parser == "bool":
-                values[section][key] = _parse_bool(rawval)
-            elif parser == "mode":
-                values[section][key] = tuple(int(p) for p in rawval.split(","))
-            else:
-                values[section][key] = parser(rawval)
+            values[section][key] = _SCHEMA[section][key][0](rawval)
         except ValueError:
             errors.append(f"line {lineno}: cannot parse value for {key!r}: {rawval!r}")
 
@@ -154,7 +136,7 @@ def parse_config(text: str) -> RunConfig:
         errors.append("field 't_final': must be positive")
     if t["dt"] > 0 and t["t_final"] > 0:
         steps = t["t_final"] / t["dt"]
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if not dynamics.is_whole(steps):
             errors.append(f"field 'dt': t_final/dt = {steps} is not an integer")
         elif t["snapshot_stride"] < 1 or round(steps) % t["snapshot_stride"] != 0:
             errors.append("field 'snapshot_stride': must divide the step count")
@@ -275,17 +257,13 @@ def run_ensemble(rc: RunConfig) -> EnsembleReport:
     ok = [m for m in members if not m["failed"]]
     aggregates = {"n_members": rc.ensemble_size, "n_failed": len(members) - len(ok)}
     for key in ("final_energy", "sup_energy", "ham3_final", "residual_final"):
-        vals = np.array([m[key] for m in ok]) if ok else np.array([np.nan])
-        aggregates[key + "_mean"] = float(vals.mean())
-        aggregates[key + "_se"] = (
-            float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        )
+        mean, se = noise_mod.mean_and_se([m[key] for m in ok] if ok else [np.nan])
+        aggregates[key + "_mean"] = mean
+        aggregates[key + "_se"] = se
     if ok:
-        sups = np.array([m["sup_energy"] for m in ok])
-        qs = np.quantile(sups, [0.0, 0.25, 0.5, 0.75, 1.0])
-        aggregates["sup_energy_quantiles"] = {
-            p: float(q) for p, q in zip((0, 25, 50, 75, 100), qs)
-        }
+        aggregates["sup_energy_quantiles"] = diagnostics.quantile_summary(
+            [m["sup_energy"] for m in ok]
+        )
     provenance = {
         "config_hash": rc.config_hash(),
         "master_seed": rc.master_seed,
@@ -297,6 +275,22 @@ def run_ensemble(rc: RunConfig) -> EnsembleReport:
 # --- convergence studies --------------------------------------------------------
 
 
+def _shared_noise_paths(rc: RunConfig, base: SolverConfig, dts: Sequence[float]):
+    """Yield (dt, noise path) for each dt, finest last.  Every path sums the
+    increments of one path drawn at the finest dt, so all runs see the same
+    Brownian path; the path is None for a deterministic run."""
+    dt_min = dts[-1]
+    fine = None
+    if base.stochastic:
+        fine = noise_mod.generate_noise_path(
+            base.noise, dt_min, int(round(rc.t_final / dt_min)), rc.master_seed, stream_id=0
+        )
+    for dt in dts:
+        yield dt, None if fine is None else noise_mod.coarsen_noise_path(
+            fine, int(round(dt / dt_min))
+        )
+
+
 def convergence_study(rc: RunConfig, dt_list: Sequence[float]) -> dict:
     """Errors at t_final against the finest-dt reference run, with the noise
     path generated at the finest resolution and coarsened by increment
@@ -306,26 +300,14 @@ def convergence_study(rc: RunConfig, dt_list: Sequence[float]) -> dict:
         raise UsageError("dt_list must be strictly decreasing with >= 2 entries")
     dt_min = dts[-1]
     for dt in dts:
-        steps = rc.t_final / dt
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if not dynamics.is_whole(rc.t_final / dt):
             raise UsageError(f"dt = {dt} does not divide t_final = {rc.t_final}")
-        ratio = dt / dt_min
-        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+        if not dynamics.is_whole(dt / dt_min):
             raise UsageError(f"dt = {dt} is not an integer multiple of the finest dt")
 
     base = build_solver_config(rc)
-    stochastic = base.scheme in ("direct", "dpd") and base.noise.kind != "zero"
-    fine_path = None
-    if stochastic:
-        fine_path = noise_mod.generate_noise_path(
-            base.noise, dt_min, int(round(rc.t_final / dt_min)), rc.master_seed, stream_id=0
-        )
-
     runs = {}
-    for dt in dts:
-        path = None
-        if fine_path is not None:
-            path = noise_mod.coarsen_noise_path(fine_path, int(round(dt / dt_min)))
+    for dt, path in _shared_noise_paths(rc, base, dts):
         cfg = replace(
             base, dt=dt, snapshot_stride=int(round(rc.t_final / dt)), prescribed_path=path
         )
@@ -363,19 +345,9 @@ def residual_refinement_study(rc: RunConfig, n_halvings: int = 3) -> dict:
     from Ito's lemma are reported alongside for arbitration.
     """
     dts = [rc.dt / (2**j) for j in range(n_halvings + 1)]
-    dt_min = dts[-1]
     base = build_solver_config(rc)
-    stochastic = base.scheme in ("direct", "dpd") and base.noise.kind != "zero"
-    fine_path = None
-    if stochastic:
-        fine_path = noise_mod.generate_noise_path(
-            base.noise, dt_min, int(round(rc.t_final / dt_min)), rc.master_seed, stream_id=0
-        )
     literal, balanced = [], []
-    for dt in dts:
-        path = None
-        if fine_path is not None:
-            path = noise_mod.coarsen_noise_path(fine_path, int(round(dt / dt_min)))
+    for dt, path in _shared_noise_paths(rc, base, dts):
         cfg = replace(base, dt=dt, snapshot_stride=1, prescribed_path=path)
         ledger = diagnostics.ito_ledger(dynamics.solve(cfg))
         literal.append(abs(float(ledger.residual[-1])))
@@ -421,9 +393,7 @@ def emit_csv(rows_or_ledger, path: str) -> None:
         rows = rows_or_ledger.csv_rows()
     else:
         rows = list(rows_or_ledger)
-    header = ["time", "energy", "ham1", "ham2", "ham3", "residual", "x1_cum", "l6_cum"]
-    if rows:
-        header = list(rows[0].keys())
+    header = list(rows[0].keys()) if rows else diagnostics.EnergyLedger.CSV_COLUMNS
     try:
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")

@@ -11,12 +11,14 @@ Conventions:
 
 from __future__ import annotations
 
+import os
+import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, FormatError, UsageError
 
 INF = float("inf")
 
@@ -188,20 +190,21 @@ def laplacian(field: ComplexField) -> ComplexField:
 # --- norms ---------------------------------------------------------------
 
 
+def sobolev_weight(ksq: np.ndarray, s: float, homogeneous: bool = False) -> np.ndarray:
+    """Per-mode weight of the squared H^s norm: (1+|k|^2)^s, or |k|^{2s}."""
+    if not homogeneous:
+        return (1.0 + ksq) ** s
+    if s < 0:  # zero mode would divide by zero; it carries no homogeneous weight
+        safe = np.where(ksq > 0, ksq, 1.0)
+        return np.where(ksq > 0, safe**s, 0.0)
+    if s == 0:
+        return np.ones_like(ksq)
+    return ksq**s
+
+
 def sobolev_norm(field: ComplexField, s: float, homogeneous: bool = False) -> float:
-    g = field.grid
     a = spectral_coefficients(field)
-    ksq = g.ksq()
-    if homogeneous:
-        if s < 0:  # zero mode would divide by zero; it carries no homogeneous weight
-            safe = np.where(ksq > 0, ksq, 1.0)
-            w = np.where(ksq > 0, safe**s, 0.0)
-        elif s == 0:
-            w = np.ones_like(ksq)
-        else:
-            w = ksq**s
-    else:
-        w = (1.0 + ksq) ** s
+    w = sobolev_weight(field.grid.ksq(), s, homogeneous)
     return float(np.sqrt(np.sum(w * np.abs(a) ** 2)))
 
 
@@ -253,3 +256,64 @@ def x1_norm(
 ) -> float:
     """Auxiliary norm: gradient in L^6_t L^{12/5}_x over the interval."""
     return spacetime_norm(fields, times, interval, 6.0, 12.0 / 5.0, derivative_order=1)
+
+
+# --- binary field codec ----------------------------------------------------
+#
+# A field is stored as little-endian complex128 in row-major order, which has
+# the same bytes as interleaved (re, im) little-endian float64.
+
+FIELD_DTYPE = np.dtype("<c16")
+
+
+def write_fields(fh, fields: Sequence[ComplexField]) -> None:
+    """Append fields to an open binary file, one field at a time."""
+    for f in fields:
+        fh.write(np.ascontiguousarray(f.values, dtype=FIELD_DTYPE))
+
+
+def read_header(fh, magic: bytes, fmt: str) -> tuple:
+    """Check the magic at the start of an open binary file and unpack the
+    struct-format header that follows it."""
+    got = fh.read(len(magic))
+    if got != magic:
+        raise FormatError(f"{fh.name}: bad magic {got!r}")
+    raw = fh.read(struct.calcsize(fmt))
+    if len(raw) != struct.calcsize(fmt):
+        raise FormatError(f"{fh.name}: header is truncated")
+    return struct.unpack(fmt, raw)
+
+
+def header_grid(fh, dim: int, points_per_axis: int, box_length: float, dt: float) -> GridSpec:
+    """The grid a file header describes; its geometry and time step must be valid."""
+    if not (0 < dt < INF and 0 < box_length < INF):
+        raise FormatError(
+            f"{fh.name}: box length {box_length} and time step {dt} must be positive and finite"
+        )
+    try:
+        return make_grid(dim, points_per_axis, box_length)
+    except ConfigurationError as exc:
+        raise FormatError(f"{fh.name}: {exc}") from None
+
+
+def read_fields(fh, grid: GridSpec, count: int) -> List[ComplexField]:
+    """Read the `count` fields that make up the rest of an open binary file.
+
+    The remaining bytes must be exactly `count` fields and every value must
+    be finite.  The returned arrays are writable.
+    """
+    nbytes = grid.total_points * FIELD_DTYPE.itemsize
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left != count * nbytes:
+        raise FormatError(
+            f"{fh.name}: payload has {left} bytes, the header implies {count * nbytes}"
+        )
+    out = []
+    for i in range(count):
+        buf = bytearray(nbytes)
+        fh.readinto(buf)
+        f = ComplexField(grid, np.frombuffer(buf, dtype=FIELD_DTYPE))
+        if not f.is_finite():
+            raise FormatError(f"{fh.name}: field {i} holds a non-finite value")
+        out.append(f)
+    return out

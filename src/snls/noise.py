@@ -22,6 +22,7 @@ from .lattice import ComplexField, GridSpec
 
 _MASK64 = (1 << 64) - 1
 NOISE_MAGIC = b"SNLSNSE1"
+_NOISE_HEADER = "<QQQd"  # dim, points per axis, step count, dt
 
 
 @dataclass(frozen=True)
@@ -72,20 +73,8 @@ def hs_norm(spec: NoiseSpec, s: float, homogeneous: bool = False) -> float:
         return float(
             np.sqrt(sum(lattice.sobolev_norm(col, s, homogeneous) ** 2 for col in spec.rank_list))
         )
-    prof = spec.multiplier_profile()
-    ksq = spec.grid.ksq()
-    if homogeneous:
-        if s < 0:
-            # zero mode is excluded from the homogeneous sum for s < 0
-            safe = np.where(ksq > 0, ksq, 1.0)
-            w = np.where(ksq > 0, safe**s, 0.0)
-        elif s == 0:
-            w = np.ones_like(ksq)
-        else:
-            w = ksq**s
-    else:
-        w = (1.0 + ksq) ** s
-    return float(np.sqrt(np.sum(w * prof**2)))
+    w = lattice.sobolev_weight(spec.grid.ksq(), s, homogeneous)
+    return float(np.sqrt(np.sum(w * spec.multiplier_profile() ** 2)))
 
 
 # --- counter-based RNG ----------------------------------------------------
@@ -196,37 +185,32 @@ def coarsen_noise_path(path: NoisePath, factor: int) -> NoisePath:
 
 def write_noise_path(path: NoisePath, filename: str) -> None:
     """Binary export: magic, dim/n/steps as u64 LE, dt as LE double, then
-    increments as interleaved (re, im) doubles, snapshot-major, row-major."""
+    the increments in the lattice field codec, step-major."""
+    g = path.grid
     with open(filename, "wb") as fh:
         fh.write(NOISE_MAGIC)
-        fh.write(
-            struct.pack(
-                "<QQQd", path.grid.dim, path.grid.points_per_axis, path.n_steps, path.dt
-            )
-        )
-        for inc in path.increments:
-            inter = np.empty(2 * inc.values.size)
-            inter[0::2] = inc.values.real
-            inter[1::2] = inc.values.imag
-            fh.write(inter.astype("<f8").tobytes())
+        fh.write(struct.pack(_NOISE_HEADER, g.dim, g.points_per_axis, path.n_steps, path.dt))
+        lattice.write_fields(fh, path.increments)
 
 
 def read_noise_path(filename: str, box_length: float) -> NoisePath:
+    """Read back a file written by write_noise_path; raises FormatError when
+    it is malformed or holds a non-finite value."""
     with open(filename, "rb") as fh:
-        magic = fh.read(8)
-        if magic != NOISE_MAGIC:
-            raise UsageError(f"{filename}: bad magic {magic!r}")
-        dim, n, steps, dt = struct.unpack("<QQQd", fh.read(32))
-        grid = lattice.make_grid(int(dim), int(n), box_length)
-        path = NoisePath(grid=grid, dt=dt)
-        npts = grid.total_points
-        for _ in range(steps):
-            raw = np.frombuffer(fh.read(16 * npts), dtype="<f8")
-            path.increments.append(ComplexField(grid, raw[0::2] + 1j * raw[1::2]))
-    return path
+        dim, n, steps, dt = lattice.read_header(fh, NOISE_MAGIC, _NOISE_HEADER)
+        grid = lattice.header_grid(fh, dim, n, box_length, dt)
+        increments = lattice.read_fields(fh, grid, steps)
+    return NoisePath(grid=grid, dt=dt, increments=increments)
 
 
 # --- statistics over Psi ensembles ---------------------------------------
+
+
+def mean_and_se(samples: Sequence[float]) -> tuple:
+    """Sample mean and its standard error (0 for a single sample)."""
+    vals = np.asarray(samples, dtype=float)
+    se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    return float(vals.mean()), se
 
 
 def psi_moment_estimate(
@@ -251,7 +235,4 @@ def psi_moment_estimate(
     for traj in ensembles:
         norms = [lattice.sobolev_norm(f, s) for f in traj[:upto]]
         sups.append(max(norms) ** p)
-    sups = np.asarray(sups)
-    est = float(sups.mean())
-    se = float(sups.std(ddof=1) / np.sqrt(len(sups))) if len(sups) > 1 else 0.0
-    return est, se
+    return mean_and_se(sups)
