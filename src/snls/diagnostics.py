@@ -89,6 +89,23 @@ def _ham3_integrand(v_star: ComplexField) -> np.ndarray:
     return np.abs(v) ** 2 * vb - lap_vb + np.abs(v) ** 2 + 2.0 * v.real * vb + 2.0 * v.real
 
 
+def _grad_norms(fields: Sequence[ComplexField], rs: Sequence[float], first: int = 0) -> np.ndarray:
+    """||grad f||_{L^r}: a row per exponent r in rs, a column per snapshot field f, from
+    one spectral gradient of each; a non-finite field (index from `first`) is rejected."""
+    cols = []
+    for i, f in enumerate(fields, first):
+        if not f.is_finite():
+            raise UsageError(f"snapshot {i} holds a non-finite value")
+        mag = lattice.gradient_magnitude(f)
+        cols.append([lattice._lp_of_values(mag, r, f.grid.cell_measure) for r in rs])
+    return np.array(cols).T
+
+
+def _cumulative(y: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of y over [times[0], times[i]] for every i."""
+    return np.concatenate(([0.0], np.cumsum(lattice.trapezoid_steps(y, times))))
+
+
 def ito_ledger(traj) -> EnergyLedger:
     """Per-snapshot energy ledger for a trajectory with its recorded noise path.
 
@@ -108,6 +125,7 @@ def ito_ledger(traj) -> EnergyLedger:
     times = np.asarray(traj.times, dtype=float)
     n = len(times)
     v_stars = [traj.v_star_snapshot(i) for i in range(n)]
+    grad_l12o5 = _grad_norms(v_stars, (12.0 / 5.0,))[0]
     energies = np.array([energy(v) for v in v_stars])
 
     hs_h1dot = noise_mod.hs_norm(cfg.noise, 1.0, homogeneous=True) ** 2
@@ -118,46 +136,26 @@ def ito_ledger(traj) -> EnergyLedger:
     density = _mode_density(cfg.noise)
     cell = g.cell_measure
 
-    def spatial_ham2(v: ComplexField, literal: bool) -> float:
-        w = v.values
-        if literal:
-            integ = np.abs(w) ** 2 + w.imag**2 + 4.0 * w.real
-        else:
-            integ = np.abs(w) ** 2 + 2.0 * w.real
-        return float(np.sum(integ * density) * cell)
+    def ham2_of(integrand) -> np.ndarray:
+        """Running trapezoid integral of int integrand(v*) * density dx."""
+        return _cumulative(np.array([np.sum(integrand(v.values) * density) * cell
+                                     for v in v_stars]), times)
 
-    lit = np.array([spatial_ham2(v, True) for v in v_stars])
-    bal = np.array([spatial_ham2(v, False) for v in v_stars])
-    ham2 = np.zeros(n)
-    ham2_b = np.zeros(n)
-    for i in range(1, n):
-        w = 0.5 * (times[i] - times[i - 1])
-        ham2[i] = ham2[i - 1] + w * (lit[i] + lit[i - 1])
-        ham2_b[i] = ham2_b[i - 1] + w * (bal[i] + bal[i - 1])
+    ham2 = ham2_of(lambda w: np.abs(w) ** 2 + w.imag**2 + 4.0 * w.real)
+    ham2_b = ham2_of(lambda w: np.abs(w) ** 2 + 2.0 * w.real)
 
     ham3 = np.zeros(n)
     if cfg.stochastic:
-        for i in range(1, n):
-            f = _ham3_integrand(v_stars[i - 1])
-            inc = traj.noise_path.increments[i - 1].values
-            ham3[i] = ham3[i - 1] + float(np.imag(np.sum(f * inc)) * cell)
+        ham3[1:] = np.cumsum([np.imag(np.sum(_ham3_integrand(v) * inc.values)) * cell
+                              for v, inc in zip(v_stars, traj.noise_path.increments)])
 
     residual = energies - energies[0] - ham1 - ham2 - ham3
     residual_b = energies - energies[0] - ham1_b - ham2_b - ham3
 
     # cumulative space-time norms of u - 1 = v* over [0, t_i]
-    grad_q = np.array([lattice._lp_of_values(lattice.gradient_magnitude(v), 12.0 / 5.0, cell) ** 6
-                       for v in v_stars])
-    l6_q = np.array([lattice._lp_of_values(v.values, 6.0, cell) ** 6 for v in v_stars])
-    x1_cum = np.zeros(n)
-    l6_cum = np.zeros(n)
-    acc_x1 = acc_l6 = 0.0
-    for i in range(1, n):
-        w = 0.5 * (times[i] - times[i - 1])
-        acc_x1 += w * (grad_q[i] + grad_q[i - 1])
-        acc_l6 += w * (l6_q[i] + l6_q[i - 1])
-        x1_cum[i] = acc_x1 ** (1.0 / 6.0)
-        l6_cum[i] = acc_l6 ** (1.0 / 6.0)
+    l6 = np.array([lattice._lp_of_values(v.values, 6.0, cell) for v in v_stars])
+    x1_cum = _cumulative(grad_l12o5**6, times) ** (1.0 / 6.0)
+    l6_cum = _cumulative(l6**6, times) ** (1.0 / 6.0)
 
     return EnergyLedger(
         times=times, energy=energies, ham1=ham1, ham2=ham2, ham3=ham3,
@@ -208,51 +206,37 @@ class IntervalPartition:
         return len(self.intervals)
 
 
-def _partition_quantity(traj, interval: SpacetimeInterval) -> float:
-    """x1 norm of the v part plus x1 norm of the Psi part over the interval."""
-    times = traj.times
-    return lattice.x1_norm(traj.v_snapshots, times, interval) + lattice.x1_norm(
-        traj.psi_snapshots, times, interval
-    )
-
-
 def partition_intervals(traj, eta: float) -> IntervalPartition:
     """Greedy left-to-right maximal intervals with combined X^1 norm <= eta.
 
-    Consecutive intervals share one endpoint snapshot.  A single-step interval
-    whose norm already exceeds eta is kept and flagged irreducible.
+    The combined norm is the X^1 norm of the v part plus that of the Psi
+    part.  Consecutive intervals share one endpoint snapshot.  A single-step
+    interval whose norm already exceeds eta is kept and flagged irreducible.
     """
-    if eta <= 0:
-        raise UsageError("eta must be positive")
+    if not 0 < eta < lattice.INF:
+        raise UsageError(f"eta must be positive and finite, got {eta}")
     n = len(traj.times)
     if n < 2:
         raise UsageError("partitioning needs at least 2 snapshots")
-    intervals: List[SpacetimeInterval] = []
-    norms: List[float] = []
-    flags: List[bool] = []
+    # per-step pieces of ||grad v||^6_{L^12/5} and ||grad Psi||^6_{L^12/5}
+    a, b = (lattice.trapezoid_steps(_grad_norms(f, (12.0 / 5.0,))[0] ** 6, traj.times)
+            for f in (traj.v_snapshots, traj.psi_snapshots))
+    intervals, norms = [], []
     i = 0
     while i < n - 1:
-        j = i + 1
-        best = SpacetimeInterval(i, j)
-        best_norm = _partition_quantity(traj, best)
-        if best_norm > eta:
-            intervals.append(best)
-            norms.append(best_norm)
-            flags.append(True)
-            i = j
-            continue
-        while j < n - 1:
-            cand = SpacetimeInterval(i, j + 1)
-            cand_norm = _partition_quantity(traj, cand)
-            if cand_norm > eta:
+        # running sums from the left end i: differences of global prefix
+        # sums would cancel
+        j, sa, sb = i + 1, a[i], b[i]
+        norm = sa ** (1.0 / 6.0) + sb ** (1.0 / 6.0)
+        while norm <= eta and j < n - 1:
+            cand = (sa + a[j]) ** (1.0 / 6.0) + (sb + b[j]) ** (1.0 / 6.0)
+            if cand > eta:
                 break
-            j += 1
-            best, best_norm = cand, cand_norm
-        intervals.append(best)
-        norms.append(best_norm)
-        flags.append(False)
+            sa, sb, norm, j = sa + a[j], sb + b[j], cand, j + 1
+        intervals.append(SpacetimeInterval(i, j))
+        norms.append(float(norm))
         i = j
-    return IntervalPartition(eta=eta, intervals=intervals, norms=norms, irreducible=flags)
+    return IntervalPartition(eta, intervals, norms, irreducible=[x > eta for x in norms])
 
 
 # --- Strichartz report ----------------------------------------------------------
@@ -262,20 +246,20 @@ def strichartz_report(traj, interval: SpacetimeInterval) -> dict:
     """Named space-time norms over the interval: the three shipped admissible
     pairs applied to grad u, the L^6_{t,x} norm of u - 1, and the X^1 norm.
     The s1_proxy entry is the max over the three computed pairs, not the full
-    supremum over all admissible pairs."""
+    supremum over all admissible pairs.  Since grad u = grad v*, one gradient
+    of each v* = u - 1 snapshot serves every entry."""
     interval.validate(len(traj.times))
-    times = traj.times
-    u_fields = [traj.u_snapshot(i) for i in range(len(times))]
-    um1_fields = [traj.v_star_snapshot(i) for i in range(len(times))]
-    INF = lattice.INF
-    grad_l2_l4 = lattice.spacetime_norm(u_fields, times, interval, 2.0, 4.0, 1)
-    grad_l6_l12o5 = lattice.spacetime_norm(u_fields, times, interval, 6.0, 12.0 / 5.0, 1)
-    grad_linf_l2 = lattice.spacetime_norm(u_fields, times, interval, INF, 2.0, 1)
-    return {
-        "grad_L2t_L4x": grad_l2_l4,
-        "grad_L6t_L12/5x": grad_l6_l12o5,
-        "grad_Linft_L2x": grad_linf_l2,
-        "s1_proxy": max(grad_l2_l4, grad_l6_l12o5, grad_linf_l2),
-        "L6_tx_u_minus_1": lattice.spacetime_norm(um1_fields, times, interval, 6.0, 6.0, 0),
-        "x1": lattice.x1_norm(u_fields, times, interval),
+    sl = slice(interval.start_index, interval.end_index + 1)
+    v_stars = [traj.v_star_snapshot(i) for i in range(sl.start, sl.stop)]
+    l4, l12o5, l2 = _grad_norms(v_stars, (4.0, 12.0 / 5.0, 2.0), sl.start)
+    l6 = [lattice._lp_of_values(v.values, 6.0, v.grid.cell_measure) for v in v_stars]
+    times = traj.times[sl]
+    rep = {
+        "grad_L2t_L4x": lattice.time_norm(l4, times, 2.0),
+        "grad_L6t_L12/5x": lattice.time_norm(l12o5, times, 6.0),
+        "grad_Linft_L2x": lattice.time_norm(l2, times, lattice.INF),
     }
+    rep["s1_proxy"] = max(rep.values())
+    rep["L6_tx_u_minus_1"] = lattice.time_norm(l6, times, 6.0)
+    rep["x1"] = rep["grad_L6t_L12/5x"]
+    return rep

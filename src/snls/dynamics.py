@@ -285,16 +285,12 @@ def duhamel_residual(traj: Trajectory, time_index: int) -> float:
     free = lattice.apply_schrodinger_group(traj.u_snapshot(0), t).values
 
     # trapezoid of S(t-t') N(u(t')) over the snapshots up to time_index
-    drift = np.zeros(g.total_points, dtype=np.complex128)
-    if time_index >= 1:
-        ts = traj.times[: time_index + 1]
-        integrands = []
-        for m in range(time_index + 1):
-            nl = gp_nonlinearity(traj.u_snapshot(m))
-            integrands.append(lattice.apply_schrodinger_group(nl, t - float(ts[m])).values)
-        for m in range(time_index):
-            w = 0.5 * (float(ts[m + 1]) - float(ts[m]))
-            drift += w * (integrands[m] + integrands[m + 1])
+    ts = traj.times[: time_index + 1]
+    integrands = np.array([
+        lattice.apply_schrodinger_group(gp_nonlinearity(traj.u_snapshot(m)), t - s).values
+        for m, s in enumerate(ts)
+    ])
+    drift = lattice.trapezoid_steps(integrands, ts).sum(axis=0)
 
     conv = np.zeros(g.total_points, dtype=np.complex128)
     if cfg.stochastic:

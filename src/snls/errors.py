@@ -17,6 +17,10 @@ class FormatError(UsageError):
     """A binary trajectory or noise file is malformed."""
 
 
+class WorkerError(SnlsError):
+    """A worker process of an ensemble died before returning its result."""
+
+
 class BlowUpError(SnlsError):
     """A non-finite value appeared during time integration."""
 

@@ -11,14 +11,14 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import diagnostics, dynamics, lattice, noise as noise_mod
-from .errors import BlowUpError, ConfigurationError, UsageError
+from .errors import BlowUpError, ConfigurationError, UsageError, WorkerError
 from .dynamics import SolverConfig
 
 VERSION = "snls 0.1.0"
@@ -87,7 +87,8 @@ class RunConfig:
     source_text: str = ""
 
     def config_hash(self) -> str:
-        canon = repr(sorted((k, repr(v)) for k, v in vars(self).items() if k != "source_text"))
+        skip = ("source_text", "output_dir", "workers")  # none changes what is computed
+        canon = repr(sorted((k, repr(v)) for k, v in vars(self).items() if k not in skip))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -148,8 +149,8 @@ def parse_config(text: str) -> RunConfig:
         errors.append(f"field 'kind' in [initial]: unknown initial data {ini['kind']!r}")
     if ens["size"] < 1:
         errors.append("field 'size': ensemble_size must be >= 1")
-    if ens["eta"] <= 0:
-        errors.append("field 'eta': must be positive")
+    if not 0 < ens["eta"] < math.inf:
+        errors.append("field 'eta': must be positive and finite")
     if ens["workers"] < 1:
         errors.append("field 'workers': must be >= 1")
     try:
@@ -249,8 +250,12 @@ def run_ensemble(rc: RunConfig) -> EnsembleReport:
     per-member without aborting the ensemble."""
     indices = list(range(rc.ensemble_size))
     if rc.workers > 1 and rc.ensemble_size > 1:
-        with ProcessPoolExecutor(max_workers=rc.workers) as pool:
-            members = list(pool.map(_member_summary, [rc] * len(indices), indices))
+        try:
+            with ProcessPoolExecutor(max_workers=rc.workers) as pool:
+                members = list(pool.map(_member_summary, [rc] * len(indices), indices))
+        except BrokenExecutor as exc:
+            raise WorkerError(f"ensemble of {rc.ensemble_size} members, config "
+                              f"{rc.config_hash()}: a worker process died: {exc}") from None
     else:
         members = [_member_summary(rc, i) for i in indices]
 

@@ -221,6 +221,22 @@ def lebesgue_norm(field: ComplexField, r: float) -> float:
     return _lp_of_values(field.values, r, field.grid.cell_measure)
 
 
+def trapezoid_steps(y, times: Sequence[float]) -> np.ndarray:
+    """Trapezoid integrals of y, along axis 0, between consecutive snapshot times."""
+    y = np.asarray(y)
+    dt = np.diff(np.asarray(times, dtype=float)).reshape((-1,) + (1,) * (y.ndim - 1))
+    return 0.5 * dt * (y[1:] + y[:-1])
+
+
+def time_norm(spatial, times: Sequence[float], q: float) -> float:
+    """L^q norm in time of per-snapshot spatial norms, by the trapezoid rule
+    on the snapshot times (0 for a single snapshot)."""
+    spatial = np.asarray(spatial, dtype=float)
+    if q == INF:
+        return float(spatial.max(initial=0.0))
+    return float(np.sum(trapezoid_steps(spatial**q, times)) ** (1.0 / q))
+
+
 def spacetime_norm(
     fields: Sequence[ComplexField],
     times: Sequence[float],
@@ -237,18 +253,12 @@ def spacetime_norm(
     if derivative_order not in (0, 1):
         raise UsageError("derivative_order must be 0 or 1")
     interval.validate(len(fields))
-    times = np.asarray(times, dtype=float)
     sl = slice(interval.start_index, interval.end_index + 1)
     spatial = []
     for f in fields[sl]:
         vals = gradient_magnitude(f) if derivative_order == 1 else f.values
         spatial.append(_lp_of_values(vals, r, f.grid.cell_measure))
-    spatial = np.asarray(spatial)
-    if q == INF:
-        return float(spatial.max(initial=0.0))
-    if len(spatial) == 1:
-        return 0.0
-    return float(np.trapezoid(spatial**q, times[sl]) ** (1.0 / q))
+    return time_norm(spatial, times[sl], q)
 
 
 def x1_norm(

@@ -232,3 +232,99 @@ class TestStrichartzReport:
         traj = stochastic_traj()
         with pytest.raises(UsageError):
             diagnostics.strichartz_report(traj, SpacetimeInterval(0, traj.n_snapshots))
+
+
+def combined_x1(traj, i, j):
+    """X^1 norm of the v part plus that of the Psi part over [i, j]."""
+    itv = SpacetimeInterval(i, j)
+    return (lattice.x1_norm(traj.v_snapshots, traj.times, itv)
+            + lattice.x1_norm(traj.psi_snapshots, traj.times, itv))
+
+
+def brute_force_partition(traj, eta):
+    """The greedy rule written out on lattice.x1_norm: every candidate
+    interval's norm is recomputed from its snapshots."""
+    out, i, n = [], 0, traj.n_snapshots
+    while i < n - 1:
+        j = i + 1
+        if combined_x1(traj, i, j) <= eta:
+            while j < n - 1 and combined_x1(traj, i, j + 1) <= eta:
+                j += 1
+        norm = combined_x1(traj, i, j)
+        out.append(((i, j), norm, norm > eta))
+        i = j
+    return out
+
+
+def with_nan_snapshot(traj, index=5):
+    """The trajectory with one v snapshot replaced by a NaN field."""
+    g = traj.grid
+    traj.v_snapshots[index] = ComplexField(g, np.full(g.total_points, np.nan + 0j))
+    return traj
+
+
+class TestPartitionOracle:
+    @pytest.mark.parametrize("scheme", ["direct", "dpd"])
+    def test_matches_brute_force_greedy(self, scheme):
+        traj = stochastic_traj(scheme, seed=2, amp=0.4)
+        n = traj.n_snapshots
+        # from below the smallest single-step norm to above the whole-run norm
+        lo = min(combined_x1(traj, i, i + 1) for i in range(n - 1))
+        hi = combined_x1(traj, 0, n - 1)
+        js = set()
+        for eta in np.geomspace(0.9 * lo, 1.1 * hi, 24):
+            part = diagnostics.partition_intervals(traj, eta)
+            expected = brute_force_partition(traj, eta)
+            got = [(itv.start_index, itv.end_index) for itv in part.intervals]
+            assert got == [e[0] for e in expected]
+            assert part.irreducible == [e[2] for e in expected]
+            np.testing.assert_allclose(part.norms, [e[1] for e in expected], rtol=1e-12)
+            js.add(part.J)
+        # the grid crosses from all-irreducible steps to one interval
+        assert min(js) == 1 and max(js) == n - 1 and len(js) > 5
+
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+    def test_rejects_non_finite_eta(self, eta):
+        with pytest.raises(UsageError, match="eta"):
+            diagnostics.partition_intervals(stochastic_traj(), eta)
+
+
+class TestStrichartzOracle:
+    @pytest.mark.parametrize("scheme", ["direct", "dpd"])
+    def test_entries_match_spacetime_norm_of_u(self, scheme):
+        traj = stochastic_traj(scheme, seed=4)
+        g, times = traj.grid, traj.times
+        u = [traj.u_snapshot(i) for i in range(traj.n_snapshots)]
+        u_minus_1 = [ComplexField(g, f.values - 1.0) for f in u]
+        for itv in (SpacetimeInterval(0, traj.n_snapshots - 1), SpacetimeInterval(3, 11),
+                    SpacetimeInterval(7, 7)):
+            rep = diagnostics.strichartz_report(traj, itv)
+            pairs = {
+                "grad_L2t_L4x": lattice.spacetime_norm(u, times, itv, 2.0, 4.0, 1),
+                "grad_L6t_L12/5x": lattice.spacetime_norm(u, times, itv, 6.0, 12.0 / 5.0, 1),
+                "grad_Linft_L2x": lattice.spacetime_norm(u, times, itv, lattice.INF, 2.0, 1),
+            }
+            expected = dict(
+                pairs,
+                s1_proxy=max(pairs.values()),
+                L6_tx_u_minus_1=lattice.spacetime_norm(u_minus_1, times, itv, 6.0, 6.0, 0),
+                x1=lattice.x1_norm(u, times, itv),
+            )
+            assert rep.keys() == expected.keys()
+            for key, value in expected.items():
+                assert rep[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
+class TestNonFiniteSnapshot:
+    def test_partition(self):
+        with pytest.raises(UsageError, match="snapshot 5 holds a non-finite value"):
+            diagnostics.partition_intervals(with_nan_snapshot(stochastic_traj()), 0.5)
+
+    def test_strichartz_report(self):
+        traj = with_nan_snapshot(stochastic_traj("dpd"))
+        with pytest.raises(UsageError, match="snapshot 5 holds a non-finite value"):
+            diagnostics.strichartz_report(traj, SpacetimeInterval(3, traj.n_snapshots - 1))
+
+    def test_ito_ledger(self):
+        with pytest.raises(UsageError, match="snapshot 5 holds a non-finite value"):
+            diagnostics.ito_ledger(with_nan_snapshot(stochastic_traj()))

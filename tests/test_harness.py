@@ -1,10 +1,12 @@
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from snls import cli, harness
-from snls.errors import ConfigurationError
+from snls.errors import ConfigurationError, WorkerError
 
 BASE_CONFIG = """
 [grid]
@@ -275,3 +277,48 @@ class TestCli:
         a = open(os.path.join(tmp_path, "s1", "diagnostics.csv")).read()
         b = open(os.path.join(tmp_path, "s2", "diagnostics.csv")).read()
         assert a != b
+
+
+def _die_in_worker(rc, member):
+    """Stand-in member task that kills its worker process."""
+    os._exit(3)
+
+
+class TestRunIdentity:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_eta_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="eta"):
+            harness.parse_config(BASE_CONFIG.replace("eta = 0.5", f"eta = {value}"))
+
+    def test_cli_out_and_workers_keep_hash(self, tmp_path, capsys):
+        cfgfile = os.path.join(tmp_path, "run.cfg")
+        with open(cfgfile, "w") as fh:
+            fh.write(BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/a\n")
+        hashes = []
+        for out, workers in (("a", "1"), ("b", "2")):
+            argv = ["simulate", "--config", cfgfile, "--out", f"{tmp_path}/{out}",
+                    "--workers", workers]
+            assert cli.main(argv) == 0
+            summary = open(os.path.join(tmp_path, out, "summary.txt")).read()
+            hashes.append(re.search(r"^config_hash = (\w+)$", summary, re.M).group(1))
+        assert hashes[0] == hashes[1]
+
+
+class TestWorkerCrash:
+    # forked workers inherit the patched module attribute; 2 processes start
+
+    def test_run_ensemble_names_the_ensemble(self, monkeypatch):
+        monkeypatch.setattr(harness, "_member_summary", _die_in_worker)
+        rc = replace(harness.parse_config(BASE_CONFIG), ensemble_size=2, workers=2)
+        with pytest.raises(WorkerError, match="ensemble of 2 members"):
+            harness.run_ensemble(rc)
+
+    def test_cli_exit_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "_member_summary", _die_in_worker)
+        cfgfile = os.path.join(tmp_path, "run.cfg")
+        doc = BASE_CONFIG.replace("size = 3", "size = 2") + f"\n[output]\ndir = {tmp_path}\n"
+        with open(cfgfile, "w") as fh:
+            fh.write(doc)
+        assert cli.main(["ensemble", "--config", cfgfile, "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "runtime failure" in err and "worker process died" in err
