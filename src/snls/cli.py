@@ -18,8 +18,7 @@ from .errors import ConfigurationError, SnlsError
 
 
 def _load_config(args) -> harness.RunConfig:
-    with open(args.config) as fh:
-        rc = harness.parse_config(fh.read())
+    rc = harness.load_config(args.config)
     if args.seed is not None:
         rc = replace(rc, master_seed=args.seed)
     if args.out is not None:

@@ -28,13 +28,14 @@ from .lattice import ComplexField, SpacetimeInterval
 def energy(v_star_field: ComplexField) -> float:
     """Ginzburg-Landau energy of u = 1 + v*:
     0.5 * int |grad v*|^2 + 0.25 * int (|v*|^2 + 2 Re v*)^2."""
-    g = v_star_field.grid
-    grad2 = np.zeros(g.total_points)
-    for d in lattice.gradient_fields(v_star_field):
-        grad2 += np.abs(d.values) ** 2
-    v = v_star_field.values
+    return _energy(v_star_field, _grad_norms([v_star_field], (2.0,))[0, 0])
+
+
+def _energy(v_star: ComplexField, grad_l2: float) -> float:
+    """The energy of u = 1 + v* given ||grad v*||_{L^2}."""
+    v = v_star.values
     pot = (np.abs(v) ** 2 + 2.0 * v.real) ** 2
-    return float((0.5 * grad2.sum() + 0.25 * pot.sum()) * g.cell_measure)
+    return float(0.5 * grad_l2**2 + 0.25 * pot.sum() * v_star.grid.cell_measure)
 
 
 # --- Ito ledger ---------------------------------------------------------------
@@ -125,8 +126,8 @@ def ito_ledger(traj) -> EnergyLedger:
     times = np.asarray(traj.times, dtype=float)
     n = len(times)
     v_stars = [traj.v_star_snapshot(i) for i in range(n)]
-    grad_l12o5 = _grad_norms(v_stars, (12.0 / 5.0,))[0]
-    energies = np.array([energy(v) for v in v_stars])
+    grad_l12o5, grad_l2 = _grad_norms(v_stars, (12.0 / 5.0, 2.0))
+    energies = np.array([_energy(v, e) for v, e in zip(v_stars, grad_l2)])
 
     hs_h1dot = noise_mod.hs_norm(cfg.noise, 1.0, homogeneous=True) ** 2
     hs_l2 = noise_mod.hs_norm(cfg.noise, 0.0) ** 2
@@ -218,9 +219,13 @@ def partition_intervals(traj, eta: float) -> IntervalPartition:
     n = len(traj.times)
     if n < 2:
         raise UsageError("partitioning needs at least 2 snapshots")
-    # per-step pieces of ||grad v||^6_{L^12/5} and ||grad Psi||^6_{L^12/5}
-    a, b = (lattice.trapezoid_steps(_grad_norms(f, (12.0 / 5.0,))[0] ** 6, traj.times)
-            for f in (traj.v_snapshots, traj.psi_snapshots))
+    # per-step pieces of ||grad v||^6_{L^12/5} and ||grad Psi||^6_{L^12/5};
+    # Psi is zero unless the scheme is dpd
+    def pieces(fields):
+        return lattice.trapezoid_steps(_grad_norms(fields, (12.0 / 5.0,))[0] ** 6, traj.times)
+
+    a = pieces(traj.v_snapshots)
+    b = pieces(traj.psi_snapshots) if traj.scheme == "dpd" else np.zeros_like(a)
     intervals, norms = [], []
     i = 0
     while i < n - 1:

@@ -4,8 +4,8 @@ Two stochastic routes share the same noise realization:
     * direct -- Strang split-step on u = 1 + v with the additive increment
       applied after the splitting sandwich each step;
     * dpd    -- the decomposition u = 1 + v + Psi, where Psi is advanced by
-      the exact-in-law stochastic-convolution sampler and v solves the
-      remainder equation with the fully expanded nonlinearity.
+      the exact-in-law stochastic-convolution update and v solves the
+      remainder equation; both are carried as Fourier coefficients.
 
 Deterministic schemes: deterministic_gp (same equation, zero noise) and
 deterministic_cubic (i u_t + Lap u = |u|^2 u, the gauge image of GP).
@@ -37,6 +37,12 @@ def is_whole(x: float) -> bool:
     return math.isfinite(x) and abs(x - round(x)) <= 1e-9 * max(1.0, x)
 
 
+def stride_divides(stride: int, steps: float) -> bool:
+    """True when a snapshot stride is at least 1 and divides the whole step
+    count `steps` (t_final/dt, already checked with is_whole)."""
+    return stride >= 1 and round(steps) % stride == 0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     grid: GridSpec
@@ -59,7 +65,7 @@ class SolverConfig:
         steps = self.t_final / self.dt
         if not is_whole(steps):
             raise ConfigurationError(f"t_final/dt = {steps} is not an integer")
-        if self.snapshot_stride < 1 or round(steps) % self.snapshot_stride != 0:
+        if not stride_divides(self.snapshot_stride, steps):
             raise ConfigurationError("snapshot_stride must divide the step count")
 
     @property
@@ -120,7 +126,8 @@ def gp_nonlinearity(u_field: ComplexField) -> ComplexField:
 def dpd_nonlinearity(v_field: ComplexField, psi_field: ComplexField) -> ComplexField:
     """|v|^2 v plus the expanded remainder nonlinearity, summand by summand.
 
-    Algebraically identical to (|v + 1 + psi|^2 - 1)(v + 1 + psi).
+    Algebraically identical to (|v + 1 + psi|^2 - 1)(v + 1 + psi), the form
+    strang_step_dpd evaluates.
     """
     if v_field.grid != psi_field.grid:
         raise UsageError("v and psi live on different grids")
@@ -150,108 +157,129 @@ def _cubic_phase_substep(u_field: ComplexField, dt: float) -> ComplexField:
 
 
 # --- single steps ---------------------------------------------------------
+#
+# Steps multiply by phase tables schrodinger_phase(grid, dt / 2) ("half") and
+# schrodinger_phase(grid, dt) ("full") that solve builds once per run.
 
 
-def _strang_u_step(v: ComplexField, dt: float, cubic: bool, skip_nl: bool) -> ComplexField:
-    """Strang sandwich on u = 1 + v; returns updated v = u - 1."""
-    g = v.grid
-    u = ComplexField(g, 1.0 + v.values)
-    u = lattice.apply_schrodinger_group(u, dt / 2.0)
-    if not skip_nl:
-        u = _cubic_phase_substep(u, dt) if cubic else nonlinear_phase_substep(u, dt)
-    u = lattice.apply_schrodinger_group(u, dt / 2.0)
-    return ComplexField(g, u.values - 1.0)
+def _strang_u_step(v: np.ndarray, half: np.ndarray, substep, grid: GridSpec, dt: float) -> np.ndarray:
+    """Strang sandwich on u = 1 + v (flat values) around the pointwise
+    substep (None skips it); returns the updated v = u - 1."""
+    u = lattice.free_flow(1.0 + v, half)
+    if substep is not None:
+        u = substep(ComplexField(grid, u), dt).values
+    return lattice.free_flow(u, half) - 1.0
 
 
-def strang_step_dpd(v_field: ComplexField, psi_field: ComplexField, dt: float) -> ComplexField:
-    """Strang step for the remainder v with Psi frozen over the step.
+def strang_step_dpd(v_hat: np.ndarray, psi_mid: np.ndarray, half: np.ndarray, dt: float) -> np.ndarray:
+    """Strang step for the remainder v, carried as its Fourier coefficients
+    v_hat = fftn(v), with Psi frozen over the step at psi_mid.
 
     Half linear step, one classical RK4 substep of the pointwise ODE
-    v' = -i (|v|^2 v + g(v, Psi)), half linear step.  The caller passes the
-    midpoint-consistent Psi (step-start value freely propagated by dt/2).
+    v' = -i (|w|^2 - 1) w with w = 1 + v + psi_mid, half linear step.  The
+    caller passes the midpoint-consistent Psi (step-start value freely
+    propagated by dt/2) in physical space, lattice shape.  Returns the new
+    coefficients.
     """
-    if v_field.grid != psi_field.grid:
-        raise UsageError("v and psi live on different grids")
-    g = v_field.grid
-    v = lattice.apply_schrodinger_group(v_field, dt / 2.0)
+    y = np.fft.ifftn(v_hat * half)
+    c = 1.0 + psi_mid
 
-    def rhs(vals: np.ndarray) -> np.ndarray:
-        return -1j * dpd_nonlinearity(ComplexField(g, vals), psi_field).values
+    def nl(y: np.ndarray) -> np.ndarray:
+        """(|w|^2 - 1) w; the factor -i sits in the stage coefficients."""
+        w = y + c
+        return (w.real**2 + w.imag**2 - 1.0) * w
 
-    y = v.values
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return lattice.apply_schrodinger_group(ComplexField(g, y), dt / 2.0)
+    k1 = nl(y)
+    k2 = nl(y + (-0.5j * dt) * k1)
+    k3 = nl(y + (-0.5j * dt) * k2)
+    k4 = nl(y + (-1j * dt) * k3)
+    y += (-1j * dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    v_hat = np.fft.fftn(y)
+    v_hat *= half
+    return v_hat
 
 
 # --- full solve -----------------------------------------------------------
 
 
 def solve(config: SolverConfig) -> Trajectory:
+    """Integrate from config.initial_v, storing every snapshot_stride-th step.
+
+    direct and the deterministic schemes carry v in physical space; dpd
+    carries the Fourier coefficients of v and Psi and transforms them back
+    only at snapshot steps."""
     g = config.grid
     n_steps = config.n_steps
     stride = config.snapshot_stride
+    dt = config.dt
     path = config.prescribed_path
     if path is not None and path.n_steps != n_steps:
         raise ConfigurationError(
             f"prescribed path has {path.n_steps} steps, solver needs {n_steps}"
         )
+    dpd = config.scheme == "dpd"
+    half = lattice.schrodinger_phase(g, dt / 2.0)
+    if config.disable_nonlinearity:
+        substep = None
+    elif config.scheme == "deterministic_cubic":
+        substep = _cubic_phase_substep
+    else:
+        substep = nonlinear_phase_substep
 
-    v = ComplexField(g, config.initial_v.values.copy())
-    psi = lattice.zero_field(g)
+    v = config.initial_v.values.copy()
     zero = lattice.zero_field(g)
-    record = NoisePath(
-        grid=g, dt=config.dt, rng_seed=config.master_seed, stream_id=config.stream_id
-    )
+    if dpd:
+        full = lattice.schrodinger_phase(g, dt)
+        v_hat = np.fft.fftn(v.reshape(g.shape))
+        psi_hat = np.zeros(g.shape, dtype=np.complex128)
+    record = NoisePath(grid=g, dt=dt, rng_seed=config.master_seed, stream_id=config.stream_id)
 
     times = [0.0]
-    v_snaps = [v]
-    psi_snaps = [psi if config.scheme == "dpd" else zero]
+    v_snaps = [ComplexField(g, v)]
+    psi_snaps = [zero]
 
     for j in range(n_steps):
         if path is not None:
             inc = path.increments[j]
         elif config.stochastic:
             rng = noise_mod.step_rng(config.master_seed, config.stream_id, j)
-            inc = noise_mod.sample_wiener_increment(config.noise, config.dt, rng)
+            inc = noise_mod.sample_wiener_increment(config.noise, dt, rng)
         else:
             inc = None
 
-        if config.scheme in ("direct", "deterministic_gp"):
-            v = _strang_u_step(v, config.dt, cubic=False, skip_nl=config.disable_nonlinearity)
+        if not dpd:
+            v = _strang_u_step(v, half, substep, g, dt)
             if inc is not None:
-                v = ComplexField(g, v.values - 1j * inc.values)
-        elif config.scheme == "deterministic_cubic":
-            v = _strang_u_step(v, config.dt, cubic=True, skip_nl=config.disable_nonlinearity)
-        else:  # dpd
-            if config.disable_nonlinearity:
-                v = lattice.apply_schrodinger_group(v, config.dt)
+                v = v - 1j * inc.values
+            finite = lattice.all_finite(v)
+        else:
+            if substep is None:
+                v_hat *= full
             else:
                 # midpoint-consistent convention: the step-start Psi is freely
                 # propagated to the step midpoint before entering the frozen-
                 # Psi nonlinear substep (adapted: uses no new increment)
-                psi_mid = lattice.apply_schrodinger_group(psi, config.dt / 2.0)
-                v = strang_step_dpd(v, psi_mid, config.dt)
+                psi_mid = np.fft.ifftn(psi_hat * half)
+                v_hat = strang_step_dpd(v_hat, psi_mid, half, dt)
+            # Psi(t+dt) = S(dt) Psi(t) - i * (phi DeltaW), exactly in Fourier space
+            psi_hat *= full
             if inc is not None:
-                psi, inc = noise_mod.step_stochastic_convolution(
-                    psi, config.noise, config.dt, increment=inc
-                )
-            else:
-                psi = lattice.apply_schrodinger_group(psi, config.dt)
+                psi_hat -= 1j * np.fft.fftn(inc.values.reshape(g.shape))
+            finite = lattice.all_finite(v_hat) and lattice.all_finite(psi_hat)
 
         if inc is not None:
             record.increments.append(inc)
-
-        if not v.is_finite() or (config.scheme == "dpd" and not psi.is_finite()):
-            raise BlowUpError(j + 1, (j + 1) * config.dt)
+        if not finite:
+            raise BlowUpError(j + 1, (j + 1) * dt)
 
         if (j + 1) % stride == 0:
-            times.append((j + 1) * config.dt)
-            v_snaps.append(v)
-            psi_snaps.append(psi if config.scheme == "dpd" else zero)
+            times.append((j + 1) * dt)
+            if dpd:
+                v = np.fft.ifftn(v_hat).ravel()
+                psi_snaps.append(ComplexField(g, np.fft.ifftn(psi_hat).ravel()))
+            else:
+                psi_snaps.append(zero)
+            v_snaps.append(ComplexField(g, v))
 
     return Trajectory(
         grid=g,

@@ -139,7 +139,7 @@ def parse_config(text: str) -> RunConfig:
         steps = t["t_final"] / t["dt"]
         if not dynamics.is_whole(steps):
             errors.append(f"field 'dt': t_final/dt = {steps} is not an integer")
-        elif t["snapshot_stride"] < 1 or round(steps) % t["snapshot_stride"] != 0:
+        elif not dynamics.stride_divides(t["snapshot_stride"], steps):
             errors.append("field 'snapshot_stride': must divide the step count")
     if t["scheme"] not in dynamics.SCHEMES:
         errors.append(f"field 'scheme': unknown scheme {t['scheme']!r}")
@@ -174,6 +174,17 @@ def parse_config(text: str) -> RunConfig:
         output_dir=out["dir"], emit_snapshots=out["emit_snapshots"],
         source_text=text,
     )
+
+
+def load_config(path: str) -> RunConfig:
+    """Read and parse a config file, which must be UTF-8 text."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+    return parse_config(text)
 
 
 # --- building solver configs -------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence
 
 import numpy as np
@@ -64,11 +65,16 @@ class GridSpec:
         return list(np.meshgrid(*([self.wavenumbers] * self.dim), indexing="ij", sparse=True))
 
     def ksq(self) -> np.ndarray:
-        """|k|^2 on the full lattice, shape = grid.shape."""
-        mesh = self.wavenumber_mesh()
+        """|k|^2 on the full lattice, shape = grid.shape; computed once per
+        grid and read-only."""
+        return self._ksq
+
+    @cached_property
+    def _ksq(self) -> np.ndarray:
         out = np.zeros(self.shape)
-        for km in mesh:
+        for km in self.wavenumber_mesh():
             out = out + km**2
+        out.flags.writeable = False
         return out
 
     def coordinate_mesh(self) -> list:
@@ -96,7 +102,7 @@ class ComplexField:
         return self.values.reshape(self.grid.shape)
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values.view(np.float64))))
+        return all_finite(self.values)
 
 
 @dataclass(frozen=True)
@@ -124,9 +130,14 @@ def make_grid(dim: int, points_per_axis: int, box_length: float) -> GridSpec:
     n = points_per_axis
     if n < 8 or (n & (n - 1)) != 0:
         raise ConfigurationError(f"points_per_axis must be a power of two >= 8, got {n}")
-    if not (box_length > 0):
-        raise ConfigurationError(f"box_length must be positive, got {box_length}")
+    if not 0 < box_length < INF:
+        raise ConfigurationError(f"box_length must be positive and finite, got {box_length}")
     return GridSpec(dim=dim, points_per_axis=points_per_axis, box_length=box_length)
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """True when every entry of a complex array is finite."""
+    return bool(np.all(np.isfinite(values.view(np.float64))))
 
 
 def field_from_mesh(grid: GridSpec, mesh_values: np.ndarray) -> ComplexField:
@@ -157,12 +168,22 @@ def field_from_spectral(grid: GridSpec, coeffs: np.ndarray) -> ComplexField:
     return field_from_mesh(grid, vals)
 
 
+def schrodinger_phase(grid: GridSpec, t: float) -> np.ndarray:
+    """The multiplier e^{-i|k|^2 t} of the free propagator S(t), lattice shape."""
+    return np.exp(-1j * grid.ksq() * t)
+
+
+def free_flow(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """S(t) on flat lattice values, for phase = schrodinger_phase(grid, t)."""
+    uhat = np.fft.fftn(values.reshape(phase.shape))
+    uhat *= phase
+    return np.fft.ifftn(uhat).ravel()
+
+
 def apply_schrodinger_group(field: ComplexField, t: float) -> ComplexField:
     """Free propagator S(t) = e^{it Laplacian}: multiply mode k by e^{-i|k|^2 t}."""
     g = field.grid
-    uhat = np.fft.fftn(field.mesh)
-    uhat *= np.exp(-1j * g.ksq() * t)
-    return field_from_mesh(g, np.fft.ifftn(uhat))
+    return ComplexField(g, free_flow(field.values, schrodinger_phase(g, t)))
 
 
 def gradient_fields(field: ComplexField) -> list:

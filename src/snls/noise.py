@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -45,15 +46,22 @@ class NoiseSpec:
             raise UsageError("rank_list noise requires at least one column")
 
     def multiplier_profile(self) -> np.ndarray:
-        """phihat(k) = amplitude * (1+|k|^2)^(-sigma/2) on the lattice, with cutoff."""
+        """phihat(k) = amplitude * (1+|k|^2)^(-sigma/2) on the lattice, with
+        cutoff; computed once per spec and read-only."""
+        if self.kind == "rank_list":
+            raise UsageError("multiplier_profile only defined for multiplier kind")
+        return self._profile
+
+    @cached_property
+    def _profile(self) -> np.ndarray:
         ksq = self.grid.ksq()
         if self.kind == "zero":
-            return np.zeros_like(ksq)
-        if self.kind != "multiplier":
-            raise UsageError("multiplier_profile only defined for multiplier kind")
-        prof = self.amplitude * (1.0 + ksq) ** (-self.sigma / 2.0)
-        if self.cutoff is not None:
-            prof = np.where(ksq <= self.cutoff**2, prof, 0.0)
+            prof = np.zeros_like(ksq)
+        else:
+            prof = self.amplitude * (1.0 + ksq) ** (-self.sigma / 2.0)
+            if self.cutoff is not None:
+                prof = np.where(ksq <= self.cutoff**2, prof, 0.0)
+        prof.flags.writeable = False
         return prof
 
 

@@ -351,3 +351,130 @@ class TestTrajectoryIO:
             fh.write(b"NOTMAGIC" + b"\x00" * 48)
         with pytest.raises(UsageError):
             dynamics.read_trajectory(fname)
+
+
+# --- the phase-table stepper ------------------------------------------------
+
+
+def physical_dpd_solve(cfg):
+    """Reference dpd integrator on physical-space state: Psi frozen at its
+    freely propagated midpoint value, RK4 of the expanded remainder
+    nonlinearity between two half free steps, and the stochastic
+    convolution stepped by the standalone sampler.  Returns the (v, Psi)
+    values after every step; raises BlowUpError like solve."""
+    g, dt = cfg.grid, cfg.dt
+    v, psi = cfg.initial_v, lattice.zero_field(g)
+    out = [(v.values, psi.values)]
+    for j in range(cfg.n_steps):
+        inc = noise.sample_wiener_increment(cfg.noise, dt, noise.step_rng(cfg.master_seed, cfg.stream_id, j))
+        psi_mid = lattice.apply_schrodinger_group(psi, dt / 2.0)
+
+        def rhs(y):
+            return -1j * dynamics.dpd_nonlinearity(ComplexField(g, y), psi_mid).values
+
+        y = lattice.apply_schrodinger_group(v, dt / 2.0).values
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v = lattice.apply_schrodinger_group(ComplexField(g, y), dt / 2.0)
+        psi, _ = noise.step_stochastic_convolution(psi, cfg.noise, dt, increment=inc)
+        if not (v.is_finite() and psi.is_finite()):
+            raise BlowUpError(j + 1, (j + 1) * dt)
+        out.append((v.values, psi.values))
+    return out
+
+
+def stepper_config(scheme, g, n_steps=40, stride=1, v0=None, amplitude=0.5, **kw):
+    return dynamics.SolverConfig(
+        grid=g,
+        t_final=n_steps * 0.01,
+        dt=0.01,
+        scheme=scheme,
+        noise=noise.multiplier_noise(g, amplitude, 3.0),
+        initial_v=v0 if v0 is not None else dynamics.initial_random_band(g, 1.0, 4.0, seed=2),
+        snapshot_stride=stride,
+        master_seed=11,
+        **kw,
+    )
+
+
+class TestPhaseTableStepper:
+    def count_ffts(self, monkeypatch, cfg):
+        calls = []
+        for name in ("fftn", "ifftn"):
+            real = getattr(np.fft, name)
+
+            def counted(*args, _real=real, **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        dynamics.solve(cfg)
+        monkeypatch.undo()
+        return len(calls)
+
+    @pytest.mark.parametrize("scheme, prescribed, budget", [
+        ("dpd", True, 4), ("dpd", False, 5), ("direct", False, 5), ("direct", True, 4),
+    ])
+    def test_fft_budget_per_step(self, monkeypatch, scheme, prescribed, budget):
+        # the difference of two run lengths, each storing only its final
+        # snapshot, leaves the per-step count
+        g = grid2d()
+        counts = []
+        for n in (10, 20):
+            cfg = stepper_config(scheme, g, n_steps=n, stride=n)
+            if prescribed:
+                path = noise.generate_noise_path(cfg.noise, cfg.dt, n, master_seed=3)
+                cfg = stepper_config(scheme, g, n_steps=n, stride=n, prescribed_path=path)
+            counts.append(self.count_ffts(monkeypatch, cfg))
+        assert (counts[1] - counts[0]) / 10 <= budget
+
+    def test_dpd_matches_physical_space_stepper(self):
+        g = grid2d()
+        cfg = stepper_config("dpd", g)
+        traj = dynamics.solve(cfg)
+        ref = physical_dpd_solve(cfg)
+        assert traj.n_snapshots == len(ref) == 41
+        for i, (v_ref, psi_ref) in enumerate(ref):
+            for got, want in ((traj.v_snapshots[i].values, v_ref), (traj.psi_snapshots[i].values, psi_ref)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+
+    @pytest.mark.parametrize("scheme", ["direct", "deterministic_gp", "deterministic_cubic"])
+    def test_physical_schemes_match_group_steps(self, scheme):
+        # bit-identical to Strang steps built from apply_schrodinger_group
+        g = grid2d()
+        cfg = stepper_config(scheme, g, n_steps=20)
+        traj = dynamics.solve(cfg)
+        v = cfg.initial_v
+        for j in range(cfg.n_steps):
+            u = lattice.apply_schrodinger_group(ComplexField(g, 1.0 + v.values), cfg.dt / 2.0)
+            if scheme == "deterministic_cubic":
+                u = ComplexField(g, u.values * np.exp(-1j * np.abs(u.values) ** 2 * cfg.dt))
+            else:
+                u = dynamics.nonlinear_phase_substep(u, cfg.dt)
+            u = lattice.apply_schrodinger_group(u, cfg.dt / 2.0)
+            v = ComplexField(g, u.values - 1.0)
+            if scheme == "direct":
+                inc = traj.noise_path.increments[j]
+                v = ComplexField(g, v.values - 1j * inc.values)
+            assert np.array_equal(traj.v_snapshots[j + 1].values, v.values)
+
+    @pytest.mark.parametrize("amplitude, step", [(12.0, 3), (20.0, 2)])
+    def test_dpd_blow_up_step_matches_physical_space_stepper(self, amplitude, step):
+        g = grid2d()
+        cfg = stepper_config("dpd", g, v0=dynamics.initial_gaussian_bump(g, amplitude, 0.8), amplitude=0.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as ref:
+                physical_dpd_solve(cfg)
+            with pytest.raises(BlowUpError) as got:
+                dynamics.solve(cfg)
+        assert got.value.step == ref.value.step == step
+
+    def test_tables_are_shared_and_read_only(self):
+        g = grid2d()
+        assert g.ksq() is g.ksq() and not g.ksq().flags.writeable
+        spec = noise.multiplier_noise(g, 0.5, 3.0)
+        assert spec.multiplier_profile() is spec.multiplier_profile()
+        assert not spec.multiplier_profile().flags.writeable
