@@ -28,7 +28,7 @@ from .lattice import ComplexField, SpacetimeInterval
 def energy(v_star_field: ComplexField) -> float:
     """Ginzburg-Landau energy of u = 1 + v*:
     0.5 * int |grad v*|^2 + 0.25 * int (|v*|^2 + 2 Re v*)^2."""
-    return _energy(v_star_field, _grad_norms([v_star_field], (2.0,))[0, 0])
+    return _energy(v_star_field, _grad_norms([v_star_field])[2, 0])
 
 
 def _energy(v_star: ComplexField, grad_l2: float) -> float:
@@ -90,16 +90,38 @@ def _ham3_integrand(v_star: ComplexField) -> np.ndarray:
     return np.abs(v) ** 2 * vb - lap_vb + np.abs(v) ** 2 + 2.0 * v.real * vb + 2.0 * v.real
 
 
-def _grad_norms(fields: Sequence[ComplexField], rs: Sequence[float], first: int = 0) -> np.ndarray:
-    """||grad f||_{L^r}: a row per exponent r in rs, a column per snapshot field f, from
-    one spectral gradient of each; a non-finite field (index from `first`) is rejected."""
+def _grad_norms(fields: Sequence[ComplexField]) -> np.ndarray:
+    """||grad f||_{L^r} for r = 4, 12/5, 2: a row per r, a column per snapshot field f,
+    from one spectral gradient of each; a non-finite field is rejected by its index."""
     cols = []
-    for i, f in enumerate(fields, first):
+    for i, f in enumerate(fields):
         if not f.is_finite():
             raise UsageError(f"snapshot {i} holds a non-finite value")
         mag = lattice.gradient_magnitude(f)
-        cols.append([lattice._lp_of_values(mag, r, f.grid.cell_measure) for r in rs])
+        cols.append([lattice._lp_of_values(mag, r, f.grid.cell_measure) for r in (4.0, 12.0 / 5.0, 2.0)])
     return np.array(cols).T
+
+
+def snapshot_norms(traj) -> dict:
+    """Every per-snapshot scalar the diagnostics read, one array per key, for
+    v* = u - 1 = v + Psi: grad_l4, grad_l12o5, grad_l2 (||grad v*|| in L^4,
+    L^12/5, L^2), l6 (||v*||_{L^6}), energy (E(1 + v*)), v_grad_l12o5 and
+    psi_grad_l12o5 (||grad v||, ||grad Psi|| in L^12/5; Psi = 0 unless dpd).
+    Computed on first use, one spectral gradient per snapshot field (of v*, and
+    of v and Psi for dpd), and kept in traj.norms: a trajectory's snapshot
+    lists must not change once a diagnostic has read them.  A non-finite
+    snapshot raises UsageError naming it."""
+    if traj.norms is None:
+        n, cell = traj.n_snapshots, traj.grid.cell_measure
+        dpd = traj.scheme == "dpd"
+        v_stars = [traj.v_star_snapshot(i) for i in range(n)] if dpd else traj.v_snapshots
+        table = dict(zip(("grad_l4", "grad_l12o5", "grad_l2"), _grad_norms(v_stars)))
+        table["l6"] = np.array([lattice._lp_of_values(v.values, 6.0, cell) for v in v_stars])
+        table["energy"] = np.array([_energy(v, e) for v, e in zip(v_stars, table["grad_l2"])])
+        table["v_grad_l12o5"] = _grad_norms(traj.v_snapshots)[1] if dpd else table["grad_l12o5"]
+        table["psi_grad_l12o5"] = _grad_norms(traj.psi_snapshots)[1] if dpd else np.zeros(n)
+        traj.norms = table
+    return traj.norms
 
 
 def _cumulative(y: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -123,11 +145,11 @@ def ito_ledger(traj) -> EnergyLedger:
         if cfg.snapshot_stride != 1:
             raise UsageError("ito_ledger requires snapshot_stride = 1")
 
+    table = snapshot_norms(traj)
     times = np.asarray(traj.times, dtype=float)
     n = len(times)
     v_stars = [traj.v_star_snapshot(i) for i in range(n)]
-    grad_l12o5, grad_l2 = _grad_norms(v_stars, (12.0 / 5.0, 2.0))
-    energies = np.array([_energy(v, e) for v, e in zip(v_stars, grad_l2)])
+    energies = table["energy"]
 
     hs_h1dot = noise_mod.hs_norm(cfg.noise, 1.0, homogeneous=True) ** 2
     hs_l2 = noise_mod.hs_norm(cfg.noise, 0.0) ** 2
@@ -154,9 +176,8 @@ def ito_ledger(traj) -> EnergyLedger:
     residual_b = energies - energies[0] - ham1_b - ham2_b - ham3
 
     # cumulative space-time norms of u - 1 = v* over [0, t_i]
-    l6 = np.array([lattice._lp_of_values(v.values, 6.0, cell) for v in v_stars])
-    x1_cum = _cumulative(grad_l12o5**6, times) ** (1.0 / 6.0)
-    l6_cum = _cumulative(l6**6, times) ** (1.0 / 6.0)
+    x1_cum = _cumulative(table["grad_l12o5"]**6, times) ** (1.0 / 6.0)
+    l6_cum = _cumulative(table["l6"]**6, times) ** (1.0 / 6.0)
 
     return EnergyLedger(
         times=times, energy=energies, ham1=ham1, ham2=ham2, ham3=ham3,
@@ -169,19 +190,15 @@ def energy_bound_report(trajectories: Sequence) -> dict:
     """Monte Carlo estimate of E[ sup_{t <= T} E(u)(t) ] over an ensemble."""
     if len(trajectories) == 0:
         raise UsageError("empty ensemble")
-    sups = []
-    finals = []
-    for traj in trajectories:
-        es = [energy(traj.v_star_snapshot(i)) for i in range(traj.n_snapshots)]
-        sups.append(max(es))
-        finals.append(es[-1])
+    es = [snapshot_norms(traj)["energy"] for traj in trajectories]
+    sups = [float(e.max()) for e in es]
     mean, se = noise_mod.mean_and_se(sups)
     return {
         "n_members": len(sups),
         "sup_energy_mean": mean,
         "sup_energy_se": se,
         "sup_energy_quantiles": quantile_summary(sups),
-        "final_energy_mean": float(np.mean(finals)),
+        "final_energy_mean": float(np.mean([e[-1] for e in es])),
         "per_member_sup": sups,
     }
 
@@ -219,13 +236,10 @@ def partition_intervals(traj, eta: float) -> IntervalPartition:
     n = len(traj.times)
     if n < 2:
         raise UsageError("partitioning needs at least 2 snapshots")
-    # per-step pieces of ||grad v||^6_{L^12/5} and ||grad Psi||^6_{L^12/5};
-    # Psi is zero unless the scheme is dpd
-    def pieces(fields):
-        return lattice.trapezoid_steps(_grad_norms(fields, (12.0 / 5.0,))[0] ** 6, traj.times)
-
-    a = pieces(traj.v_snapshots)
-    b = pieces(traj.psi_snapshots) if traj.scheme == "dpd" else np.zeros_like(a)
+    # per-step pieces of ||grad v||^6_{L^12/5} and ||grad Psi||^6_{L^12/5}
+    table = snapshot_norms(traj)
+    a = lattice.trapezoid_steps(table["v_grad_l12o5"]**6, traj.times)
+    b = lattice.trapezoid_steps(table["psi_grad_l12o5"]**6, traj.times)
     intervals, norms = [], []
     i = 0
     while i < n - 1:
@@ -251,20 +265,18 @@ def strichartz_report(traj, interval: SpacetimeInterval) -> dict:
     """Named space-time norms over the interval: the three shipped admissible
     pairs applied to grad u, the L^6_{t,x} norm of u - 1, and the X^1 norm.
     The s1_proxy entry is the max over the three computed pairs, not the full
-    supremum over all admissible pairs.  Since grad u = grad v*, one gradient
-    of each v* = u - 1 snapshot serves every entry."""
+    supremum over all admissible pairs.  Since grad u = grad v*, every entry
+    is read off the norm table's columns for v* = u - 1."""
     interval.validate(len(traj.times))
     sl = slice(interval.start_index, interval.end_index + 1)
-    v_stars = [traj.v_star_snapshot(i) for i in range(sl.start, sl.stop)]
-    l4, l12o5, l2 = _grad_norms(v_stars, (4.0, 12.0 / 5.0, 2.0), sl.start)
-    l6 = [lattice._lp_of_values(v.values, 6.0, v.grid.cell_measure) for v in v_stars]
+    table = snapshot_norms(traj)
     times = traj.times[sl]
     rep = {
-        "grad_L2t_L4x": lattice.time_norm(l4, times, 2.0),
-        "grad_L6t_L12/5x": lattice.time_norm(l12o5, times, 6.0),
-        "grad_Linft_L2x": lattice.time_norm(l2, times, lattice.INF),
+        "grad_L2t_L4x": lattice.time_norm(table["grad_l4"][sl], times, 2.0),
+        "grad_L6t_L12/5x": lattice.time_norm(table["grad_l12o5"][sl], times, 6.0),
+        "grad_Linft_L2x": lattice.time_norm(table["grad_l2"][sl], times, lattice.INF),
     }
     rep["s1_proxy"] = max(rep.values())
-    rep["L6_tx_u_minus_1"] = lattice.time_norm(l6, times, 6.0)
+    rep["L6_tx_u_minus_1"] = lattice.time_norm(table["l6"][sl], times, 6.0)
     rep["x1"] = rep["grad_L6t_L12/5x"]
     return rep

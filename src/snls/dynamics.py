@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -91,6 +91,7 @@ class Trajectory:
     config: Optional[SolverConfig] = None
     noise_path: Optional[NoisePath] = None
     frame: str = "gp"  # "gp" or "cubic" (gauge-transformed)
+    norms: Optional[dict] = field(default=None, init=False, repr=False, compare=False)  # snapshot_norms
 
     @property
     def n_snapshots(self) -> int:
@@ -178,8 +179,8 @@ def strang_step_dpd(v_hat: np.ndarray, psi_mid: np.ndarray, half: np.ndarray, dt
     Half linear step, one classical RK4 substep of the pointwise ODE
     v' = -i (|w|^2 - 1) w with w = 1 + v + psi_mid, half linear step.  The
     caller passes the midpoint-consistent Psi (step-start value freely
-    propagated by dt/2) in physical space, lattice shape.  Returns the new
-    coefficients.
+    propagated by dt/2) in physical space, lattice shape, or 0.0 for a zero
+    Psi.  Returns the new coefficients.
     """
     y = np.fft.ifftn(v_hat * half)
     c = 1.0 + psi_mid
@@ -256,10 +257,10 @@ def solve(config: SolverConfig) -> Trajectory:
             if substep is None:
                 v_hat *= full
             else:
-                # midpoint-consistent convention: the step-start Psi is freely
-                # propagated to the step midpoint before entering the frozen-
-                # Psi nonlinear substep (adapted: uses no new increment)
-                psi_mid = np.fft.ifftn(psi_hat * half)
+                # midpoint-consistent convention: the step-start Psi (zero until
+                # the first increment) is freely propagated to the step midpoint before
+                # entering the frozen-Psi nonlinear substep (adapted: uses no new increment)
+                psi_mid = np.fft.ifftn(psi_hat * half) if record.increments else 0.0
                 v_hat = strang_step_dpd(v_hat, psi_mid, half, dt)
             # Psi(t+dt) = S(dt) Psi(t) - i * (phi DeltaW), exactly in Fourier space
             psi_hat *= full

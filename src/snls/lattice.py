@@ -186,20 +186,13 @@ def apply_schrodinger_group(field: ComplexField, t: float) -> ComplexField:
     return ComplexField(g, free_flow(field.values, schrodinger_phase(g, t)))
 
 
-def gradient_fields(field: ComplexField) -> list:
-    """Spectral partial derivatives, one ComplexField per axis."""
-    g = field.grid
-    uhat = np.fft.fftn(field.mesh)
-    mesh = g.wavenumber_mesh()
-    return [field_from_mesh(g, np.fft.ifftn(1j * km * uhat)) for km in mesh]
-
-
 def gradient_magnitude(field: ComplexField) -> np.ndarray:
-    """|grad u|(x) = (sum_axes |d_j u|^2)^{1/2}, flat real array."""
-    acc = np.zeros(field.grid.total_points)
-    for d in gradient_fields(field):
-        acc += np.abs(d.values) ** 2
-    return np.sqrt(acc)
+    """|grad u|(x) = (sum_axes |d_j u|^2)^{1/2} by spectral derivatives, flat real array."""
+    uhat = np.fft.fftn(field.mesh)
+    acc = np.zeros(uhat.shape)
+    for km in field.grid.wavenumber_mesh():
+        acc += np.abs(np.fft.ifftn(1j * km * uhat)) ** 2
+    return np.sqrt(acc).ravel()
 
 
 def laplacian(field: ComplexField) -> ComplexField:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -328,3 +330,38 @@ class TestNonFiniteSnapshot:
     def test_ito_ledger(self):
         with pytest.raises(UsageError, match="snapshot 5 holds a non-finite value"):
             diagnostics.ito_ledger(with_nan_snapshot(stochastic_traj()))
+
+
+class TestSnapshotNormTable:
+    def run_all(self, traj):
+        diagnostics.ito_ledger(traj)
+        diagnostics.partition_intervals(traj, 0.1)
+        diagnostics.strichartz_report(traj, SpacetimeInterval(0, traj.n_snapshots - 1))
+        diagnostics.energy_bound_report([traj])
+
+    @pytest.mark.parametrize("scheme, per_snapshot", [("direct", 1), ("dpd", 3)])
+    def test_one_gradient_per_snapshot_field(self, monkeypatch, scheme, per_snapshot):
+        # the four diagnostics share one gradient pass: of v* (= v unless
+        # dpd), and for dpd also of v and Psi; a second call takes none
+        traj = stochastic_traj(scheme)
+        calls = []
+        real = lattice.gradient_magnitude
+        monkeypatch.setattr(lattice, "gradient_magnitude", lambda f: calls.append(1) or real(f))
+        self.run_all(traj)
+        assert len(calls) == per_snapshot * traj.n_snapshots
+        self.run_all(traj)
+        assert len(calls) == per_snapshot * traj.n_snapshots
+
+    def test_nan_snapshot_outside_strichartz_interval(self):
+        # the table covers every snapshot, not only the interval's
+        traj = with_nan_snapshot(stochastic_traj(), index=15)
+        with pytest.raises(UsageError, match="snapshot 15 holds a non-finite value"):
+            diagnostics.strichartz_report(traj, SpacetimeInterval(0, 5))
+
+    def test_copies_start_without_a_table(self):
+        traj = stochastic_traj()
+        assert traj.norms is None
+        diagnostics.snapshot_norms(traj)
+        assert traj.norms is not None
+        assert replace(traj, v_snapshots=list(traj.v_snapshots)).norms is None
+        assert dynamics.gauge_transform(traj).norms is None

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -430,6 +431,22 @@ class TestPhaseTableStepper:
                 cfg = stepper_config(scheme, g, n_steps=n, stride=n, prescribed_path=path)
             counts.append(self.count_ffts(monkeypatch, cfg))
         assert (counts[1] - counts[0]) / 10 <= budget
+
+    def test_fft_budget_per_step_zero_noise_dpd(self, monkeypatch):
+        # with no increments Psi stays zero, so Psi_mid takes no transform
+        g = grid2d()
+        counts = []
+        for n in (10, 20):
+            cfg = replace(stepper_config("dpd", g, n_steps=n, stride=n), noise=noise.zero_noise(g))
+            counts.append(self.count_ffts(monkeypatch, cfg))
+        assert (counts[1] - counts[0]) / 10 <= 2
+        # and the snapshots equal those of a run fed all-zero increments,
+        # which transforms Psi_mid every step
+        cfg = replace(cfg, snapshot_stride=1)
+        zeros = noise.NoisePath(grid=g, dt=cfg.dt, increments=[lattice.zero_field(g)] * 20)
+        fed = dynamics.solve(replace(cfg, prescribed_path=zeros))
+        for got, want in zip(dynamics.solve(cfg).v_snapshots, fed.v_snapshots):
+            assert np.array_equal(got.values, want.values)
 
     def test_dpd_matches_physical_space_stepper(self):
         g = grid2d()
