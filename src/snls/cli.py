@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import diagnostics, dynamics, harness, lattice, noise as noise_mod
-from .errors import ConfigurationError, SnlsError
+from .errors import ConfigurationError, SnlsError, UsageError
 
 
 def _load_config(args) -> harness.RunConfig:
@@ -116,7 +116,10 @@ def _cmd_converge(args) -> int:
     rc = _load_config(args)
     harness.ensure_output_dir(rc)
     if args.dts:
-        dts = [float(s) for s in args.dts.split(",")]
+        try:
+            dts = [float(s) for s in args.dts.split(",")]
+        except ValueError:
+            raise UsageError(f"--dts must be comma-separated numbers, got {args.dts!r}") from None
     else:
         dts = [rc.dt * 2**j for j in range(args.levels - 1, -1, -1)]
     study = harness.convergence_study(rc, dts)

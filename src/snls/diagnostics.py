@@ -18,6 +18,7 @@ from typing import List, Sequence
 import numpy as np
 
 from . import lattice, noise as noise_mod
+from .dynamics import Trajectory
 from .errors import UsageError
 from .lattice import ComplexField, SpacetimeInterval
 
@@ -28,14 +29,8 @@ from .lattice import ComplexField, SpacetimeInterval
 def energy(v_star_field: ComplexField) -> float:
     """Ginzburg-Landau energy of u = 1 + v*:
     0.5 * int |grad v*|^2 + 0.25 * int (|v*|^2 + 2 Re v*)^2."""
-    return _energy(v_star_field, _grad_norms([v_star_field])[2, 0])
-
-
-def _energy(v_star: ComplexField, grad_l2: float) -> float:
-    """The energy of u = 1 + v* given ||grad v*||_{L^2}."""
-    v = v_star.values
-    pot = (np.abs(v) ** 2 + 2.0 * v.real) ** 2
-    return float(0.5 * grad_l2**2 + 0.25 * pot.sum() * v_star.grid.cell_measure)
+    one = Trajectory(v_star_field.grid, "direct", np.zeros(1), v_star_field.mesh[np.newaxis])
+    return float(snapshot_norms(one)["energy"][0])
 
 
 # --- Ito ledger ---------------------------------------------------------------
@@ -69,59 +64,62 @@ class EnergyLedger:
         ]
 
 
-def _mode_density(spec) -> object:
-    """sum_n |phi_n(x)|^2: a constant for multiplier noise (Plancherel),
-    a lattice array for rank-list noise, 0 for zero noise."""
-    if spec.kind == "zero":
-        return 0.0
-    if spec.kind == "multiplier":
-        return noise_mod.hs_norm(spec, 0.0) ** 2 / spec.grid.volume
-    dens = np.zeros(spec.grid.total_points)
-    for col in spec.rank_list:
-        dens += np.abs(col.values) ** 2
-    return dens
-
-
-def _ham3_integrand(v_star: ComplexField) -> np.ndarray:
-    """|v*|^2 conj(v*) - Lap conj(v*) + |v*|^2 + 2 Re(v*) conj(v*) + 2 Re(v*)."""
-    v = v_star.values
-    vb = np.conj(v)
-    lap_vb = np.conj(lattice.laplacian(v_star).values)
-    return np.abs(v) ** 2 * vb - lap_vb + np.abs(v) ** 2 + 2.0 * v.real * vb + 2.0 * v.real
-
-
-def _grad_norms(fields: Sequence[ComplexField]) -> np.ndarray:
-    """||grad f||_{L^r} for r = 4, 12/5, 2: a row per r, a column per snapshot field f,
-    from one spectral gradient of each; a non-finite field is rejected by its index."""
-    cols = []
-    for i, f in enumerate(fields):
-        if not f.is_finite():
-            raise UsageError(f"snapshot {i} holds a non-finite value")
-        mag = lattice.gradient_magnitude(f)
-        cols.append([lattice._lp_of_values(mag, r, f.grid.cell_measure) for r in (4.0, 12.0 / 5.0, 2.0)])
-    return np.array(cols).T
+_BLOCK_BYTES = 1 << 20  # bytes of snapshot rows per block of the norm-table pass
 
 
 def snapshot_norms(traj) -> dict:
-    """Every per-snapshot scalar the diagnostics read, one array per key, for
-    v* = u - 1 = v + Psi: grad_l4, grad_l12o5, grad_l2 (||grad v*|| in L^4,
-    L^12/5, L^2), l6 (||v*||_{L^6}), energy (E(1 + v*)), v_grad_l12o5 and
-    psi_grad_l12o5 (||grad v||, ||grad Psi|| in L^12/5; Psi = 0 unless dpd).
-    Computed on first use, one spectral gradient per snapshot field (of v*, and
-    of v and Psi for dpd), and kept in traj.norms: a trajectory's snapshot
-    lists must not change once a diagnostic has read them.  A non-finite
-    snapshot raises UsageError naming it."""
-    if traj.norms is None:
-        n, cell = traj.n_snapshots, traj.grid.cell_measure
-        dpd = traj.scheme == "dpd"
-        v_stars = [traj.v_star_snapshot(i) for i in range(n)] if dpd else traj.v_snapshots
-        table = dict(zip(("grad_l4", "grad_l12o5", "grad_l2"), _grad_norms(v_stars)))
-        table["l6"] = np.array([lattice._lp_of_values(v.values, 6.0, cell) for v in v_stars])
-        table["energy"] = np.array([_energy(v, e) for v, e in zip(v_stars, table["grad_l2"])])
-        table["v_grad_l12o5"] = _grad_norms(traj.v_snapshots)[1] if dpd else table["grad_l12o5"]
-        table["psi_grad_l12o5"] = _grad_norms(traj.psi_snapshots)[1] if dpd else np.zeros(n)
-        traj.norms = table
-    return traj.norms
+    """Every per-snapshot quantity the diagnostics read, for v* = u - 1 =
+    v + Psi: ||grad v*|| in L^4, L^12/5, L^2, ||v*||_{L^6}, E(1 + v*), ham2's
+    integrals of |v*|^2 + (Im v*)^2 + 4 Re v* (qv) and |v*|^2 + 2 Re v*
+    (qv_balanced), ||grad v|| and ||grad Psi|| in L^12/5, and, given a noise
+    path with one increment per step, each step's ham3 term (ham3_steps).
+
+    The one pass over snapshot fields, in blocks of _BLOCK_BYTES of rows with
+    one forward transform per block of v* (and of v and Psi for dpd).  Kept in
+    traj.norms: snapshots must not change once a diagnostic has read them.
+    A non-finite snapshot raises UsageError naming it."""
+    if traj.norms is not None:
+        return traj.norms
+    g, n, cell = traj.grid, traj.n_snapshots, traj.grid.cell_measure
+    path = traj.noise_path
+    incs = path.increments if path is not None and path.n_steps == n - 1 else []
+    rows = max(1, _BLOCK_BYTES // traj.v[0].nbytes)
+    blocks = []
+    for start in range(0, n, rows):
+        sl = slice(start, start + rows)
+        w = traj.v[sl] if traj.psi is None else traj.v[sl] + traj.psi[sl]  # v* rows
+        flat = w.reshape(len(w), -1)
+        finite = np.isfinite(flat.view(np.float64)).all(axis=1)
+        if not finite.all():
+            raise UsageError(f"snapshot {start + int(np.argmin(finite))} holds a non-finite value")
+        w_hat = np.fft.fftn(w, axes=g.axes)
+        grad = lattice.gradient_magnitude(g, w_hat)
+        cols = {key: lattice._lp_of_values(grad, r, cell)
+                for key, r in (("grad_l4", 4.0), ("grad_l12o5", 12.0 / 5.0), ("grad_l2", 2.0))}
+        cols["l6"] = lattice._lp_of_values(flat, 6.0, cell)
+        abs2 = np.abs(flat) ** 2
+        q = abs2 + 2.0 * flat.real  # |u|^2 - 1
+        cols["energy"] = 0.5 * cols["grad_l2"] ** 2 + 0.25 * np.sum(q**2, axis=1) * cell
+        cols["qv"] = np.sum(abs2 + flat.imag**2 + 4.0 * flat.real, axis=1) * cell
+        cols["qv_balanced"] = np.sum(q, axis=1) * cell
+        if incs[sl]:
+            # Im int G(v*) phi dW dx paired with each left-point snapshot, for
+            # G(v*) = |v*|^2 conj(v*) - Lap conj(v*) + |v*|^2 + 2 Re(v*) conj(v*) + 2 Re(v*)
+            dw = np.stack([inc.values for inc in incs[sl]])
+            v, a, vb = flat[: len(dw)], abs2[: len(dw)], np.conj(flat[: len(dw)])
+            lap_vb = np.conj(lattice.laplacian(g, w_hat[: len(dw)]))
+            integrand = a * vb - lap_vb + a + 2.0 * v.real * vb + 2.0 * v.real
+            cols["ham3_steps"] = np.imag(np.sum(integrand * dw, axis=1)) * cell
+        if traj.psi is not None:
+            for key, part in (("v_grad_l12o5", traj.v[sl]), ("psi_grad_l12o5", traj.psi[sl])):
+                part_grad = lattice.gradient_magnitude(g, np.fft.fftn(part, axes=g.axes))
+                cols[key] = lattice._lp_of_values(part_grad, 12.0 / 5.0, cell)
+        blocks.append(cols)
+    table = {key: np.concatenate([b[key] for b in blocks if key in b]) for key in blocks[0]}
+    if traj.psi is None:
+        table["v_grad_l12o5"], table["psi_grad_l12o5"] = table["grad_l12o5"], np.zeros(n)
+    traj.norms = table
+    return table
 
 
 def _cumulative(y: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -138,7 +136,6 @@ def ito_ledger(traj) -> EnergyLedger:
     increment has a matching left-point state.
     """
     cfg = traj.solver_config("ito_ledger")
-    g = traj.grid
     if cfg.stochastic:
         if traj.noise_path is None:
             raise UsageError("ito_ledger needs the trajectory's recorded noise path")
@@ -147,8 +144,6 @@ def ito_ledger(traj) -> EnergyLedger:
 
     table = snapshot_norms(traj)
     times = np.asarray(traj.times, dtype=float)
-    n = len(times)
-    v_stars = [traj.v_star_snapshot(i) for i in range(n)]
     energies = table["energy"]
 
     hs_h1dot = noise_mod.hs_norm(cfg.noise, 1.0, homogeneous=True) ** 2
@@ -156,21 +151,14 @@ def ito_ledger(traj) -> EnergyLedger:
     ham1 = times * (hs_h1dot + hs_l2)
     ham1_b = 0.5 * ham1
 
-    density = _mode_density(cfg.noise)
-    cell = g.cell_measure
+    # sum_n |phi e_n(x)|^2, the same at every x for a multiplier (Plancherel)
+    density = hs_l2 / traj.grid.volume
+    ham2 = _cumulative(density * table["qv"], times)
+    ham2_b = _cumulative(density * table["qv_balanced"], times)
 
-    def ham2_of(integrand) -> np.ndarray:
-        """Running trapezoid integral of int integrand(v*) * density dx."""
-        return _cumulative(np.array([np.sum(integrand(v.values) * density) * cell
-                                     for v in v_stars]), times)
-
-    ham2 = ham2_of(lambda w: np.abs(w) ** 2 + w.imag**2 + 4.0 * w.real)
-    ham2_b = ham2_of(lambda w: np.abs(w) ** 2 + 2.0 * w.real)
-
-    ham3 = np.zeros(n)
+    ham3 = np.zeros(len(times))
     if cfg.stochastic:
-        ham3[1:] = np.cumsum([np.imag(np.sum(_ham3_integrand(v) * inc.values)) * cell
-                              for v, inc in zip(v_stars, traj.noise_path.increments)])
+        ham3[1:] = np.cumsum(table["ham3_steps"])
 
     residual = energies - energies[0] - ham1 - ham2 - ham3
     residual_b = energies - energies[0] - ham1_b - ham2_b - ham3

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -80,14 +81,15 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshots of one run.  A trajectory read from a file has no solver
-    config and no noise path."""
+    """Snapshots of one run, one per row of v (lattice shape), and of Psi in
+    psi for dpd (None otherwise: Psi = 0).  A trajectory read from a file has
+    no solver config and no noise path."""
 
     grid: GridSpec
     scheme: str
     times: np.ndarray
-    v_snapshots: List[ComplexField]
-    psi_snapshots: List[ComplexField]
+    v: np.ndarray
+    psi: Optional[np.ndarray] = None
     config: Optional[SolverConfig] = None
     noise_path: Optional[NoisePath] = None
     frame: str = "gp"  # "gp" or "cubic" (gauge-transformed)
@@ -96,6 +98,18 @@ class Trajectory:
     @property
     def n_snapshots(self) -> int:
         return len(self.times)
+
+    @cached_property
+    def v_snapshots(self) -> List[ComplexField]:
+        """Writable ComplexField views of the rows of v."""
+        return [ComplexField(self.grid, row.ravel()) for row in self.v]
+
+    @cached_property
+    def psi_snapshots(self) -> List[ComplexField]:
+        """Writable views of the rows of psi; without psi, one shared zero field."""
+        if self.psi is None:
+            return [lattice.zero_field(self.grid)] * self.n_snapshots
+        return [ComplexField(self.grid, row.ravel()) for row in self.psi]
 
     def solver_config(self, caller: str) -> SolverConfig:
         if self.config is None:
@@ -228,16 +242,15 @@ def solve(config: SolverConfig) -> Trajectory:
         substep = nonlinear_phase_substep
 
     v = config.initial_v.values.copy()
-    zero = lattice.zero_field(g)
+    v_rows = np.empty((n_steps // stride + 1,) + g.shape, dtype=np.complex128)
+    v_rows[0] = v.reshape(g.shape)
+    psi_rows = np.zeros_like(v_rows) if dpd else None
     if dpd:
         full = lattice.schrodinger_phase(g, dt)
         v_hat = np.fft.fftn(v.reshape(g.shape))
         psi_hat = np.zeros(g.shape, dtype=np.complex128)
     record = NoisePath(grid=g, dt=dt, rng_seed=config.master_seed, stream_id=config.stream_id)
 
-    times = [0.0]
-    v_snaps = [ComplexField(g, v)]
-    psi_snaps = [zero]
 
     for j in range(n_steps):
         if path is not None:
@@ -274,20 +287,19 @@ def solve(config: SolverConfig) -> Trajectory:
             raise BlowUpError(j + 1, (j + 1) * dt)
 
         if (j + 1) % stride == 0:
-            times.append((j + 1) * dt)
+            k = (j + 1) // stride
             if dpd:
-                v = np.fft.ifftn(v_hat).ravel()
-                psi_snaps.append(ComplexField(g, np.fft.ifftn(psi_hat).ravel()))
+                v_rows[k] = np.fft.ifftn(v_hat)
+                psi_rows[k] = np.fft.ifftn(psi_hat)
             else:
-                psi_snaps.append(zero)
-            v_snaps.append(ComplexField(g, v))
+                v_rows[k] = v.reshape(g.shape)
 
     return Trajectory(
         grid=g,
         scheme=config.scheme,
-        times=np.asarray(times),
-        v_snapshots=v_snaps,
-        psi_snapshots=psi_snaps,
+        times=np.arange(0, n_steps + 1, stride) * dt,
+        v=v_rows,
+        psi=psi_rows,
         config=config,
         noise_path=record if record.n_steps else None,
     )
@@ -336,17 +348,14 @@ def duhamel_residual(traj: Trajectory, time_index: int) -> float:
 
 def gauge_transform(traj: Trajectory) -> Trajectory:
     """Multiply every u-snapshot at time t by e^{-it} (cubic-NLS frame)."""
-    g = traj.grid
-    v_new, zero = [], lattice.zero_field(g)
-    for i, t in enumerate(traj.times):
-        u = traj.u_snapshot(i).values
-        v_new.append(ComplexField(g, np.exp(-1j * float(t)) * u - 1.0))
+    u = 1.0 + traj.v if traj.psi is None else 1.0 + traj.v + traj.psi
+    phase = np.exp(-1j * traj.times).reshape((-1,) + (1,) * traj.grid.dim)
     return Trajectory(
-        grid=g,
+        grid=traj.grid,
         scheme=traj.scheme,
         times=traj.times.copy(),
-        v_snapshots=v_new,
-        psi_snapshots=[zero] * traj.n_snapshots,
+        v=phase * u - 1.0,
+        psi=None if traj.psi is None else np.zeros_like(u),
         config=traj.config,
         noise_path=traj.noise_path,
         frame="cubic",
@@ -413,9 +422,9 @@ def write_trajectory(traj: Trajectory, filename: str) -> None:
     )
     with open(filename, "wb") as fh:
         fh.write(TRAJ_MAGIC + header)
-        lattice.write_fields(fh, traj.v_snapshots)
-        if traj.scheme == "dpd":
-            lattice.write_fields(fh, traj.psi_snapshots)
+        lattice.write_fields(fh, traj.v)
+        if traj.psi is not None:
+            lattice.write_fields(fh, traj.psi)
 
 
 def _read_header(fh) -> tuple:
@@ -433,13 +442,9 @@ def read_trajectory(filename: str) -> Trajectory:
     with open(filename, "rb") as fh:
         grid, snaps, dt, scheme = _read_header(fh)
         fields = lattice.read_fields(fh, grid, 2 * snaps if scheme == "dpd" else snaps)
-    if scheme == "dpd":
-        psi_snaps = fields[snaps:]
-    else:
-        psi_snaps = [lattice.zero_field(grid)] * snaps
     return Trajectory(
         grid=grid, scheme=scheme, times=np.arange(snaps) * dt,
-        v_snapshots=fields[:snaps], psi_snapshots=psi_snaps,
+        v=fields[:snaps], psi=fields[snaps:] if scheme == "dpd" else None,
     )
 
 

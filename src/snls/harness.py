@@ -312,8 +312,8 @@ def convergence_study(rc: RunConfig, dt_list: Sequence[float]) -> dict:
     path generated at the finest resolution and coarsened by increment
     summation so every run sees the same Brownian path."""
     dts = list(dt_list)
-    if len(dts) < 2 or any(b >= a for a, b in zip(dts, dts[1:])):
-        raise UsageError("dt_list must be strictly decreasing with >= 2 entries")
+    if len(dts) < 2 or any(b >= a for a, b in zip(dts, dts[1:])) or not dts[-1] > 0:
+        raise UsageError("dt_list must be positive and strictly decreasing with >= 2 entries")
     dt_min = dts[-1]
     for dt in dts:
         if not dynamics.is_whole(rc.t_final / dt):
@@ -360,6 +360,8 @@ def residual_refinement_study(rc: RunConfig, n_halvings: int = 3) -> dict:
     to give a non-increasing |residual|; the balanced drift terms derived
     from Ito's lemma are reported alongside for arbitration.
     """
+    if n_halvings < 0:
+        raise UsageError(f"the number of dt halvings must be >= 0, got {n_halvings}")
     dts = [rc.dt / (2**j) for j in range(n_halvings + 1)]
     base = build_solver_config(rc)
     literal, balanced = [], []

@@ -15,7 +15,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,6 +59,11 @@ class GridSpec:
         m = np.arange(n)
         m = np.where(m <= n // 2, m, m - n)
         return 2.0 * np.pi * m / self.box_length
+
+    @property
+    def axes(self) -> tuple:
+        """The trailing axes of a stack of fields in lattice shape."""
+        return tuple(range(-self.dim, 0))
 
     def wavenumber_mesh(self) -> list:
         """One |dim|-dimensional wavenumber array per axis (open meshgrid)."""
@@ -186,19 +191,24 @@ def apply_schrodinger_group(field: ComplexField, t: float) -> ComplexField:
     return ComplexField(g, free_flow(field.values, schrodinger_phase(g, t)))
 
 
-def gradient_magnitude(field: ComplexField) -> np.ndarray:
-    """|grad u|(x) = (sum_axes |d_j u|^2)^{1/2} by spectral derivatives, flat real array."""
-    uhat = np.fft.fftn(field.mesh)
+def gradient_magnitude(field, uhat=None) -> np.ndarray:
+    """|grad u|(x) = (sum_axes |d_j u|^2)^{1/2} by spectral derivatives, flat
+    per field, for one ComplexField or for a stack of fields given as their
+    GridSpec and their forward transform uhat over the trailing grid axes."""
+    grid, uhat = (field.grid, np.fft.fftn(field.mesh)) if uhat is None else (field, uhat)
     acc = np.zeros(uhat.shape)
-    for km in field.grid.wavenumber_mesh():
-        acc += np.abs(np.fft.ifftn(1j * km * uhat)) ** 2
-    return np.sqrt(acc).ravel()
+    for km in grid.wavenumber_mesh():
+        acc += np.abs(np.fft.ifftn(1j * km * uhat, axes=grid.axes)) ** 2
+    return np.sqrt(acc).reshape(uhat.shape[: uhat.ndim - grid.dim] + (-1,))
 
 
-def laplacian(field: ComplexField) -> ComplexField:
-    g = field.grid
-    uhat = np.fft.fftn(field.mesh)
-    return field_from_mesh(g, np.fft.ifftn(-g.ksq() * uhat))
+def laplacian(field, uhat=None):
+    """Lap u by spectral derivatives: a ComplexField for one field, or flat
+    values per field for a stack given as for gradient_magnitude."""
+    grid, uhat = (field.grid, np.fft.fftn(field.mesh)) if uhat is None else (field, uhat)
+    lap = np.fft.ifftn(-grid.ksq() * uhat, axes=grid.axes)
+    lap = lap.reshape(uhat.shape[: uhat.ndim - grid.dim] + (-1,))
+    return ComplexField(grid, lap) if lap.ndim == 1 else lap
 
 
 # --- norms ---------------------------------------------------------------
@@ -222,17 +232,21 @@ def sobolev_norm(field: ComplexField, s: float, homogeneous: bool = False) -> fl
     return float(np.sqrt(np.sum(w * np.abs(a) ** 2)))
 
 
-def _lp_of_values(values: np.ndarray, r: float, cell: float) -> float:
+def _lp_of_values(values: np.ndarray, r: float, cell: float):
+    """L^r norm of flat field values, or one per field of a stack (leading
+    axes); roots are taken in scalar arithmetic, so a stacked field's norm
+    is the one it has alone."""
     mags = np.abs(values)
     if r == INF:
-        return float(mags.max(initial=0.0))
-    return float((np.sum(mags**r) * cell) ** (1.0 / r))
+        return mags.max(axis=-1, initial=0.0)
+    sums = np.sum(mags**r, axis=-1) * cell
+    return np.array([s ** (1.0 / r) for s in sums.tolist()]) if sums.ndim else sums ** (1.0 / r)
 
 
 def lebesgue_norm(field: ComplexField, r: float) -> float:
     if r != INF and r < 1:
         raise UsageError(f"Lebesgue exponent must be >= 1 or inf, got {r}")
-    return _lp_of_values(field.values, r, field.grid.cell_measure)
+    return float(_lp_of_values(field.values, r, field.grid.cell_measure))
 
 
 def trapezoid_steps(y, times: Sequence[float]) -> np.ndarray:
@@ -290,10 +304,9 @@ def x1_norm(
 FIELD_DTYPE = np.dtype("<c16")
 
 
-def write_fields(fh, fields: Sequence[ComplexField]) -> None:
-    """Append fields to an open binary file, one field at a time."""
-    for f in fields:
-        fh.write(np.ascontiguousarray(f.values, dtype=FIELD_DTYPE))
+def write_fields(fh, values: np.ndarray) -> None:
+    """Append one field, or a stack of fields, to an open binary file."""
+    fh.write(np.ascontiguousarray(values, dtype=FIELD_DTYPE))
 
 
 def read_header(fh, magic: bytes, fmt: str) -> tuple:
@@ -320,11 +333,12 @@ def header_grid(fh, dim: int, points_per_axis: int, box_length: float, dt: float
         raise FormatError(f"{fh.name}: {exc}") from None
 
 
-def read_fields(fh, grid: GridSpec, count: int) -> List[ComplexField]:
-    """Read the `count` fields that make up the rest of an open binary file.
+def read_fields(fh, grid: GridSpec, count: int) -> np.ndarray:
+    """Read the `count` fields that make up the rest of an open binary file
+    into one writable (count, *grid.shape) array.
 
     The remaining bytes must be exactly `count` fields and every value must
-    be finite.  The returned arrays are writable.
+    be finite.
     """
     nbytes = grid.total_points * FIELD_DTYPE.itemsize
     left = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -332,12 +346,10 @@ def read_fields(fh, grid: GridSpec, count: int) -> List[ComplexField]:
         raise FormatError(
             f"{fh.name}: payload has {left} bytes, the header implies {count * nbytes}"
         )
-    out = []
-    for i in range(count):
-        buf = bytearray(nbytes)
-        fh.readinto(buf)
-        f = ComplexField(grid, np.frombuffer(buf, dtype=FIELD_DTYPE))
-        if not f.is_finite():
-            raise FormatError(f"{fh.name}: field {i} holds a non-finite value")
-        out.append(f)
-    return out
+    buf = bytearray(left)
+    fh.readinto(buf)
+    values = np.frombuffer(buf, dtype=FIELD_DTYPE).reshape((count,) + grid.shape)
+    finite = np.isfinite(values.view(np.float64)).reshape(count, 2 * grid.total_points).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{fh.name}: field {int(np.argmin(finite))} holds a non-finite value")
+    return values

@@ -28,28 +28,23 @@ _NOISE_HEADER = "<QQQd"  # dim, points per axis, step count, dt
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """The operator phi: spectral multiplier profile, finite rank list, or zero."""
+    """The operator phi: a spectral multiplier profile, or zero."""
 
     grid: GridSpec
-    kind: str = "zero"  # {"multiplier", "rank_list", "zero"}
+    kind: str = "zero"  # {"multiplier", "zero"}
     amplitude: float = 0.0
     sigma: float = 0.0
     cutoff: Optional[float] = None  # hard spectral cutoff on |k|
-    rank_list: Optional[tuple] = None  # tuple of ComplexField columns phi e_n
 
     def __post_init__(self):
-        if self.kind not in ("multiplier", "rank_list", "zero"):
+        if self.kind not in ("multiplier", "zero"):
             raise UsageError(f"unknown noise kind {self.kind!r}")
         if self.kind == "multiplier" and self.amplitude < 0:
             raise UsageError("multiplier amplitude must be nonnegative")
-        if self.kind == "rank_list" and not self.rank_list:
-            raise UsageError("rank_list noise requires at least one column")
 
     def multiplier_profile(self) -> np.ndarray:
         """phihat(k) = amplitude * (1+|k|^2)^(-sigma/2) on the lattice, with
-        cutoff; computed once per spec and read-only."""
-        if self.kind == "rank_list":
-            raise UsageError("multiplier_profile only defined for multiplier kind")
+        cutoff (0 for zero noise); computed once per spec and read-only."""
         return self._profile
 
     @cached_property
@@ -77,10 +72,6 @@ def multiplier_noise(
 
 def hs_norm(spec: NoiseSpec, s: float, homogeneous: bool = False) -> float:
     """Hilbert-Schmidt norm of phi from L^2 into H^s (or homogeneous H^s)."""
-    if spec.kind == "rank_list":
-        return float(
-            np.sqrt(sum(lattice.sobolev_norm(col, s, homogeneous) ** 2 for col in spec.rank_list))
-        )
     w = lattice.sobolev_weight(spec.grid.ksq(), s, homogeneous)
     return float(np.sqrt(np.sum(w * spec.multiplier_profile() ** 2)))
 
@@ -100,9 +91,12 @@ def step_rng(master_seed: int, stream_id: int, step: int) -> np.random.Generator
 
 
 def _complex_normals(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return np.sqrt(variance / 2.0) * (re + 1j * im)
+    """Complex Gaussians with i.i.d. parts of variance variance/2, the real parts drawn first."""
+    scale = np.sqrt(variance / 2.0)
+    z = np.empty(shape, dtype=np.complex128)
+    np.multiply(rng.standard_normal(shape), scale, out=z.real)
+    np.multiply(rng.standard_normal(shape), scale, out=z.imag)
+    return z
 
 
 def sample_wiener_increment(
@@ -114,12 +108,6 @@ def sample_wiener_increment(
     g = spec.grid
     if spec.kind == "zero":
         return lattice.zero_field(g)
-    if spec.kind == "rank_list":
-        z = _complex_normals(rng_state, len(spec.rank_list), dt)
-        vals = np.zeros(g.total_points, dtype=np.complex128)
-        for zn, col in zip(z, spec.rank_list):
-            vals += zn * col.values
-        return ComplexField(g, vals)
     z = _complex_normals(rng_state, g.shape, dt)
     coeffs = spec.multiplier_profile() * z
     return lattice.field_from_spectral(g, coeffs)
@@ -198,7 +186,8 @@ def write_noise_path(path: NoisePath, filename: str) -> None:
     with open(filename, "wb") as fh:
         fh.write(NOISE_MAGIC)
         fh.write(struct.pack(_NOISE_HEADER, g.dim, g.points_per_axis, path.n_steps, path.dt))
-        lattice.write_fields(fh, path.increments)
+        for inc in path.increments:
+            lattice.write_fields(fh, inc.values)
 
 
 def read_noise_path(filename: str, box_length: float) -> NoisePath:
@@ -207,8 +196,8 @@ def read_noise_path(filename: str, box_length: float) -> NoisePath:
     with open(filename, "rb") as fh:
         dim, n, steps, dt = lattice.read_header(fh, NOISE_MAGIC, _NOISE_HEADER)
         grid = lattice.header_grid(fh, dim, n, box_length, dt)
-        increments = lattice.read_fields(fh, grid, steps)
-    return NoisePath(grid=grid, dt=dt, increments=increments)
+        values = lattice.read_fields(fh, grid, steps)
+    return NoisePath(grid=grid, dt=dt, increments=[ComplexField(grid, v.ravel()) for v in values])
 
 
 # --- statistics over Psi ensembles ---------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -260,8 +261,7 @@ def brute_force_partition(traj, eta):
 
 def with_nan_snapshot(traj, index=5):
     """The trajectory with one v snapshot replaced by a NaN field."""
-    g = traj.grid
-    traj.v_snapshots[index] = ComplexField(g, np.full(g.total_points, np.nan + 0j))
+    traj.v_snapshots[index].values[:] = np.nan
     return traj
 
 
@@ -344,9 +344,14 @@ class TestSnapshotNormTable:
         # the four diagnostics share one gradient pass: of v* (= v unless
         # dpd), and for dpd also of v and Psi; a second call takes none
         traj = stochastic_traj(scheme)
-        calls = []
+        calls = []  # one entry per gradient field: a stacked call adds its leading-axis length
         real = lattice.gradient_magnitude
-        monkeypatch.setattr(lattice, "gradient_magnitude", lambda f: calls.append(1) or real(f))
+
+        def counted(field, uhat=None):
+            calls.extend([1] * (1 if uhat is None else len(uhat)))
+            return real(field, uhat)
+
+        monkeypatch.setattr(lattice, "gradient_magnitude", counted)
         self.run_all(traj)
         assert len(calls) == per_snapshot * traj.n_snapshots
         self.run_all(traj)
@@ -363,5 +368,117 @@ class TestSnapshotNormTable:
         assert traj.norms is None
         diagnostics.snapshot_norms(traj)
         assert traj.norms is not None
-        assert replace(traj, v_snapshots=list(traj.v_snapshots)).norms is None
+        assert replace(traj).norms is None
         assert dynamics.gauge_transform(traj).norms is None
+
+
+def ham3_integrand(v_star):
+    """|v*|^2 conj(v*) - Lap conj(v*) + |v*|^2 + 2 Re(v*) conj(v*) + 2 Re(v*)."""
+    v = v_star.values
+    vb = np.conj(v)
+    lap_vb = np.conj(lattice.laplacian(v_star).values)
+    return np.abs(v) ** 2 * vb - lap_vb + np.abs(v) ** 2 + 2.0 * v.real * vb + 2.0 * v.real
+
+
+def running_trapezoid(y, times):
+    out = [0.0]
+    for k in range(len(times) - 1):
+        out.append(out[-1] + 0.5 * (times[k + 1] - times[k]) * (y[k] + y[k + 1]))
+    return np.array(out)
+
+
+def reference_table_and_ledger(traj):
+    """The norm table and the ledger computed one snapshot at a time from
+    single-field lattice.gradient_magnitude and lattice.laplacian calls."""
+    g, cell, times = traj.grid, traj.grid.cell_measure, traj.times
+    cfg, n = traj.config, traj.n_snapshots
+
+    def lr(values, r):
+        return (np.sum(np.abs(values) ** r) * cell) ** (1.0 / r)
+
+    hs_l2 = noise.hs_norm(cfg.noise, 0.0) ** 2
+    density = hs_l2 / g.volume
+    cols = {key: [] for key in ("grad_l4", "grad_l12o5", "grad_l2", "l6", "energy",
+                                "v_grad_l12o5", "psi_grad_l12o5", "qv", "qv_balanced")}
+    ham2_int, ham2b_int, ham3_steps = [], [], []
+    for i in range(n):
+        vs = traj.v_star_snapshot(i)
+        w = vs.values
+        mag = lattice.gradient_magnitude(vs)
+        for key, r in (("grad_l4", 4.0), ("grad_l12o5", 2.4), ("grad_l2", 2.0)):
+            cols[key].append(lr(mag, r))
+        cols["l6"].append(lr(w, 6.0))
+        pot = (np.abs(w) ** 2 + 2.0 * w.real) ** 2
+        cols["energy"].append(0.5 * cols["grad_l2"][-1] ** 2 + 0.25 * pot.sum() * cell)
+        cols["v_grad_l12o5"].append(lr(lattice.gradient_magnitude(traj.v_snapshots[i]), 2.4))
+        cols["psi_grad_l12o5"].append(lr(lattice.gradient_magnitude(traj.psi_snapshots[i]), 2.4))
+        cols["qv"].append(np.sum(np.abs(w) ** 2 + w.imag**2 + 4.0 * w.real) * cell)
+        cols["qv_balanced"].append(np.sum(np.abs(w) ** 2 + 2.0 * w.real) * cell)
+        ham2_int.append(np.sum((np.abs(w) ** 2 + w.imag**2 + 4.0 * w.real) * density) * cell)
+        ham2b_int.append(np.sum((np.abs(w) ** 2 + 2.0 * w.real) * density) * cell)
+        if i < n - 1:
+            inc = traj.noise_path.increments[i].values
+            ham3_steps.append(np.imag(np.sum(ham3_integrand(vs) * inc)) * cell)
+    cols = {key: np.array(col) for key, col in cols.items()}
+    cols["ham3_steps"] = np.array(ham3_steps)
+
+    energy = cols["energy"]
+    ham1 = times * (noise.hs_norm(cfg.noise, 1.0, homogeneous=True) ** 2 + hs_l2)
+    ham2 = running_trapezoid(ham2_int, times)
+    ham2_b = running_trapezoid(ham2b_int, times)
+    ham3 = np.concatenate(([0.0], np.cumsum(ham3_steps)))
+    ledger = dict(
+        times=times, energy=energy, ham1=ham1, ham2=ham2, ham3=ham3,
+        residual=energy - energy[0] - ham1 - ham2 - ham3,
+        ham1_balanced=0.5 * ham1, ham2_balanced=ham2_b,
+        residual_balanced=energy - energy[0] - 0.5 * ham1 - ham2_b - ham3,
+        x1_cum=running_trapezoid(cols["grad_l12o5"] ** 6, times) ** (1.0 / 6.0),
+        l6_cum=running_trapezoid(cols["l6"] ** 6, times) ** (1.0 / 6.0),
+    )
+    return cols, ledger
+
+
+class TestBlockedNormPass:
+    def multi_block_traj(self, scheme):
+        # 51 snapshots at 64^2 span several blocks, the last one partial
+        traj = stochastic_traj(scheme, seed=5, n=64, t_final=0.1, dt=0.002, amp=0.4)
+        rows = diagnostics._BLOCK_BYTES // traj.v[0].nbytes
+        assert traj.n_snapshots == 51 and 1 < rows < 51 and 51 % rows
+        return traj
+
+    @pytest.mark.parametrize("scheme", ["direct", "dpd"])
+    def test_matches_per_snapshot_reference(self, scheme):
+        traj = self.multi_block_traj(scheme)
+        cols, ledger = reference_table_and_ledger(traj)
+        table = diagnostics.snapshot_norms(traj)
+        assert table.keys() == cols.keys()
+        for key, want in cols.items():
+            np.testing.assert_allclose(table[key], want, rtol=1e-13, atol=0.0, err_msg=key)
+        got = vars(diagnostics.ito_ledger(traj))
+        assert got.keys() == ledger.keys()
+        scale = np.max(np.abs(ledger["energy"]))
+        for key, want in ledger.items():
+            # a residual is a small difference of the other columns
+            atol = 1e-13 * scale if key.startswith("residual") else 0.0
+            np.testing.assert_allclose(got[key], want, rtol=1e-13, atol=atol, err_msg=key)
+
+    @pytest.mark.parametrize("scheme", ["direct", "dpd"])
+    @pytest.mark.parametrize("index", [40, 50])
+    def test_nan_in_a_later_block_is_named(self, scheme, index):
+        traj = with_nan_snapshot(self.multi_block_traj(scheme), index)
+        with pytest.raises(UsageError, match=f"snapshot {index} holds a non-finite value"):
+            diagnostics.snapshot_norms(traj)
+
+    def test_peak_memory_below_the_snapshots(self):
+        # blocks bound the pass's temporaries; an unblocked pass over every
+        # snapshot at once allocates several times the snapshot array
+        traj = stochastic_traj("direct", n=128, t_final=0.1, dt=0.002)
+        assert traj.n_snapshots == 51
+        tracemalloc.start()
+        try:
+            diagnostics.snapshot_norms(traj)
+            diagnostics.ito_ledger(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < traj.v.nbytes

@@ -261,6 +261,17 @@ class TestCli:
         assert cli.main(["verify-energy", "--config", cfgfile, "--halvings", "2"]) == 0
         assert "literal_non_increasing" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, match", [
+        (["verify-energy", "--halvings", "-1"], "halvings must be >= 0"),
+        (["converge", "--dts", "abc"], "--dts must be comma-separated numbers"),
+        (["converge", "--dts", "0.01,0.005,0"], "must be positive"),
+    ])
+    def test_bad_study_arguments_exit_two(self, tmp_path, capsys, argv, match):
+        cfgfile = self.write_config(tmp_path, BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/out\n")
+        assert cli.main([argv[0], "--config", cfgfile] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and match in err
+
     def test_partition_command(self, tmp_path, capsys):
         doc = BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/out\nemit_snapshots = true\n"
         cfgfile = self.write_config(tmp_path, doc)

@@ -67,14 +67,6 @@ class TestHsNorm:
         spec = noise.multiplier_noise(g, amplitude=1.0, sigma=0.0)
         assert noise.hs_norm(spec, 0.0) == pytest.approx(np.sqrt(8.0), rel=1e-13)
 
-    def test_rank_list_pythagoras(self):
-        g = make_grid(1, 16, TWO_PI)
-        cols = []
-        for c in (1.0, 2.0):
-            cols.append(lattice.constant_field(g, c / np.sqrt(g.volume)))
-        spec = noise.NoiseSpec(grid=g, kind="rank_list", rank_list=tuple(cols))
-        assert noise.hs_norm(spec, 0.0) == pytest.approx(np.sqrt(5.0), rel=1e-12)
-
     def test_homogeneous_drops_zero_mode(self):
         g = make_grid(1, 8, TWO_PI)
         spec = noise.multiplier_noise(g, amplitude=1.0, sigma=0.0)
@@ -142,6 +134,19 @@ class TestWienerIncrement:
             acc += noise.sample_wiener_increment(spec, 1.0, noise.step_rng(5, 0, j)).values
         # componentwise standard error is O(1/sqrt(n))
         assert np.max(np.abs(acc / n)) < 6.0 / np.sqrt(n)
+
+
+class TestComplexNormals:
+    @pytest.mark.parametrize("shape", [(8,), (5, 3), (16, 16), (8, 8, 8, 8)])
+    def test_bytes_match_the_scaled_sum(self, shape):
+        # scaling each part before combining them rounds like scaling the sum
+        for seed in range(10):
+            for variance in (1e-3, 0.02, 1.0):
+                rng = noise.step_rng(seed, 1, seed)
+                re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+                want = np.sqrt(variance / 2) * (re + 1j * im)
+                got = noise._complex_normals(noise.step_rng(seed, 1, seed), shape, variance)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestStochasticConvolution:
@@ -215,6 +220,12 @@ class TestNoisePath:
         assert back.dt == 0.02
         for a, b in zip(path.increments, back.increments):
             assert np.array_equal(a.values, b.values)
+
+    def test_empty_path_round_trip(self, tmp_path):
+        # a header that promises no fields leaves an empty payload to read
+        fname = os.path.join(tmp_path, "p.bin")
+        noise.write_noise_path(noise.NoisePath(grid=make_grid(2, 8, 5.0), dt=0.02), fname)
+        assert noise.read_noise_path(fname, box_length=5.0).n_steps == 0
 
     def test_read_rejects_bad_magic(self, tmp_path):
         fname = os.path.join(tmp_path, "bad.bin")
