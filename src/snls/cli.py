@@ -24,6 +24,8 @@ def _load_config(args) -> harness.RunConfig:
     if args.out is not None:
         rc = replace(rc, output_dir=args.out)
     if args.workers is not None:
+        if args.workers < 1:
+            raise UsageError(f"--workers must be >= 1, got {args.workers}")
         rc = replace(rc, workers=args.workers)
     return rc
 

@@ -82,7 +82,7 @@ def snapshot_norms(traj) -> dict:
         return traj.norms
     g, n, cell = traj.grid, traj.n_snapshots, traj.grid.cell_measure
     path = traj.noise_path
-    incs = path.increments if path is not None and path.n_steps == n - 1 else []
+    dw_rows = path.dw if path is not None and path.n_steps == n - 1 else traj.v[:0]
     rows = max(1, _BLOCK_BYTES // traj.v[0].nbytes)
     blocks = []
     for start in range(0, n, rows):
@@ -102,10 +102,10 @@ def snapshot_norms(traj) -> dict:
         cols["energy"] = 0.5 * cols["grad_l2"] ** 2 + 0.25 * np.sum(q**2, axis=1) * cell
         cols["qv"] = np.sum(abs2 + flat.imag**2 + 4.0 * flat.real, axis=1) * cell
         cols["qv_balanced"] = np.sum(q, axis=1) * cell
-        if incs[sl]:
+        dw = dw_rows[sl].reshape(-1, g.total_points)
+        if len(dw):
             # Im int G(v*) phi dW dx paired with each left-point snapshot, for
             # G(v*) = |v*|^2 conj(v*) - Lap conj(v*) + |v*|^2 + 2 Re(v*) conj(v*) + 2 Re(v*)
-            dw = np.stack([inc.values for inc in incs[sl]])
             v, a, vb = flat[: len(dw)], abs2[: len(dw)], np.conj(flat[: len(dw)])
             lap_vb = np.conj(lattice.laplacian(g, w_hat[: len(dw)]))
             integrand = a * vb - lap_vb + a + 2.0 * v.real * vb + 2.0 * v.real
@@ -146,8 +146,10 @@ def ito_ledger(traj) -> EnergyLedger:
     times = np.asarray(traj.times, dtype=float)
     energies = table["energy"]
 
-    hs_h1dot = noise_mod.hs_norm(cfg.noise, 1.0, homogeneous=True) ** 2
-    hs_l2 = noise_mod.hs_norm(cfg.noise, 0.0) ** 2
+    # a scheme that applies no noise has no noise drift, whatever cfg.noise names
+    spec = cfg.noise if cfg.stochastic else noise_mod.zero_noise(traj.grid)
+    hs_h1dot = noise_mod.hs_norm(spec, 1.0, homogeneous=True) ** 2
+    hs_l2 = noise_mod.hs_norm(spec, 0.0) ** 2
     ham1 = times * (hs_h1dot + hs_l2)
     ham1_b = 0.5 * ham1
 

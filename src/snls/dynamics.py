@@ -220,6 +220,8 @@ def strang_step_dpd(v_hat: np.ndarray, psi_mid: np.ndarray, half: np.ndarray, dt
 def solve(config: SolverConfig) -> Trajectory:
     """Integrate from config.initial_v, storing every snapshot_stride-th step.
 
+    The noise path (config.prescribed_path, else one drawn whole before the
+    first step when the scheme is stochastic) drives step j with row j.
     direct and the deterministic schemes carry v in physical space; dpd
     carries the Fourier coefficients of v and Psi and transforms them back
     only at snapshot steps."""
@@ -231,6 +233,10 @@ def solve(config: SolverConfig) -> Trajectory:
     if path is not None and path.n_steps != n_steps:
         raise ConfigurationError(
             f"prescribed path has {path.n_steps} steps, solver needs {n_steps}"
+        )
+    if path is None and config.stochastic:
+        path = noise_mod.generate_noise_path(
+            config.noise, dt, n_steps, config.master_seed, config.stream_id
         )
     dpd = config.scheme == "dpd"
     half = lattice.schrodinger_phase(g, dt / 2.0)
@@ -249,22 +255,12 @@ def solve(config: SolverConfig) -> Trajectory:
         full = lattice.schrodinger_phase(g, dt)
         v_hat = np.fft.fftn(v.reshape(g.shape))
         psi_hat = np.zeros(g.shape, dtype=np.complex128)
-    record = NoisePath(grid=g, dt=dt, rng_seed=config.master_seed, stream_id=config.stream_id)
-
 
     for j in range(n_steps):
-        if path is not None:
-            inc = path.increments[j]
-        elif config.stochastic:
-            rng = noise_mod.step_rng(config.master_seed, config.stream_id, j)
-            inc = noise_mod.sample_wiener_increment(config.noise, dt, rng)
-        else:
-            inc = None
-
         if not dpd:
             v = _strang_u_step(v, half, substep, g, dt)
-            if inc is not None:
-                v = v - 1j * inc.values
+            if path is not None:
+                v = v - 1j * path.dw[j].ravel()
             finite = lattice.all_finite(v)
         else:
             if substep is None:
@@ -273,16 +269,14 @@ def solve(config: SolverConfig) -> Trajectory:
                 # midpoint-consistent convention: the step-start Psi (zero until
                 # the first increment) is freely propagated to the step midpoint before
                 # entering the frozen-Psi nonlinear substep (adapted: uses no new increment)
-                psi_mid = np.fft.ifftn(psi_hat * half) if record.increments else 0.0
+                psi_mid = np.fft.ifftn(psi_hat * half) if path is not None and j > 0 else 0.0
                 v_hat = strang_step_dpd(v_hat, psi_mid, half, dt)
             # Psi(t+dt) = S(dt) Psi(t) - i * (phi DeltaW), exactly in Fourier space
             psi_hat *= full
-            if inc is not None:
-                psi_hat -= 1j * np.fft.fftn(inc.values.reshape(g.shape))
+            if path is not None:
+                psi_hat -= 1j * np.fft.fftn(path.dw[j])
             finite = lattice.all_finite(v_hat) and lattice.all_finite(psi_hat)
 
-        if inc is not None:
-            record.increments.append(inc)
         if not finite:
             raise BlowUpError(j + 1, (j + 1) * dt)
 
@@ -301,7 +295,7 @@ def solve(config: SolverConfig) -> Trajectory:
         v=v_rows,
         psi=psi_rows,
         config=config,
-        noise_path=record if record.n_steps else None,
+        noise_path=path,
     )
 
 

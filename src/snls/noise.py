@@ -11,7 +11,7 @@ coefficient phihat(k) z_k with z_k complex Gaussian of total variance dt
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence
 
@@ -141,42 +141,38 @@ def step_stochastic_convolution(
 
 @dataclass
 class NoisePath:
-    """The sequence of phi*DeltaW fields consumed by one trajectory."""
+    """The phi*DeltaW fields consumed by one trajectory, one per row of dw
+    (lattice shape), step-major."""
 
     grid: GridSpec
     dt: float
-    increments: List[ComplexField] = field(default_factory=list)
-    rng_seed: int = 0
-    stream_id: int = 0
+    dw: np.ndarray
 
     @property
     def n_steps(self) -> int:
-        return len(self.increments)
+        return len(self.dw)
+
+    @cached_property
+    def increments(self) -> List[ComplexField]:
+        """Writable ComplexField views of the rows of dw."""
+        return [ComplexField(self.grid, row.ravel()) for row in self.dw]
 
 
 def generate_noise_path(
     spec: NoiseSpec, dt: float, n_steps: int, master_seed: int, stream_id: int = 0
 ) -> NoisePath:
-    path = NoisePath(grid=spec.grid, dt=dt, rng_seed=master_seed, stream_id=stream_id)
+    dw = np.empty((n_steps,) + spec.grid.shape, dtype=np.complex128)
     for j in range(n_steps):
-        rng = step_rng(master_seed, stream_id, j)
-        path.increments.append(sample_wiener_increment(spec, dt, rng))
-    return path
+        dw[j] = sample_wiener_increment(spec, dt, step_rng(master_seed, stream_id, j)).mesh
+    return NoisePath(grid=spec.grid, dt=dt, dw=dw)
 
 
 def coarsen_noise_path(path: NoisePath, factor: int) -> NoisePath:
     """Sum consecutive fine increments into coarse ones (Brownian-consistent)."""
     if factor < 1 or path.n_steps % factor != 0:
         raise UsageError(f"coarsening factor {factor} does not divide {path.n_steps} steps")
-    coarse = NoisePath(
-        grid=path.grid, dt=path.dt * factor, rng_seed=path.rng_seed, stream_id=path.stream_id
-    )
-    for j in range(0, path.n_steps, factor):
-        vals = np.zeros(path.grid.total_points, dtype=np.complex128)
-        for f in path.increments[j : j + factor]:
-            vals += f.values
-        coarse.increments.append(ComplexField(path.grid, vals))
-    return coarse
+    dw = path.dw.reshape((-1, factor) + path.grid.shape).sum(axis=1)
+    return NoisePath(grid=path.grid, dt=path.dt * factor, dw=dw)
 
 
 def write_noise_path(path: NoisePath, filename: str) -> None:
@@ -186,8 +182,7 @@ def write_noise_path(path: NoisePath, filename: str) -> None:
     with open(filename, "wb") as fh:
         fh.write(NOISE_MAGIC)
         fh.write(struct.pack(_NOISE_HEADER, g.dim, g.points_per_axis, path.n_steps, path.dt))
-        for inc in path.increments:
-            lattice.write_fields(fh, inc.values)
+        lattice.write_fields(fh, path.dw)
 
 
 def read_noise_path(filename: str, box_length: float) -> NoisePath:
@@ -197,7 +192,7 @@ def read_noise_path(filename: str, box_length: float) -> NoisePath:
         dim, n, steps, dt = lattice.read_header(fh, NOISE_MAGIC, _NOISE_HEADER)
         grid = lattice.header_grid(fh, dim, n, box_length, dt)
         values = lattice.read_fields(fh, grid, steps)
-    return NoisePath(grid=grid, dt=dt, increments=[ComplexField(grid, v.ravel()) for v in values])
+    return NoisePath(grid=grid, dt=dt, dw=values)
 
 
 # --- statistics over Psi ensembles ---------------------------------------

@@ -83,6 +83,16 @@ class TestItoLedger:
         rel = np.max(np.abs(led.residual)) / led.energy[0]
         assert rel < 1e-5
 
+    def test_unapplied_noise_has_no_drift(self):
+        # deterministic_gp never applies the configured noise, so the ledger
+        # carries none of its drift: the residual is the energy change itself
+        traj = stochastic_traj("deterministic_gp", amp=0.3)
+        assert not traj.config.stochastic and traj.config.noise.kind == "multiplier"
+        led = diagnostics.ito_ledger(traj)
+        assert np.all(led.ham1 == 0.0) and np.all(led.ham2 == 0.0) and np.all(led.ham3 == 0.0)
+        assert np.array_equal(led.residual, led.energy - led.energy[0])
+        assert np.array_equal(led.residual_balanced, led.energy - led.energy[0])
+
     def test_requires_noise_path(self):
         traj = stochastic_traj()
         traj.noise_path = None

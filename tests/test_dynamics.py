@@ -206,6 +206,21 @@ class TestSolveStochastic:
         with pytest.raises(ConfigurationError):
             dynamics.solve(bad)
 
+    @pytest.mark.parametrize("scheme", ["direct", "dpd"])
+    def test_noise_path_is_the_generated_path(self, scheme):
+        # solve draws no increments of its own: its path is generate_noise_path's
+        cfg = self.stochastic_config(scheme, seed=5, stream=3)
+        got = dynamics.solve(cfg).noise_path
+        want = noise.generate_noise_path(cfg.noise, cfg.dt, cfg.n_steps, cfg.master_seed, cfg.stream_id)
+        assert (got.grid, got.dt) == (want.grid, want.dt)
+        assert got.dw.shape == (cfg.n_steps,) + cfg.grid.shape
+        assert got.dw.tobytes() == want.dw.tobytes()
+
+    def test_prescribed_path_is_the_trajectory_path(self):
+        cfg = self.stochastic_config("dpd", seed=2)
+        path = noise.generate_noise_path(cfg.noise, cfg.dt, cfg.n_steps, master_seed=8)
+        assert dynamics.solve(replace(cfg, prescribed_path=path)).noise_path is path
+
     def test_dpd_psi_matches_standalone_sampler(self):
         traj = dynamics.solve(self.stochastic_config("dpd", seed=6))
         g = traj.grid
@@ -443,7 +458,7 @@ class TestPhaseTableStepper:
         # and the snapshots equal those of a run fed all-zero increments,
         # which transforms Psi_mid every step
         cfg = replace(cfg, snapshot_stride=1)
-        zeros = noise.NoisePath(grid=g, dt=cfg.dt, increments=[lattice.zero_field(g)] * 20)
+        zeros = noise.NoisePath(grid=g, dt=cfg.dt, dw=np.zeros((20,) + g.shape, dtype=complex))
         fed = dynamics.solve(replace(cfg, prescribed_path=zeros))
         for got, want in zip(dynamics.solve(cfg).v_snapshots, fed.v_snapshots):
             assert np.array_equal(got.values, want.values)

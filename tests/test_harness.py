@@ -272,6 +272,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("runtime failure: ") and match in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_two(self, tmp_path, capsys, workers):
+        # the same bound the config file's workers field gets
+        cfgfile = self.write_config(tmp_path, BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/out\n")
+        assert cli.main(["ensemble", "--config", cfgfile, "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err == f"runtime failure: --workers must be >= 1, got {workers}\n"
+
     def test_partition_command(self, tmp_path, capsys):
         doc = BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/out\nemit_snapshots = true\n"
         cfgfile = self.write_config(tmp_path, doc)

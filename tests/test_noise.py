@@ -203,6 +203,27 @@ class TestNoisePath:
         manual = sum(f.values for f in fine.increments[:4])
         assert np.allclose(coarse.increments[0].values, manual, atol=1e-14)
 
+    @pytest.mark.parametrize("factor", [1, 2, 4])
+    def test_coarsen_bytes_match_sequential_sums(self, factor):
+        g = make_grid(2, 16, 5.0)
+        fine = noise.generate_noise_path(noise.multiplier_noise(g, 0.7, 2.0), 0.01, 8, master_seed=6, stream_id=1)
+        want = []
+        for j in range(0, 8, factor):
+            acc = np.zeros(g.total_points, dtype=complex)
+            for f in fine.increments[j : j + factor]:
+                acc += f.values
+            want.append(acc)
+        coarse = noise.coarsen_noise_path(fine, factor)
+        assert coarse.dw.shape == (8 // factor,) + g.shape
+        assert coarse.dw.tobytes() == np.array(want).tobytes()
+
+    def test_increments_are_row_views(self):
+        g = make_grid(2, 8, 5.0)
+        path = noise.generate_noise_path(noise.multiplier_noise(g, 0.7, 2.0), 0.01, 3, master_seed=1)
+        assert path.increments is path.increments
+        path.increments[2].values[:] = 0.0
+        assert not path.dw[2].any() and path.dw[1].any()
+
     def test_coarsen_rejects_non_divisor(self):
         g = make_grid(1, 8, TWO_PI)
         path = noise.generate_noise_path(noise.zero_noise(g), 0.01, 7, master_seed=0)
@@ -224,7 +245,8 @@ class TestNoisePath:
     def test_empty_path_round_trip(self, tmp_path):
         # a header that promises no fields leaves an empty payload to read
         fname = os.path.join(tmp_path, "p.bin")
-        noise.write_noise_path(noise.NoisePath(grid=make_grid(2, 8, 5.0), dt=0.02), fname)
+        empty = np.zeros((0, 8, 8), dtype=complex)
+        noise.write_noise_path(noise.NoisePath(grid=make_grid(2, 8, 5.0), dt=0.02, dw=empty), fname)
         assert noise.read_noise_path(fname, box_length=5.0).n_steps == 0
 
     def test_read_rejects_bad_magic(self, tmp_path):
