@@ -55,7 +55,7 @@ class SolverConfig:
     snapshot_stride: int = 1
     master_seed: int = 0
     stream_id: int = 0
-    disable_nonlinearity: bool = False  # debug switch: pure linear evolution
+    disable_nonlinearity: bool = False  # linear flow only: noise-stats' Psi-only dpd run
     prescribed_path: Optional[NoisePath] = None
 
     def __post_init__(self):
@@ -230,10 +230,15 @@ def solve(config: SolverConfig) -> Trajectory:
     stride = config.snapshot_stride
     dt = config.dt
     path = config.prescribed_path
-    if path is not None and path.n_steps != n_steps:
-        raise ConfigurationError(
-            f"prescribed path has {path.n_steps} steps, solver needs {n_steps}"
-        )
+    if path is not None:
+        if path.n_steps != n_steps:
+            raise ConfigurationError(
+                f"prescribed path has {path.n_steps} steps, solver needs {n_steps}"
+            )
+        if path.grid != g:
+            raise ConfigurationError(f"prescribed path is on {path.grid}, solver on {g}")
+        if not abs(path.dt - dt) <= 1e-9 * dt:  # is_whole's tolerance; also catches nan
+            raise ConfigurationError(f"prescribed path has dt = {path.dt}, solver dt = {dt}")
     if path is None and config.stochastic:
         path = noise_mod.generate_noise_path(
             config.noise, dt, n_steps, config.master_seed, config.stream_id

@@ -37,29 +37,48 @@ def _parse_mode(raw: str) -> tuple:
     return tuple(int(p) for p in raw.split(","))
 
 
-# section -> key -> (parser, default); the key order fixes the order of
-# RunConfig.initial_params, which config_hash depends on
+# single-field checks: (predicate, what the value must be)
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_AT_LEAST_ONE = (lambda x: x >= 1, "must be >= 1")
+_FINITE = (math.isfinite, "must be finite")
+_FINITE_NONNEG = (lambda x: 0 <= x < math.inf, "must be finite and >= 0")
+_FINITE_POSITIVE = (lambda x: 0 < x < math.inf, "must be positive and finite")
+
+
+def _one_of(*choices):
+    return (lambda x: x in choices, "must be one of " + ", ".join(choices))
+
+
+# section -> key -> (parser, default, check or None); the key order fixes the
+# order of RunConfig.initial_params, which config_hash depends on
 _SCHEMA = {
     "grid": {
-        "dim": (int, 2), "points_per_axis": (int, 64), "box_length": (float, 2.0 * math.pi),
+        "dim": (int, 2, None), "points_per_axis": (int, 64, None),
+        "box_length": (float, 2.0 * math.pi, None),
     },
     "time": {
-        "dt": (float, 1e-3), "t_final": (float, 1.0), "snapshot_stride": (int, 1),
-        "scheme": (str, "deterministic_gp"),
+        "dt": (float, 1e-3, _POSITIVE), "t_final": (float, 1.0, _POSITIVE),
+        "snapshot_stride": (int, 1, None),
+        "scheme": (str, "deterministic_gp", _one_of(*dynamics.SCHEMES)),
     },
     "noise": {
-        "kind": (str, "zero"), "amplitude": (float, 0.1), "sigma": (float, 3.0),
-        "cutoff": (float, None),
+        "kind": (str, "zero", _one_of("zero", "multiplier")),
+        "amplitude": (float, 0.1, _FINITE_NONNEG), "sigma": (float, 3.0, _FINITE),
+        "cutoff": (float, None, (lambda x: x is None or x >= 0, "must be >= 0")),
     },
     "initial": {
-        "kind": (str, "constant"), "alpha_re": (float, 1.0), "alpha_im": (float, 0.0),
-        "amplitude": (float, 0.1), "width": (float, 0.5), "mode": (_parse_mode, (1, 0, 0, 0)),
-        "h1_norm": (float, 1.0), "band_max": (float, 4.0), "seed": (int, 0),
+        "kind": (str, "constant",
+                 _one_of("constant", "plane_wave", "gaussian_bump", "random_band")),
+        "alpha_re": (float, 1.0, _FINITE), "alpha_im": (float, 0.0, _FINITE),
+        "amplitude": (float, 0.1, _FINITE), "width": (float, 0.5, _FINITE_POSITIVE),
+        "mode": (_parse_mode, (1, 0, 0, 0), None), "h1_norm": (float, 1.0, _FINITE_NONNEG),
+        "band_max": (float, 4.0, _FINITE_POSITIVE), "seed": (int, 0, None),
     },
     "ensemble": {
-        "size": (int, 1), "master_seed": (int, 0), "workers": (int, 1), "eta": (float, 0.5),
+        "size": (int, 1, _AT_LEAST_ONE), "master_seed": (int, 0, None),
+        "workers": (int, 1, _AT_LEAST_ONE), "eta": (float, 0.5, _FINITE_POSITIVE),
     },
-    "output": {"dir": (str, "out"), "emit_snapshots": (_parse_bool, False)},
+    "output": {"dir": (str, "out", None), "emit_snapshots": (_parse_bool, False, None)},
 }
 
 
@@ -84,10 +103,9 @@ class RunConfig:
     eta: float
     output_dir: str
     emit_snapshots: bool
-    source_text: str = ""
 
     def config_hash(self) -> str:
-        skip = ("source_text", "output_dir", "workers")  # none changes what is computed
+        skip = ("output_dir", "workers")  # neither changes what is computed
         canon = repr(sorted((k, repr(v)) for k, v in vars(self).items() if k not in skip))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -95,7 +113,7 @@ class RunConfig:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config document; raises ConfigurationError listing
     every field-level problem with its line number."""
-    values = {sec: {k: d for k, (_, d) in keys.items()} for sec, keys in _SCHEMA.items()}
+    values = {sec: {k: spec[1] for k, spec in keys.items()} for sec, keys in _SCHEMA.items()}
     errors: List[str] = []
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -127,32 +145,21 @@ def parse_config(text: str) -> RunConfig:
         except ValueError:
             errors.append(f"line {lineno}: cannot parse value for {key!r}: {rawval!r}")
 
+    for section, keys in _SCHEMA.items():
+        for key, (_, _, check) in keys.items():
+            value = values[section][key]
+            if check is not None and not check[0](value):
+                errors.append(f"field {key!r} in [{section}]: {check[1]}, got {value!r}")
     g, t, nz, ini, ens, out = (
         values["grid"], values["time"], values["noise"],
         values["initial"], values["ensemble"], values["output"],
     )
-    if t["dt"] <= 0:
-        errors.append("field 'dt': must be positive")
-    if t["t_final"] <= 0:
-        errors.append("field 't_final': must be positive")
     if t["dt"] > 0 and t["t_final"] > 0:
         steps = t["t_final"] / t["dt"]
         if not dynamics.is_whole(steps):
             errors.append(f"field 'dt': t_final/dt = {steps} is not an integer")
         elif not dynamics.stride_divides(t["snapshot_stride"], steps):
             errors.append("field 'snapshot_stride': must divide the step count")
-    if t["scheme"] not in dynamics.SCHEMES:
-        errors.append(f"field 'scheme': unknown scheme {t['scheme']!r}")
-    if nz["kind"] not in ("zero", "multiplier"):
-        errors.append(f"field 'kind' in [noise]: expected zero or multiplier, got {nz['kind']!r}")
-    if ini["kind"] not in ("constant", "plane_wave", "gaussian_bump", "random_band"):
-        errors.append(f"field 'kind' in [initial]: unknown initial data {ini['kind']!r}")
-    if ens["size"] < 1:
-        errors.append("field 'size': ensemble_size must be >= 1")
-    if not 0 < ens["eta"] < math.inf:
-        errors.append("field 'eta': must be positive and finite")
-    if ens["workers"] < 1:
-        errors.append("field 'workers': must be >= 1")
     try:
         lattice.make_grid(g["dim"], g["points_per_axis"], g["box_length"])
     except ConfigurationError as exc:
@@ -172,7 +179,6 @@ def parse_config(text: str) -> RunConfig:
         ensemble_size=ens["size"], master_seed=ens["master_seed"],
         workers=ens["workers"], eta=ens["eta"],
         output_dir=out["dir"], emit_snapshots=out["emit_snapshots"],
-        source_text=text,
     )
 
 

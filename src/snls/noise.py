@@ -123,8 +123,9 @@ def step_stochastic_convolution(
     """Advance Psi by one step: Psi(t+dt) = S(dt) Psi(t) - i * (phi DeltaW).
 
     Exact in law because |e^{-i|k|^2 tau}| = 1 makes the Ito-integral variance
-    of each mode exactly dt * phihat(k)^2.  Returns (psi_next, increment) so
-    the same Gaussians can drive the direct solver.
+    of each mode exactly dt * phihat(k)^2.  Returns (psi_next, increment).
+    This is the physical-space reference for the Fourier-space Psi update in
+    dynamics.solve, which is the one production code path advancing Psi.
     """
     if increment is None:
         if rng_state is None:

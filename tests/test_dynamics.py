@@ -221,6 +221,24 @@ class TestSolveStochastic:
         path = noise.generate_noise_path(cfg.noise, cfg.dt, cfg.n_steps, master_seed=8)
         assert dynamics.solve(replace(cfg, prescribed_path=path)).noise_path is path
 
+    @pytest.mark.parametrize("scheme", ["direct", "dpd"])
+    def test_prescribed_path_grid_checked(self, scheme):
+        # an 8^2 path fed to a 16^2 run once ended in a bare numpy broadcast error
+        cfg = self.stochastic_config(scheme)
+        small = grid2d(8)
+        path = noise.generate_noise_path(
+            noise.multiplier_noise(small, 0.2, 3.0), cfg.dt, cfg.n_steps, master_seed=0
+        )
+        with pytest.raises(ConfigurationError, match="points_per_axis=8.*points_per_axis=16"):
+            dynamics.solve(replace(cfg, prescribed_path=path))
+
+    def test_prescribed_path_dt_checked(self):
+        # a path drawn at twice the step was once used silently
+        cfg = self.stochastic_config("direct")
+        path = noise.generate_noise_path(cfg.noise, 2 * cfg.dt, cfg.n_steps, master_seed=0)
+        with pytest.raises(ConfigurationError, match="dt = 0.01, solver dt = 0.005"):
+            dynamics.solve(replace(cfg, prescribed_path=path))
+
     def test_dpd_psi_matches_standalone_sampler(self):
         traj = dynamics.solve(self.stochastic_config("dpd", seed=6))
         g = traj.grid

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snls import cli, harness
+from snls import cli, dynamics, harness, lattice, noise
 from snls.errors import ConfigurationError, WorkerError
 
 BASE_CONFIG = """
@@ -91,6 +91,31 @@ class TestParseConfig:
         c = harness.parse_config(BASE_CONFIG.replace("sigma = 3.0", "sigma = 4.0"))
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    @pytest.mark.parametrize("section, line, field", [
+        ("noise", "amplitude = -0.1", "amplitude"),
+        ("noise", "amplitude = nan", "amplitude"),
+        ("noise", "amplitude = inf", "amplitude"),
+        ("noise", "sigma = nan", "sigma"),
+        ("noise", "cutoff = nan", "cutoff"),
+        ("noise", "cutoff = -1", "cutoff"),
+        ("initial", "amplitude = nan", "amplitude"),
+        ("initial", "alpha_re = inf", "alpha_re"),
+        ("initial", "alpha_im = nan", "alpha_im"),
+        ("initial", "width = 0", "width"),
+        ("initial", "width = inf", "width"),
+        ("initial", "band_max = -2", "band_max"),
+        ("initial", "h1_norm = nan", "h1_norm"),
+        ("initial", "h1_norm = -1", "h1_norm"),
+        ("time", "dt = nan", "dt"),
+    ])
+    def test_bad_field_value_rejected(self, section, line, field):
+        # checked whatever the noise or initial-data kind: kind = zero here
+        with pytest.raises(ConfigurationError, match=f"field '{field}' in \\[{section}\\]"):
+            harness.parse_config(f"[{section}]\n{line}\n")
+
+    def test_cutoff_infinity_accepted(self):
+        assert harness.parse_config("[noise]\ncutoff = inf\n").noise_cutoff == np.inf
 
 
 class TestBuilders:
@@ -248,6 +273,63 @@ class TestCli:
         assert cli.main(["noise-stats", "--config", cfgfile]) == 0
         text = open(os.path.join(tmp_path, "out", "noise_stats.txt")).read()
         assert "ito_isometry_target" in text
+
+    def test_noise_stats_is_the_reference_psi_loop(self, tmp_path, capsys):
+        # members are dpd solves; the physical-space reference loop on the same
+        # (seed, member, step) keys gives the same second moment
+        doc = (BASE_CONFIG.replace("dt = 0.005", "dt = 0.01").replace("size = 3", "size = 20")
+               + f"\n[output]\ndir = {tmp_path}/out\n")
+        rc = harness.parse_config(doc)
+        assert (rc.points_per_axis, int(round(rc.t_final / rc.dt))) == (16, 5)
+        assert cli.main(["noise-stats", "--config", self.write_config(tmp_path, doc)]) == 0
+        got = float(re.search(r"^E_psi_H1_sq = (\S+)$", capsys.readouterr().out, re.M).group(1))
+        grid = harness.build_grid(rc)
+        spec = harness.build_noise(rc, grid)
+        h1_sq = []
+        for m in range(rc.ensemble_size):
+            psi = lattice.zero_field(grid)
+            for j in range(5):
+                rng = noise.step_rng(rc.master_seed, m, j)
+                psi, _ = noise.step_stochastic_convolution(psi, spec, rc.dt, rng)
+            h1_sq.append(lattice.sobolev_norm(psi, 1.0) ** 2)
+        assert got > 0
+        assert got == pytest.approx(np.mean(h1_sq), rel=1e-12)
+
+    def test_noise_stats_member_is_one_solve(self, tmp_path, monkeypatch, capsys):
+        calls = {"solve": 0, "step_stochastic_convolution": 0}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*a, **kw):
+                calls[name] += 1
+                return fn(*a, **kw)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(dynamics, "solve")
+        counting(noise, "step_stochastic_convolution")
+        doc = BASE_CONFIG.replace("size = 3", "size = 4") + f"\n[output]\ndir = {tmp_path}/out\n"
+        assert cli.main(["noise-stats", "--config", self.write_config(tmp_path, doc)]) == 0
+        assert calls == {"solve": 4, "step_stochastic_convolution": 0}
+
+    @pytest.mark.parametrize("value", ["-0.1", "nan"])
+    def test_bad_noise_amplitude_exit_one(self, tmp_path, capsys, value):
+        # -0.1 once ended in a runtime failure (exit 2), nan in a nan report
+        doc = (BASE_CONFIG.replace("amplitude = 0.2\nsigma", f"amplitude = {value}\nsigma")
+               + f"\n[output]\ndir = {tmp_path}/out\n")
+        cfgfile = self.write_config(tmp_path, doc)
+        for command in ("simulate", "ensemble"):
+            assert cli.main([command, "--config", cfgfile]) == 1
+            err = capsys.readouterr().err
+            assert "configuration error" in err and "field 'amplitude' in [noise]" in err
+
+    def test_converge_coarse_dt_rounding(self, tmp_path, capsys):
+        # 0.3 = 3 * 0.1 coarsens to a path dt of 0.30000000000000004
+        doc = (BASE_CONFIG.replace("dt = 0.005", "dt = 0.1")
+               .replace("t_final = 0.05", "t_final = 0.6") + f"\n[output]\ndir = {tmp_path}/out\n")
+        cfgfile = self.write_config(tmp_path, doc)
+        assert cli.main(["converge", "--config", cfgfile, "--dts", "0.3,0.1"]) == 0
+        assert "dt = 0.3  error = " in capsys.readouterr().out
 
     def test_converge_command(self, tmp_path, capsys):
         doc = BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/out\n"
