@@ -81,7 +81,7 @@ def snapshot_norms(traj) -> dict:
     if traj.norms is not None:
         return traj.norms
     g, n, cell = traj.grid, traj.n_snapshots, traj.grid.cell_measure
-    path = traj.noise_path
+    path = traj.held_path  # solve holds a path with one row per step at stride 1
     dw_rows = path.dw if path is not None and path.n_steps == n - 1 else traj.v[:0]
     rows = max(1, _BLOCK_BYTES // traj.v[0].nbytes)
     blocks = []

@@ -13,6 +13,7 @@ deterministic_cubic (i u_t + Lap u = |u|^2 u, the gauge image of GP).
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -91,13 +92,25 @@ class Trajectory:
     v: np.ndarray
     psi: Optional[np.ndarray] = None
     config: Optional[SolverConfig] = None
-    noise_path: Optional[NoisePath] = None
+    held_path: Optional[NoisePath] = None  # the path solve kept; read noise_path
     frame: str = "gp"  # "gp" or "cubic" (gauge-transformed)
     norms: Optional[dict] = field(default=None, init=False, repr=False, compare=False)  # snapshot_norms
 
     @property
     def n_snapshots(self) -> int:
         return len(self.times)
+
+    @cached_property
+    def noise_path(self) -> Optional[NoisePath]:
+        """The path that drove the run: the one solve kept, else, for a
+        stochastic config, the same rows drawn again from their (seed,
+        stream, step) keys; None for a deterministic run or a file."""
+        cfg = self.config
+        if self.held_path is not None or cfg is None or not cfg.stochastic:
+            return self.held_path
+        return noise_mod.generate_noise_path(
+            cfg.noise, cfg.dt, cfg.n_steps, cfg.master_seed, cfg.stream_id
+        )
 
     @cached_property
     def v_snapshots(self) -> List[ComplexField]:
@@ -220,11 +233,14 @@ def strang_step_dpd(v_hat: np.ndarray, psi_mid: np.ndarray, half: np.ndarray, dt
 def solve(config: SolverConfig) -> Trajectory:
     """Integrate from config.initial_v, storing every snapshot_stride-th step.
 
-    The noise path (config.prescribed_path, else one drawn whole before the
-    first step when the scheme is stochastic) drives step j with row j.
-    direct and the deterministic schemes carry v in physical space; dpd
-    carries the Fourier coefficients of v and Psi and transforms them back
-    only at snapshot steps."""
+    Row j of the noise path drives step j.  The path is config.prescribed_path
+    if given, else, for a stochastic scheme, generate_noise_path's: drawn
+    whole before the first step at snapshot_stride 1 (the trajectory then
+    holds a row per step already, and the ledger reads the path), otherwise
+    drawn one step at a time and dropped once used, so memory does not grow
+    with the step count.  direct and the deterministic schemes carry v in
+    physical space; dpd carries the Fourier coefficients of v and Psi and
+    transforms them back only at snapshot steps."""
     g = config.grid
     n_steps = config.n_steps
     stride = config.snapshot_stride
@@ -237,9 +253,11 @@ def solve(config: SolverConfig) -> Trajectory:
             )
         if path.grid != g:
             raise ConfigurationError(f"prescribed path is on {path.grid}, solver on {g}")
-        if not abs(path.dt - dt) <= 1e-9 * dt:  # is_whole's tolerance; also catches nan
+        # relative 1e-9, the slack converge's is_whole(dt / dt_min) leaves in a
+        # coarsened path's dt; also catches nan
+        if not abs(path.dt - dt) <= 1e-9 * dt:
             raise ConfigurationError(f"prescribed path has dt = {path.dt}, solver dt = {dt}")
-    if path is None and config.stochastic:
+    if path is None and config.stochastic and stride == 1:
         path = noise_mod.generate_noise_path(
             config.noise, dt, n_steps, config.master_seed, config.stream_id
         )
@@ -252,7 +270,7 @@ def solve(config: SolverConfig) -> Trajectory:
     else:
         substep = nonlinear_phase_substep
 
-    v = config.initial_v.values.copy()
+    v = config.initial_v.values  # steps rebind v, never write into it
     v_rows = np.empty((n_steps // stride + 1,) + g.shape, dtype=np.complex128)
     v_rows[0] = v.reshape(g.shape)
     psi_rows = np.zeros_like(v_rows) if dpd else None
@@ -261,11 +279,11 @@ def solve(config: SolverConfig) -> Trajectory:
         v_hat = np.fft.fftn(v.reshape(g.shape))
         psi_hat = np.zeros(g.shape, dtype=np.complex128)
 
-    for j in range(n_steps):
+    for j, dw in zip(range(n_steps), _path_rows(config, path)):
         if not dpd:
             v = _strang_u_step(v, half, substep, g, dt)
-            if path is not None:
-                v = v - 1j * path.dw[j].ravel()
+            if dw is not None:
+                v = v - 1j * dw.ravel()
             finite = lattice.all_finite(v)
         else:
             if substep is None:
@@ -274,12 +292,12 @@ def solve(config: SolverConfig) -> Trajectory:
                 # midpoint-consistent convention: the step-start Psi (zero until
                 # the first increment) is freely propagated to the step midpoint before
                 # entering the frozen-Psi nonlinear substep (adapted: uses no new increment)
-                psi_mid = np.fft.ifftn(psi_hat * half) if path is not None and j > 0 else 0.0
+                psi_mid = np.fft.ifftn(psi_hat * half) if dw is not None and j > 0 else 0.0
                 v_hat = strang_step_dpd(v_hat, psi_mid, half, dt)
             # Psi(t+dt) = S(dt) Psi(t) - i * (phi DeltaW), exactly in Fourier space
             psi_hat *= full
-            if path is not None:
-                psi_hat -= 1j * np.fft.fftn(path.dw[j])
+            if dw is not None:
+                psi_hat -= 1j * np.fft.fftn(dw)
             finite = lattice.all_finite(v_hat) and lattice.all_finite(psi_hat)
 
         if not finite:
@@ -300,7 +318,23 @@ def solve(config: SolverConfig) -> Trajectory:
         v=v_rows,
         psi=psi_rows,
         config=config,
-        noise_path=path,
+        held_path=path,
+    )
+
+
+def _path_rows(config: SolverConfig, path: Optional[NoisePath]):
+    """Row j of the run's noise path for each step j: the rows of path when
+    solve holds one, else (stochastic scheme) each row drawn as its step
+    comes, else None for every step."""
+    if path is not None:
+        return iter(path.dw)
+    if not config.stochastic:
+        return itertools.repeat(None)
+    return (
+        noise_mod.generate_noise_path(
+            config.noise, config.dt, 1, config.master_seed, config.stream_id, first_step=j
+        ).dw[0]
+        for j in range(config.n_steps)
     )
 
 
@@ -356,7 +390,7 @@ def gauge_transform(traj: Trajectory) -> Trajectory:
         v=phase * u - 1.0,
         psi=None if traj.psi is None else np.zeros_like(u),
         config=traj.config,
-        noise_path=traj.noise_path,
+        held_path=traj.held_path,
         frame="cubic",
     )
 

@@ -160,11 +160,16 @@ class NoisePath:
 
 
 def generate_noise_path(
-    spec: NoiseSpec, dt: float, n_steps: int, master_seed: int, stream_id: int = 0
+    spec: NoiseSpec, dt: float, n_steps: int, master_seed: int, stream_id: int = 0,
+    first_step: int = 0,
 ) -> NoisePath:
+    """Steps first_step .. first_step + n_steps - 1 of the path keyed by
+    (master_seed, stream_id): each step's draw depends only on its own key,
+    so a path drawn in pieces has the rows of one drawn whole."""
     dw = np.empty((n_steps,) + spec.grid.shape, dtype=np.complex128)
     for j in range(n_steps):
-        dw[j] = sample_wiener_increment(spec, dt, step_rng(master_seed, stream_id, j)).mesh
+        rng = step_rng(master_seed, stream_id, first_step + j)
+        dw[j] = sample_wiener_increment(spec, dt, rng).mesh
     return NoisePath(grid=spec.grid, dt=dt, dw=dw)
 
 

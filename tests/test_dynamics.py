@@ -239,6 +239,19 @@ class TestSolveStochastic:
         with pytest.raises(ConfigurationError, match="dt = 0.01, solver dt = 0.005"):
             dynamics.solve(replace(cfg, prescribed_path=path))
 
+    @pytest.mark.parametrize("scheme", ["direct", "dpd"])
+    def test_stepwise_draws_match_the_whole_path(self, scheme):
+        # above stride 1 solve draws its path step by step and keeps none; the
+        # snapshots are those of a stride-1 run, which draws it whole, and
+        # noise_path draws it again
+        cfg = replace(self.stochastic_config(scheme, seed=5, stream=2), snapshot_stride=4)
+        traj = dynamics.solve(cfg)
+        every = dynamics.solve(replace(cfg, snapshot_stride=1))
+        assert traj.held_path is None and every.held_path is not None
+        assert np.array_equal(traj.v, every.v[::4])
+        assert scheme == "direct" or np.array_equal(traj.psi, every.psi[::4])
+        assert traj.noise_path.dw.tobytes() == every.noise_path.dw.tobytes()
+
     def test_dpd_psi_matches_standalone_sampler(self):
         traj = dynamics.solve(self.stochastic_config("dpd", seed=6))
         g = traj.grid

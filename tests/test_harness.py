@@ -1,5 +1,6 @@
 import os
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -311,6 +312,22 @@ class TestCli:
         doc = BASE_CONFIG.replace("size = 3", "size = 4") + f"\n[output]\ndir = {tmp_path}/out\n"
         assert cli.main(["noise-stats", "--config", self.write_config(tmp_path, doc)]) == 0
         assert calls == {"solve": 4, "step_stochastic_convolution": 0}
+
+    def test_noise_stats_memory_does_not_grow_with_steps(self, tmp_path, capsys):
+        # a member once held its whole path: 400 fields of 16 KB here
+        doc = (BASE_CONFIG.replace("points_per_axis = 16", "points_per_axis = 32")
+               .replace("dt = 0.005", "dt = 0.001").replace("t_final = 0.05", "t_final = 0.4")
+               .replace("size = 3", "size = 1") + f"\n[output]\ndir = {tmp_path}/out\n")
+        cfgfile = self.write_config(tmp_path, doc)
+        field_bytes = 16 * 32**2
+        assert cli.main(["noise-stats", "--config", cfgfile]) == 0  # loads numpy.random's modules
+        tracemalloc.start()
+        try:
+            assert cli.main(["noise-stats", "--config", cfgfile]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * field_bytes
 
     @pytest.mark.parametrize("value", ["-0.1", "nan"])
     def test_bad_noise_amplitude_exit_one(self, tmp_path, capsys, value):

@@ -193,6 +193,15 @@ class TestNoisePath:
         assert path.n_steps == 7
         assert path.dt == 0.01
 
+    def test_pieces_have_the_rows_of_the_whole_path(self):
+        spec = noise.multiplier_noise(small_grid(), 0.2, 3.0)
+        whole = noise.generate_noise_path(spec, 0.01, 7, master_seed=9, stream_id=2)
+        pieces = [
+            noise.generate_noise_path(spec, 0.01, k, master_seed=9, stream_id=2, first_step=start)
+            for start, k in ((0, 3), (3, 3), (6, 1))
+        ]
+        assert np.concatenate([p.dw for p in pieces]).tobytes() == whole.dw.tobytes()
+
     def test_coarsen_sums_increments(self):
         g = make_grid(1, 8, TWO_PI)
         spec = noise.multiplier_noise(g, 0.2, 3.0)
