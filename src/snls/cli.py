@@ -33,6 +33,7 @@ def _load_config(args) -> harness.RunConfig:
 def _cmd_simulate(args) -> int:
     rc = _load_config(args)
     out = harness.ensure_output_dir(rc)
+    harness.check_ledger_stride(rc)
     cfg = harness.build_solver_config(rc)
     traj = dynamics.solve(cfg)
     ledger = diagnostics.ito_ledger(traj)

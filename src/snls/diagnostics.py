@@ -81,7 +81,7 @@ def snapshot_norms(traj) -> dict:
     if traj.norms is not None:
         return traj.norms
     g, n, cell = traj.grid, traj.n_snapshots, traj.grid.cell_measure
-    path = traj.held_path  # solve holds a path with one row per step at stride 1
+    path = traj.noise_path
     dw_rows = path.dw if path is not None and path.n_steps == n - 1 else traj.v[:0]
     rows = max(1, _BLOCK_BYTES // traj.v[0].nbytes)
     blocks = []
@@ -137,10 +137,10 @@ def ito_ledger(traj) -> EnergyLedger:
     """
     cfg = traj.solver_config("ito_ledger")
     if cfg.stochastic:
+        if cfg.snapshot_stride != 1:
+            raise UsageError(f"ito_ledger requires snapshot_stride = 1, got {cfg.snapshot_stride}")
         if traj.noise_path is None:
             raise UsageError("ito_ledger needs the trajectory's recorded noise path")
-        if cfg.snapshot_stride != 1:
-            raise UsageError("ito_ledger requires snapshot_stride = 1")
 
     table = snapshot_norms(traj)
     times = np.asarray(traj.times, dtype=float)

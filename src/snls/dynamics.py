@@ -13,7 +13,6 @@ deterministic_cubic (i u_t + Lap u = |u|^2 u, the gauge image of GP).
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -37,6 +36,11 @@ def is_whole(x: float) -> bool:
     """True when x is a finite integer up to a relative 1e-9: the test that a
     time span is a whole number of steps, or one step a multiple of another."""
     return math.isfinite(x) and abs(x - round(x)) <= 1e-9 * max(1.0, x)
+
+
+def consumes_noise(scheme: str, noise_kind: str) -> bool:
+    """True when the scheme draws Wiener increments from noise of this kind."""
+    return scheme in ("direct", "dpd") and noise_kind != "zero"
 
 
 def stride_divides(stride: int, steps: float) -> bool:
@@ -77,14 +81,14 @@ class SolverConfig:
     @property
     def stochastic(self) -> bool:
         """True when the scheme consumes Wiener increments."""
-        return self.scheme in ("direct", "dpd") and self.noise.kind != "zero"
+        return consumes_noise(self.scheme, self.noise.kind)
 
 
 @dataclass
 class Trajectory:
     """Snapshots of one run, one per row of v (lattice shape), and of Psi in
-    psi for dpd (None otherwise: Psi = 0).  A trajectory read from a file has
-    no solver config and no noise path."""
+    psi for dpd (None otherwise: Psi = 0), with the noise path solve kept, if
+    any.  A trajectory read from a file has no solver config and no path."""
 
     grid: GridSpec
     scheme: str
@@ -92,25 +96,13 @@ class Trajectory:
     v: np.ndarray
     psi: Optional[np.ndarray] = None
     config: Optional[SolverConfig] = None
-    held_path: Optional[NoisePath] = None  # the path solve kept; read noise_path
+    noise_path: Optional[NoisePath] = None
     frame: str = "gp"  # "gp" or "cubic" (gauge-transformed)
     norms: Optional[dict] = field(default=None, init=False, repr=False, compare=False)  # snapshot_norms
 
     @property
     def n_snapshots(self) -> int:
         return len(self.times)
-
-    @cached_property
-    def noise_path(self) -> Optional[NoisePath]:
-        """The path that drove the run: the one solve kept, else, for a
-        stochastic config, the same rows drawn again from their (seed,
-        stream, step) keys; None for a deterministic run or a file."""
-        cfg = self.config
-        if self.held_path is not None or cfg is None or not cfg.stochastic:
-            return self.held_path
-        return noise_mod.generate_noise_path(
-            cfg.noise, cfg.dt, cfg.n_steps, cfg.master_seed, cfg.stream_id
-        )
 
     @cached_property
     def v_snapshots(self) -> List[ComplexField]:
@@ -233,12 +225,12 @@ def strang_step_dpd(v_hat: np.ndarray, psi_mid: np.ndarray, half: np.ndarray, dt
 def solve(config: SolverConfig) -> Trajectory:
     """Integrate from config.initial_v, storing every snapshot_stride-th step.
 
-    Row j of the noise path drives step j.  The path is config.prescribed_path
-    if given, else, for a stochastic scheme, generate_noise_path's: drawn
-    whole before the first step at snapshot_stride 1 (the trajectory then
-    holds a row per step already, and the ledger reads the path), otherwise
-    drawn one step at a time and dropped once used, so memory does not grow
-    with the step count.  direct and the deterministic schemes carry v in
+    Row j of the noise path drives step j.  The rows come from
+    config.prescribed_path if given; else, for a stochastic scheme, from
+    generate_noise_path at snapshot_stride 1 (the ledger reads the path), and
+    from increment_rows above it, each row dropped once used, so memory does
+    not grow with the step count.  The trajectory keeps the path in the first
+    two cases.  direct and the deterministic schemes carry v in
     physical space; dpd carries the Fourier coefficients of v and Psi and
     transforms them back only at snapshot steps."""
     g = config.grid
@@ -257,10 +249,18 @@ def solve(config: SolverConfig) -> Trajectory:
         # coarsened path's dt; also catches nan
         if not abs(path.dt - dt) <= 1e-9 * dt:
             raise ConfigurationError(f"prescribed path has dt = {path.dt}, solver dt = {dt}")
-    if path is None and config.stochastic and stride == 1:
+    elif config.stochastic and stride == 1:
         path = noise_mod.generate_noise_path(
             config.noise, dt, n_steps, config.master_seed, config.stream_id
         )
+    if path is not None:
+        rows = path.dw
+    elif config.stochastic:
+        rows = noise_mod.increment_rows(
+            config.noise, dt, config.master_seed, config.stream_id, n_steps
+        )
+    else:
+        rows = [None] * n_steps
     dpd = config.scheme == "dpd"
     half = lattice.schrodinger_phase(g, dt / 2.0)
     if config.disable_nonlinearity:
@@ -279,7 +279,7 @@ def solve(config: SolverConfig) -> Trajectory:
         v_hat = np.fft.fftn(v.reshape(g.shape))
         psi_hat = np.zeros(g.shape, dtype=np.complex128)
 
-    for j, dw in zip(range(n_steps), _path_rows(config, path)):
+    for j, dw in enumerate(rows):
         if not dpd:
             v = _strang_u_step(v, half, substep, g, dt)
             if dw is not None:
@@ -318,23 +318,7 @@ def solve(config: SolverConfig) -> Trajectory:
         v=v_rows,
         psi=psi_rows,
         config=config,
-        held_path=path,
-    )
-
-
-def _path_rows(config: SolverConfig, path: Optional[NoisePath]):
-    """Row j of the run's noise path for each step j: the rows of path when
-    solve holds one, else (stochastic scheme) each row drawn as its step
-    comes, else None for every step."""
-    if path is not None:
-        return iter(path.dw)
-    if not config.stochastic:
-        return itertools.repeat(None)
-    return (
-        noise_mod.generate_noise_path(
-            config.noise, config.dt, 1, config.master_seed, config.stream_id, first_step=j
-        ).dw[0]
-        for j in range(config.n_steps)
+        noise_path=path,
     )
 
 
@@ -345,15 +329,14 @@ def duhamel_residual(traj: Trajectory, time_index: int) -> float:
     """L^2 norm of the defect of the Duhamel formulation at a snapshot time.
 
     u(t) - S(t) u0 + i int_0^t S(t-t') (|u|^2-1)u dt' + i * (noise convolution),
-    with trapezoid quadrature for the drift term and the recorded increments
-    for the convolution.  Expected O(dt), not zero.
+    with trapezoid quadrature for the drift term and the increments for the
+    convolution: the trajectory's path, else the rows its (seed, stream) keys
+    draw.  Expected O(dt), not zero.
     """
     if time_index < 0 or time_index >= traj.n_snapshots:
         raise UsageError("time_index out of range")
     g = traj.grid
     cfg = traj.solver_config("duhamel_residual")
-    if cfg.stochastic and traj.noise_path is None:
-        raise UsageError("duhamel_residual needs the recorded noise path")
     t = float(traj.times[time_index])
     u_t = traj.u_snapshot(time_index).values
     free = lattice.apply_schrodinger_group(traj.u_snapshot(0), t).values
@@ -368,8 +351,9 @@ def duhamel_residual(traj: Trajectory, time_index: int) -> float:
 
     conv = np.zeros(g.total_points, dtype=np.complex128)
     if cfg.stochastic:
-        path = traj.noise_path
         n_used = time_index * cfg.snapshot_stride
+        path = traj.noise_path or noise_mod.generate_noise_path(
+            cfg.noise, cfg.dt, n_used, cfg.master_seed, cfg.stream_id)
         for j in range(n_used):
             t_end = (j + 1) * path.dt
             moved = lattice.apply_schrodinger_group(path.increments[j], t - t_end)
@@ -390,7 +374,7 @@ def gauge_transform(traj: Trajectory) -> Trajectory:
         v=phase * u - 1.0,
         psi=None if traj.psi is None else np.zeros_like(u),
         config=traj.config,
-        held_path=traj.held_path,
+        noise_path=traj.noise_path,
         frame="cubic",
     )
 

@@ -227,6 +227,14 @@ def build_solver_config(rc: RunConfig, stream_id: int = 0) -> SolverConfig:
     )
 
 
+def check_ledger_stride(rc: RunConfig) -> None:
+    """simulate and ensemble run the Ito ledger, which pairs every increment with
+    the state at the start of its step; the other studies set their own stride."""
+    if rc.snapshot_stride != 1 and dynamics.consumes_noise(rc.scheme, rc.noise_kind):
+        raise ConfigurationError(f"field 'snapshot_stride': must be 1 for the stochastic "
+                                 f"scheme {rc.scheme!r}, got {rc.snapshot_stride}")
+
+
 # --- ensembles ----------------------------------------------------------------
 
 
@@ -265,6 +273,7 @@ def run_ensemble(rc: RunConfig) -> EnsembleReport:
     """Independent solves with stream_id = member index; deterministic for a
     fixed master_seed regardless of worker count.  Blow-ups are recorded
     per-member without aborting the ensemble."""
+    check_ledger_stride(rc)
     indices = list(range(rc.ensemble_size))
     if rc.workers > 1 and rc.ensemble_size > 1:
         try:

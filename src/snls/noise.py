@@ -159,17 +159,20 @@ class NoisePath:
         return [ComplexField(self.grid, row.ravel()) for row in self.dw]
 
 
-def generate_noise_path(
-    spec: NoiseSpec, dt: float, n_steps: int, master_seed: int, stream_id: int = 0,
-    first_step: int = 0,
-) -> NoisePath:
-    """Steps first_step .. first_step + n_steps - 1 of the path keyed by
-    (master_seed, stream_id): each step's draw depends only on its own key,
-    so a path drawn in pieces has the rows of one drawn whole."""
-    dw = np.empty((n_steps,) + spec.grid.shape, dtype=np.complex128)
+def increment_rows(spec: NoiseSpec, dt: float, master_seed: int, stream_id: int, n_steps: int):
+    """Rows 0 .. n_steps - 1 of the path keyed by (master_seed, stream_id),
+    each drawn when asked for; a step's draw depends only on its own key."""
     for j in range(n_steps):
-        rng = step_rng(master_seed, stream_id, first_step + j)
-        dw[j] = sample_wiener_increment(spec, dt, rng).mesh
+        yield sample_wiener_increment(spec, dt, step_rng(master_seed, stream_id, j)).mesh
+
+
+def generate_noise_path(
+    spec: NoiseSpec, dt: float, n_steps: int, master_seed: int, stream_id: int = 0
+) -> NoisePath:
+    """The first n_steps rows of increment_rows, held as one array."""
+    dw = np.empty((n_steps,) + spec.grid.shape, dtype=np.complex128)
+    for j, row in enumerate(increment_rows(spec, dt, master_seed, stream_id, n_steps)):
+        dw[j] = row
     return NoisePath(grid=spec.grid, dt=dt, dw=dw)
 
 
@@ -177,6 +180,8 @@ def coarsen_noise_path(path: NoisePath, factor: int) -> NoisePath:
     """Sum consecutive fine increments into coarse ones (Brownian-consistent)."""
     if factor < 1 or path.n_steps % factor != 0:
         raise UsageError(f"coarsening factor {factor} does not divide {path.n_steps} steps")
+    if factor == 1:
+        return path  # the sum of one row is that row: no copy of the fine path
     dw = path.dw.reshape((-1, factor) + path.grid.shape).sum(axis=1)
     return NoisePath(grid=path.grid, dt=path.dt * factor, dw=dw)
 

@@ -99,15 +99,25 @@ class TestItoLedger:
         with pytest.raises(UsageError):
             diagnostics.ito_ledger(traj)
 
-    def test_requires_unit_stride(self):
+    def test_requires_unit_stride(self, monkeypatch):
+        # the ledger once drew the whole path again before it refused the stride
         g = grid2d(8)
         cfg = dynamics.SolverConfig(
             grid=g, t_final=0.1, dt=0.005, scheme="direct",
             noise=noise.multiplier_noise(g, 0.1, 3.0),
             initial_v=lattice.zero_field(g), snapshot_stride=2,
         )
-        with pytest.raises(UsageError):
-            diagnostics.ito_ledger(dynamics.solve(cfg))
+        traj = dynamics.solve(cfg)
+        keys = []
+        step_rng = noise.step_rng
+
+        def counting(*key):
+            keys.append(key)
+            return step_rng(*key)
+        monkeypatch.setattr(noise, "step_rng", counting)
+        with pytest.raises(UsageError, match="snapshot_stride = 1, got 2"):
+            diagnostics.ito_ledger(traj)
+        assert keys == []
 
     def test_ham1_is_linear_in_time(self):
         led = diagnostics.ito_ledger(stochastic_traj())

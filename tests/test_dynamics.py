@@ -242,15 +242,13 @@ class TestSolveStochastic:
     @pytest.mark.parametrize("scheme", ["direct", "dpd"])
     def test_stepwise_draws_match_the_whole_path(self, scheme):
         # above stride 1 solve draws its path step by step and keeps none; the
-        # snapshots are those of a stride-1 run, which draws it whole, and
-        # noise_path draws it again
+        # snapshots are those of a stride-1 run, which draws it whole
         cfg = replace(self.stochastic_config(scheme, seed=5, stream=2), snapshot_stride=4)
         traj = dynamics.solve(cfg)
         every = dynamics.solve(replace(cfg, snapshot_stride=1))
-        assert traj.held_path is None and every.held_path is not None
+        assert traj.noise_path is None and every.noise_path is not None
         assert np.array_equal(traj.v, every.v[::4])
         assert scheme == "direct" or np.array_equal(traj.psi, every.psi[::4])
-        assert traj.noise_path.dw.tobytes() == every.noise_path.dw.tobytes()
 
     def test_dpd_psi_matches_standalone_sampler(self):
         traj = dynamics.solve(self.stochastic_config("dpd", seed=6))
@@ -281,6 +279,23 @@ class TestDuhamelResidual:
         traj = dynamics.solve(det_config(g, lattice.zero_field(g)))
         with pytest.raises(UsageError):
             dynamics.duhamel_residual(traj, traj.n_snapshots)
+
+    @pytest.mark.parametrize("scheme", ["direct", "dpd"])
+    def test_drawn_rows_match_a_prescribed_path(self, scheme):
+        # at stride 2 solve keeps no path and duhamel_residual draws the rows it
+        # needs; a run given the same path up front keeps it and reads it
+        cfg = replace(TestSolveStochastic().stochastic_config(scheme, seed=3, stream=1),
+                      snapshot_stride=2)
+        drawn = dynamics.solve(cfg)
+        path = noise.generate_noise_path(cfg.noise, cfg.dt, cfg.n_steps, 3, stream_id=1)
+        given = dynamics.solve(replace(cfg, prescribed_path=path))
+        assert drawn.noise_path is None and given.noise_path is path
+        residuals = [
+            [dynamics.duhamel_residual(t, i) for i in range(drawn.n_snapshots)]
+            for t in (drawn, given)
+        ]
+        assert residuals[0] == residuals[1]
+        assert 0 < residuals[0][-1] < 1e-2
 
 
 class TestGaugeTransform:

@@ -86,6 +86,19 @@ class TestParseConfig:
             harness.parse_config("[time]\ndt = 0.3\nt_final = 1.0\n")
         assert "not an integer" in str(exc.value)
 
+    @pytest.mark.parametrize("scheme, kind, ok", [
+        ("direct", "multiplier", False), ("dpd", "multiplier", False),
+        ("direct", "zero", True), ("deterministic_gp", "multiplier", True),
+    ])
+    def test_ledger_stride_above_one_only_without_noise(self, scheme, kind, ok):
+        rc = harness.parse_config(f"[time]\ndt = 0.01\nt_final = 0.1\nsnapshot_stride = 2\n"
+                                  f"scheme = {scheme}\n[noise]\nkind = {kind}\n")
+        if ok:
+            harness.check_ledger_stride(rc)
+        else:
+            with pytest.raises(ConfigurationError, match="field 'snapshot_stride': must be 1"):
+                harness.check_ledger_stride(rc)
+
     def test_hash_stable_and_sensitive(self):
         a = harness.parse_config(BASE_CONFIG)
         b = harness.parse_config(BASE_CONFIG)
@@ -339,6 +352,19 @@ class TestCli:
             assert cli.main([command, "--config", cfgfile]) == 1
             err = capsys.readouterr().err
             assert "configuration error" in err and "field 'amplitude' in [noise]" in err
+
+    def test_stochastic_stride_exit_one_before_solve(self, tmp_path, monkeypatch, capsys):
+        # simulate and ensemble once solved the whole run, then exited 2 from ito_ledger
+        solves = []
+        monkeypatch.setattr(dynamics, "solve", lambda cfg: solves.append(cfg))
+        doc = (BASE_CONFIG.replace("scheme = direct", "scheme = direct\nsnapshot_stride = 2")
+               + f"\n[output]\ndir = {tmp_path}/out\n")
+        cfgfile = self.write_config(tmp_path, doc)
+        for command in ("simulate", "ensemble"):
+            assert cli.main([command, "--config", cfgfile]) == 1
+            err = capsys.readouterr().err
+            assert "configuration error" in err and "field 'snapshot_stride'" in err
+        assert solves == []
 
     def test_converge_coarse_dt_rounding(self, tmp_path, capsys):
         # 0.3 = 3 * 0.1 coarsens to a path dt of 0.30000000000000004

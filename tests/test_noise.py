@@ -194,13 +194,27 @@ class TestNoisePath:
         assert path.dt == 0.01
 
     def test_pieces_have_the_rows_of_the_whole_path(self):
+        # rows drawn one at a time, and a shorter path, have the whole path's bytes
         spec = noise.multiplier_noise(small_grid(), 0.2, 3.0)
         whole = noise.generate_noise_path(spec, 0.01, 7, master_seed=9, stream_id=2)
-        pieces = [
-            noise.generate_noise_path(spec, 0.01, k, master_seed=9, stream_id=2, first_step=start)
-            for start, k in ((0, 3), (3, 3), (6, 1))
-        ]
-        assert np.concatenate([p.dw for p in pieces]).tobytes() == whole.dw.tobytes()
+        rows = list(noise.increment_rows(spec, 0.01, 9, 2, 7))
+        assert np.array(rows).tobytes() == whole.dw.tobytes()
+        short = noise.generate_noise_path(spec, 0.01, 3, master_seed=9, stream_id=2)
+        assert short.dw.tobytes() == whole.dw[:3].tobytes()
+
+    def test_increment_rows_draw_on_demand(self, monkeypatch):
+        keys = []
+        step_rng = noise.step_rng
+
+        def counting(*key):
+            keys.append(key)
+            return step_rng(*key)
+        monkeypatch.setattr(noise, "step_rng", counting)
+        rows = noise.increment_rows(noise.multiplier_noise(small_grid(), 0.2, 3.0), 0.01, 9, 2, 7)
+        assert keys == []
+        next(rows)
+        next(rows)
+        assert keys == [(9, 2, 0), (9, 2, 1)]
 
     def test_coarsen_sums_increments(self):
         g = make_grid(1, 8, TWO_PI)
@@ -225,6 +239,11 @@ class TestNoisePath:
         coarse = noise.coarsen_noise_path(fine, factor)
         assert coarse.dw.shape == (8 // factor,) + g.shape
         assert coarse.dw.tobytes() == np.array(want).tobytes()
+
+    def test_coarsen_by_one_is_the_path_itself(self):
+        g = make_grid(2, 8, 5.0)
+        fine = noise.generate_noise_path(noise.multiplier_noise(g, 0.7, 2.0), 0.01, 4, master_seed=6)
+        assert noise.coarsen_noise_path(fine, 1) is fine
 
     def test_increments_are_row_views(self):
         g = make_grid(2, 8, 5.0)
