@@ -32,8 +32,8 @@ def _load_config(args) -> harness.RunConfig:
 
 def _cmd_simulate(args) -> int:
     rc = _load_config(args)
-    out = harness.ensure_output_dir(rc)
     harness.check_ledger_stride(rc)
+    out = harness.ensure_output_dir(rc)
     cfg = harness.build_solver_config(rc)
     traj = dynamics.solve(cfg)
     ledger = diagnostics.ito_ledger(traj)
@@ -62,6 +62,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_ensemble(args) -> int:
     rc = _load_config(args)
+    harness.check_ledger_stride(rc)
     out = harness.ensure_output_dir(rc)
     report = harness.run_ensemble(rc)
     harness.write_report(report, os.path.join(out, "ensemble_report.txt"))

@@ -64,9 +64,6 @@ class EnergyLedger:
         ]
 
 
-_BLOCK_BYTES = 1 << 20  # bytes of snapshot rows per block of the norm-table pass
-
-
 def snapshot_norms(traj) -> dict:
     """Every per-snapshot quantity the diagnostics read, for v* = u - 1 =
     v + Psi: ||grad v*|| in L^4, L^12/5, L^2, ||v*||_{L^6}, E(1 + v*), ham2's
@@ -74,24 +71,23 @@ def snapshot_norms(traj) -> dict:
     (qv_balanced), ||grad v|| and ||grad Psi|| in L^12/5, and, given a noise
     path with one increment per step, each step's ham3 term (ham3_steps).
 
-    The one pass over snapshot fields, in blocks of _BLOCK_BYTES of rows with
-    one forward transform per block of v* (and of v and Psi for dpd).  Kept in
+    The one pass over snapshot fields, in blocks of lattice.BLOCK_BYTES of rows
+    with one forward transform per block of v* (and of v and Psi for dpd), and
+    the block's physical noise rows made from the path's Fourier rows.  Kept in
     traj.norms: snapshots must not change once a diagnostic has read them.
     A non-finite snapshot raises UsageError naming it."""
     if traj.norms is not None:
         return traj.norms
     g, n, cell = traj.grid, traj.n_snapshots, traj.grid.cell_measure
     path = traj.noise_path
-    dw_rows = path.dw if path is not None and path.n_steps == n - 1 else traj.v[:0]
-    rows = max(1, _BLOCK_BYTES // traj.v[0].nbytes)
+    steps = path.n_steps if path is not None and path.n_steps == n - 1 else 0
     blocks = []
-    for start in range(0, n, rows):
-        sl = slice(start, start + rows)
+    for sl in lattice.row_blocks(traj.v):
         w = traj.v[sl] if traj.psi is None else traj.v[sl] + traj.psi[sl]  # v* rows
         flat = w.reshape(len(w), -1)
         finite = np.isfinite(flat.view(np.float64)).all(axis=1)
         if not finite.all():
-            raise UsageError(f"snapshot {start + int(np.argmin(finite))} holds a non-finite value")
+            raise UsageError(f"snapshot {sl.start + int(np.argmin(finite))} holds a non-finite value")
         w_hat = np.fft.fftn(w, axes=g.axes)
         grad = lattice.gradient_magnitude(g, w_hat)
         cols = {key: lattice._lp_of_values(grad, r, cell)
@@ -102,14 +98,16 @@ def snapshot_norms(traj) -> dict:
         cols["energy"] = 0.5 * cols["grad_l2"] ** 2 + 0.25 * np.sum(q**2, axis=1) * cell
         cols["qv"] = np.sum(abs2 + flat.imag**2 + 4.0 * flat.real, axis=1) * cell
         cols["qv_balanced"] = np.sum(q, axis=1) * cell
-        dw = dw_rows[sl].reshape(-1, g.total_points)
-        if len(dw):
+        if sl.start < steps:
             # Im int G(v*) phi dW dx paired with each left-point snapshot, for
             # G(v*) = |v*|^2 conj(v*) - Lap conj(v*) + |v*|^2 + 2 Re(v*) conj(v*) + 2 Re(v*)
+            dw = path.physical(sl.start, min(sl.stop, steps)).reshape(-1, g.total_points)
             v, a, vb = flat[: len(dw)], abs2[: len(dw)], np.conj(flat[: len(dw)])
             lap_vb = np.conj(lattice.laplacian(g, w_hat[: len(dw)]))
             integrand = a * vb - lap_vb + a + 2.0 * v.real * vb + 2.0 * v.real
-            cols["ham3_steps"] = np.imag(np.sum(integrand * dw, axis=1)) * cell
+            np.multiply(integrand, dw, out=dw)  # integrand * dw into the block's own rows
+            cols["ham3_steps"] = np.imag(np.sum(dw, axis=1)) * cell
+            del integrand, dw  # not held while the next block is made
         if traj.psi is not None:
             for key, part in (("v_grad_l12o5", traj.v[sl]), ("psi_grad_l12o5", traj.psi[sl])):
                 part_grad = lattice.gradient_magnitude(g, np.fft.fftn(part, axes=g.axes))

@@ -182,15 +182,6 @@ def _cubic_phase_substep(u_field: ComplexField, dt: float) -> ComplexField:
 # schrodinger_phase(grid, dt) ("full") that solve builds once per run.
 
 
-def _strang_u_step(v: np.ndarray, half: np.ndarray, substep, grid: GridSpec, dt: float) -> np.ndarray:
-    """Strang sandwich on u = 1 + v (flat values) around the pointwise
-    substep (None skips it); returns the updated v = u - 1."""
-    u = lattice.free_flow(1.0 + v, half)
-    if substep is not None:
-        u = substep(ComplexField(grid, u), dt).values
-    return lattice.free_flow(u, half) - 1.0
-
-
 def strang_step_dpd(v_hat: np.ndarray, psi_mid: np.ndarray, half: np.ndarray, dt: float) -> np.ndarray:
     """Strang step for the remainder v, carried as its Fourier coefficients
     v_hat = fftn(v), with Psi frozen over the step at psi_mid.
@@ -230,9 +221,10 @@ def solve(config: SolverConfig) -> Trajectory:
     generate_noise_path at snapshot_stride 1 (the ledger reads the path), and
     from increment_rows above it, each row dropped once used, so memory does
     not grow with the step count.  The trajectory keeps the path in the first
-    two cases.  direct and the deterministic schemes carry v in
-    physical space; dpd carries the Fourier coefficients of v and Psi and
-    transforms them back only at snapshot steps."""
+    two cases.  Every scheme carries Fourier coefficients, and the noise's
+    Fourier rows enter them directly: direct and the deterministic schemes
+    u_hat = fftn(1 + v), dpd those of v and Psi.  Snapshots are kept as
+    coefficients and transformed back in place after the last step."""
     g = config.grid
     n_steps = config.n_steps
     stride = config.snapshot_stride
@@ -254,7 +246,7 @@ def solve(config: SolverConfig) -> Trajectory:
             config.noise, dt, n_steps, config.master_seed, config.stream_id
         )
     if path is not None:
-        rows = path.dw
+        rows = path.dw_hat
     elif config.stochastic:
         rows = noise_mod.increment_rows(
             config.noise, dt, config.master_seed, config.stream_id, n_steps
@@ -263,6 +255,7 @@ def solve(config: SolverConfig) -> Trajectory:
         rows = [None] * n_steps
     dpd = config.scheme == "dpd"
     half = lattice.schrodinger_phase(g, dt / 2.0)
+    full = lattice.schrodinger_phase(g, dt)
     if config.disable_nonlinearity:
         substep = None
     elif config.scheme == "deterministic_cubic":
@@ -270,21 +263,27 @@ def solve(config: SolverConfig) -> Trajectory:
     else:
         substep = nonlinear_phase_substep
 
-    v = config.initial_v.values  # steps rebind v, never write into it
+    v0 = config.initial_v.mesh
     v_rows = np.empty((n_steps // stride + 1,) + g.shape, dtype=np.complex128)
-    v_rows[0] = v.reshape(g.shape)
+    v_rows[0] = v0
     psi_rows = np.zeros_like(v_rows) if dpd else None
     if dpd:
-        full = lattice.schrodinger_phase(g, dt)
-        v_hat = np.fft.fftn(v.reshape(g.shape))
+        v_hat = np.fft.fftn(v0)
         psi_hat = np.zeros(g.shape, dtype=np.complex128)
+    else:
+        u_hat = np.fft.fftn(1.0 + v0)
 
-    for j, dw in enumerate(rows):
+    for j, dw_hat in enumerate(rows):
         if not dpd:
-            v = _strang_u_step(v, half, substep, g, dt)
-            if dw is not None:
-                v = v - 1j * dw.ravel()
-            finite = lattice.all_finite(v)
+            if substep is None:
+                u_hat *= full
+            else:
+                y = substep(ComplexField(g, np.fft.ifftn(u_hat * half).ravel()), dt).mesh
+                u_hat = np.fft.fftn(y)
+                u_hat *= half
+            if dw_hat is not None:
+                u_hat -= 1j * dw_hat
+            finite = lattice.all_finite(u_hat)
         else:
             if substep is None:
                 v_hat *= full
@@ -292,12 +291,12 @@ def solve(config: SolverConfig) -> Trajectory:
                 # midpoint-consistent convention: the step-start Psi (zero until
                 # the first increment) is freely propagated to the step midpoint before
                 # entering the frozen-Psi nonlinear substep (adapted: uses no new increment)
-                psi_mid = np.fft.ifftn(psi_hat * half) if dw is not None and j > 0 else 0.0
+                psi_mid = np.fft.ifftn(psi_hat * half) if dw_hat is not None and j > 0 else 0.0
                 v_hat = strang_step_dpd(v_hat, psi_mid, half, dt)
             # Psi(t+dt) = S(dt) Psi(t) - i * (phi DeltaW), exactly in Fourier space
             psi_hat *= full
-            if dw is not None:
-                psi_hat -= 1j * np.fft.fftn(dw)
+            if dw_hat is not None:
+                psi_hat -= 1j * dw_hat
             finite = lattice.all_finite(v_hat) and lattice.all_finite(psi_hat)
 
         if not finite:
@@ -306,10 +305,17 @@ def solve(config: SolverConfig) -> Trajectory:
         if (j + 1) % stride == 0:
             k = (j + 1) // stride
             if dpd:
-                v_rows[k] = np.fft.ifftn(v_hat)
-                psi_rows[k] = np.fft.ifftn(psi_hat)
+                v_rows[k] = v_hat
+                psi_rows[k] = psi_hat
             else:
-                v_rows[k] = v.reshape(g.shape)
+                v_rows[k] = u_hat
+
+    # back to physical space in place, with no temporary; row 0 is initial_v as given
+    np.fft.ifftn(v_rows[1:], axes=g.axes, out=v_rows[1:])
+    if dpd:
+        np.fft.ifftn(psi_rows[1:], axes=g.axes, out=psi_rows[1:])
+    else:
+        v_rows[1:] -= 1.0
 
     return Trajectory(
         grid=g,
@@ -330,8 +336,9 @@ def duhamel_residual(traj: Trajectory, time_index: int) -> float:
 
     u(t) - S(t) u0 + i int_0^t S(t-t') (|u|^2-1)u dt' + i * (noise convolution),
     with trapezoid quadrature for the drift term and the increments for the
-    convolution: the trajectory's path, else the rows its (seed, stream) keys
-    draw.  Expected O(dt), not zero.
+    convolution: the Fourier rows of the trajectory's path, else the rows its
+    (seed, stream) keys draw, summed by Horner's rule in S(dt) and transformed
+    back once.  Expected O(dt), not zero.
     """
     if time_index < 0 or time_index >= traj.n_snapshots:
         raise UsageError("time_index out of range")
@@ -351,13 +358,16 @@ def duhamel_residual(traj: Trajectory, time_index: int) -> float:
 
     conv = np.zeros(g.total_points, dtype=np.complex128)
     if cfg.stochastic:
+        # sum_j S(t - (j+1) dt) dW_j over the n_used steps up to t
         n_used = time_index * cfg.snapshot_stride
-        path = traj.noise_path or noise_mod.generate_noise_path(
-            cfg.noise, cfg.dt, n_used, cfg.master_seed, cfg.stream_id)
-        for j in range(n_used):
-            t_end = (j + 1) * path.dt
-            moved = lattice.apply_schrodinger_group(path.increments[j], t - t_end)
-            conv += -1j * moved.values
+        rows = (traj.noise_path.dw_hat[:n_used] if traj.noise_path is not None else
+                noise_mod.increment_rows(cfg.noise, cfg.dt, cfg.master_seed, cfg.stream_id, n_used))
+        full = lattice.schrodinger_phase(g, cfg.dt)
+        acc = np.zeros(g.shape, dtype=np.complex128)
+        for dw_hat in rows:
+            acc *= full
+            acc += dw_hat
+        conv = -1j * np.fft.ifftn(acc).ravel()
 
     defect = u_t - free + 1j * drift - conv
     return lattice.lebesgue_norm(ComplexField(g, defect), 2.0)

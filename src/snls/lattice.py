@@ -173,22 +173,30 @@ def field_from_spectral(grid: GridSpec, coeffs: np.ndarray) -> ComplexField:
     return field_from_mesh(grid, vals)
 
 
+# Bytes of rows per block when a stack is walked block by block.  The norm
+# table holds about ten block-sized temporaries at once, so the block sets
+# the diagnostics' peak memory on large grids.
+BLOCK_BYTES = 1 << 19
+
+
+def row_blocks(stack: np.ndarray):
+    """Slices covering the rows of a stack (along axis 0), each about
+    BLOCK_BYTES of rows and at least one row."""
+    rows = max(1, BLOCK_BYTES // (stack.itemsize * int(np.prod(stack.shape[1:]))))
+    for first in range(0, len(stack), rows):
+        yield slice(first, min(first + rows, len(stack)))
+
+
 def schrodinger_phase(grid: GridSpec, t: float) -> np.ndarray:
     """The multiplier e^{-i|k|^2 t} of the free propagator S(t), lattice shape."""
     return np.exp(-1j * grid.ksq() * t)
 
 
-def free_flow(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """S(t) on flat lattice values, for phase = schrodinger_phase(grid, t)."""
-    uhat = np.fft.fftn(values.reshape(phase.shape))
-    uhat *= phase
-    return np.fft.ifftn(uhat).ravel()
-
-
 def apply_schrodinger_group(field: ComplexField, t: float) -> ComplexField:
     """Free propagator S(t) = e^{it Laplacian}: multiply mode k by e^{-i|k|^2 t}."""
-    g = field.grid
-    return ComplexField(g, free_flow(field.values, schrodinger_phase(g, t)))
+    uhat = np.fft.fftn(field.mesh)
+    uhat *= schrodinger_phase(field.grid, t)
+    return ComplexField(field.grid, np.fft.ifftn(uhat).ravel())
 
 
 def gradient_magnitude(field, uhat=None) -> np.ndarray:

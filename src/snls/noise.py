@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -99,18 +99,22 @@ def _complex_normals(rng: np.random.Generator, shape, variance: float) -> np.nda
     return z
 
 
-def sample_wiener_increment(
-    spec: NoiseSpec, dt: float, rng_state: np.random.Generator
-) -> ComplexField:
-    """One increment phi*DeltaW over a step of length dt (physical space)."""
+def spectral_increment(spec: NoiseSpec, dt: float, rng_state: np.random.Generator) -> np.ndarray:
+    """Spectral coefficients phihat(k) z_k of one increment phi*DeltaW over a
+    step of length dt, lattice shape (zero noise draws nothing)."""
     if dt <= 0:
         raise UsageError(f"dt must be positive, got {dt}")
     g = spec.grid
     if spec.kind == "zero":
-        return lattice.zero_field(g)
-    z = _complex_normals(rng_state, g.shape, dt)
-    coeffs = spec.multiplier_profile() * z
-    return lattice.field_from_spectral(g, coeffs)
+        return np.zeros(g.shape, dtype=np.complex128)
+    return spec.multiplier_profile() * _complex_normals(rng_state, g.shape, dt)
+
+
+def sample_wiener_increment(
+    spec: NoiseSpec, dt: float, rng_state: np.random.Generator
+) -> ComplexField:
+    """One increment phi*DeltaW over a step of length dt (physical space)."""
+    return lattice.field_from_spectral(spec.grid, spectral_increment(spec, dt, rng_state))
 
 
 def step_stochastic_convolution(
@@ -142,38 +146,40 @@ def step_stochastic_convolution(
 
 @dataclass
 class NoisePath:
-    """The phi*DeltaW fields consumed by one trajectory, one per row of dw
-    (lattice shape), step-major."""
+    """The phi*DeltaW increments consumed by one trajectory, held as their
+    Fourier rows fftn(phi*DeltaW) (lattice shape), step-major."""
 
     grid: GridSpec
     dt: float
-    dw: np.ndarray
+    dw_hat: np.ndarray
 
     @property
     def n_steps(self) -> int:
-        return len(self.dw)
+        return len(self.dw_hat)
 
-    @cached_property
-    def increments(self) -> List[ComplexField]:
-        """Writable ComplexField views of the rows of dw."""
-        return [ComplexField(self.grid, row.ravel()) for row in self.dw]
+    def physical(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """The physical increments of steps start .. stop - 1, one new row each:
+        the bits sample_wiener_increment gives for a drawn row."""
+        return np.fft.ifftn(self.dw_hat[start:stop], axes=self.grid.axes)
 
 
 def increment_rows(spec: NoiseSpec, dt: float, master_seed: int, stream_id: int, n_steps: int):
-    """Rows 0 .. n_steps - 1 of the path keyed by (master_seed, stream_id),
-    each drawn when asked for; a step's draw depends only on its own key."""
+    """Fourier rows 0 .. n_steps - 1 of the path keyed by (master_seed,
+    stream_id), each drawn when asked for; a step's draw depends only on its
+    own key.  A row is the array field_from_spectral transforms."""
+    scale = spec.grid.total_points / np.sqrt(spec.grid.volume)
     for j in range(n_steps):
-        yield sample_wiener_increment(spec, dt, step_rng(master_seed, stream_id, j)).mesh
+        yield spectral_increment(spec, dt, step_rng(master_seed, stream_id, j)) * scale
 
 
 def generate_noise_path(
     spec: NoiseSpec, dt: float, n_steps: int, master_seed: int, stream_id: int = 0
 ) -> NoisePath:
     """The first n_steps rows of increment_rows, held as one array."""
-    dw = np.empty((n_steps,) + spec.grid.shape, dtype=np.complex128)
+    dw_hat = np.empty((n_steps,) + spec.grid.shape, dtype=np.complex128)
     for j, row in enumerate(increment_rows(spec, dt, master_seed, stream_id, n_steps)):
-        dw[j] = row
-    return NoisePath(grid=spec.grid, dt=dt, dw=dw)
+        dw_hat[j] = row
+    return NoisePath(grid=spec.grid, dt=dt, dw_hat=dw_hat)
 
 
 def coarsen_noise_path(path: NoisePath, factor: int) -> NoisePath:
@@ -182,28 +188,32 @@ def coarsen_noise_path(path: NoisePath, factor: int) -> NoisePath:
         raise UsageError(f"coarsening factor {factor} does not divide {path.n_steps} steps")
     if factor == 1:
         return path  # the sum of one row is that row: no copy of the fine path
-    dw = path.dw.reshape((-1, factor) + path.grid.shape).sum(axis=1)
-    return NoisePath(grid=path.grid, dt=path.dt * factor, dw=dw)
+    dw_hat = path.dw_hat.reshape((-1, factor) + path.grid.shape).sum(axis=1)
+    return NoisePath(grid=path.grid, dt=path.dt * factor, dw_hat=dw_hat)
 
 
 def write_noise_path(path: NoisePath, filename: str) -> None:
     """Binary export: magic, dim/n/steps as u64 LE, dt as LE double, then
-    the increments in the lattice field codec, step-major."""
+    the physical increments in the lattice field codec, step-major, made from
+    the Fourier rows block by block."""
     g = path.grid
     with open(filename, "wb") as fh:
         fh.write(NOISE_MAGIC)
         fh.write(struct.pack(_NOISE_HEADER, g.dim, g.points_per_axis, path.n_steps, path.dt))
-        lattice.write_fields(fh, path.dw)
+        for sl in lattice.row_blocks(path.dw_hat):
+            lattice.write_fields(fh, path.physical(sl.start, sl.stop))
 
 
 def read_noise_path(filename: str, box_length: float) -> NoisePath:
-    """Read back a file written by write_noise_path; raises FormatError when
-    it is malformed or holds a non-finite value."""
+    """Read back a file written by write_noise_path, transforming its rows to
+    Fourier rows in place; raises FormatError when it is malformed or holds a
+    non-finite value."""
     with open(filename, "rb") as fh:
         dim, n, steps, dt = lattice.read_header(fh, NOISE_MAGIC, _NOISE_HEADER)
         grid = lattice.header_grid(fh, dim, n, box_length, dt)
         values = lattice.read_fields(fh, grid, steps)
-    return NoisePath(grid=grid, dt=dt, dw=values)
+    np.fft.fftn(values, axes=grid.axes, out=values)
+    return NoisePath(grid=grid, dt=dt, dw_hat=values)
 
 
 # --- statistics over Psi ensembles ---------------------------------------

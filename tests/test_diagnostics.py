@@ -437,7 +437,7 @@ def reference_table_and_ledger(traj):
         ham2_int.append(np.sum((np.abs(w) ** 2 + w.imag**2 + 4.0 * w.real) * density) * cell)
         ham2b_int.append(np.sum((np.abs(w) ** 2 + 2.0 * w.real) * density) * cell)
         if i < n - 1:
-            inc = traj.noise_path.increments[i].values
+            inc = traj.noise_path.physical(i, i + 1).ravel()
             ham3_steps.append(np.imag(np.sum(ham3_integrand(vs) * inc)) * cell)
     cols = {key: np.array(col) for key, col in cols.items()}
     cols["ham3_steps"] = np.array(ham3_steps)
@@ -462,7 +462,7 @@ class TestBlockedNormPass:
     def multi_block_traj(self, scheme):
         # 51 snapshots at 64^2 span several blocks, the last one partial
         traj = stochastic_traj(scheme, seed=5, n=64, t_final=0.1, dt=0.002, amp=0.4)
-        rows = diagnostics._BLOCK_BYTES // traj.v[0].nbytes
+        rows = lattice.BLOCK_BYTES // traj.v[0].nbytes
         assert traj.n_snapshots == 51 and 1 < rows < 51 and 51 % rows
         return traj
 

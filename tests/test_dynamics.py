@@ -171,8 +171,7 @@ class TestSolveStochastic:
         # the same (seed, stream) drives identical increments for both routes
         a = dynamics.solve(self.stochastic_config("direct", seed=4))
         b = dynamics.solve(self.stochastic_config("dpd", seed=4))
-        for x, y in zip(a.noise_path.increments, b.noise_path.increments):
-            assert np.array_equal(x.values, y.values)
+        assert a.noise_path.dw_hat.tobytes() == b.noise_path.dw_hat.tobytes()
 
     def test_prescribed_path_overrides_rng(self):
         cfg = self.stochastic_config("direct", seed=1)
@@ -213,8 +212,8 @@ class TestSolveStochastic:
         got = dynamics.solve(cfg).noise_path
         want = noise.generate_noise_path(cfg.noise, cfg.dt, cfg.n_steps, cfg.master_seed, cfg.stream_id)
         assert (got.grid, got.dt) == (want.grid, want.dt)
-        assert got.dw.shape == (cfg.n_steps,) + cfg.grid.shape
-        assert got.dw.tobytes() == want.dw.tobytes()
+        assert got.dw_hat.shape == (cfg.n_steps,) + cfg.grid.shape
+        assert got.dw_hat.tobytes() == want.dw_hat.tobytes()
 
     def test_prescribed_path_is_the_trajectory_path(self):
         cfg = self.stochastic_config("dpd", seed=2)
@@ -254,8 +253,9 @@ class TestSolveStochastic:
         traj = dynamics.solve(self.stochastic_config("dpd", seed=6))
         g = traj.grid
         psi = lattice.zero_field(g)
-        for inc in traj.noise_path.increments:
-            psi, _ = noise.step_stochastic_convolution(psi, traj.config.noise, traj.config.dt, increment=inc)
+        for inc in traj.noise_path.physical():
+            psi, _ = noise.step_stochastic_convolution(
+                psi, traj.config.noise, traj.config.dt, increment=ComplexField(g, inc.ravel()))
         assert np.allclose(traj.psi_snapshots[-1].values, psi.values, atol=1e-13)
 
 
@@ -296,6 +296,31 @@ class TestDuhamelResidual:
         ]
         assert residuals[0] == residuals[1]
         assert 0 < residuals[0][-1] < 1e-2
+
+    @staticmethod
+    def reference_residual(traj, i):
+        """duhamel_residual with the noise convolution summed increment by
+        increment in physical space, each drawn increment moved by the free group."""
+        cfg, t, times = traj.config, float(traj.times[i]), traj.times
+        u = [traj.u_snapshot(m) for m in range(i + 1)]
+        moved = [lattice.apply_schrodinger_group(dynamics.gp_nonlinearity(f), t - s).values
+                 for f, s in zip(u, times)]
+        drift = sum(0.5 * (times[m + 1] - times[m]) * (moved[m + 1] + moved[m]) for m in range(i))
+        conv = sum(-1j * lattice.apply_schrodinger_group(
+            noise.sample_wiener_increment(cfg.noise, cfg.dt, noise.step_rng(cfg.master_seed, cfg.stream_id, j)),
+            t - (j + 1) * cfg.dt).values for j in range(i * cfg.snapshot_stride))
+        defect = u[i].values - lattice.apply_schrodinger_group(u[0], t).values + 1j * drift - conv
+        return lattice.lebesgue_norm(ComplexField(traj.grid, defect), 2.0)
+
+    @pytest.mark.parametrize("scheme", ["direct", "dpd"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_noise_convolution_matches_group_reference(self, scheme, stride):
+        cfg = replace(TestSolveStochastic().stochastic_config(scheme, seed=3, stream=1),
+                      snapshot_stride=stride)
+        traj = dynamics.solve(cfg)
+        for i in range(1, traj.n_snapshots):
+            want = self.reference_residual(traj, i)
+            assert abs(dynamics.duhamel_residual(traj, i) - want) <= 1e-12 * want
 
 
 class TestGaugeTransform:
@@ -448,6 +473,31 @@ def physical_dpd_solve(cfg):
     return out
 
 
+def physical_strang_solve(cfg):
+    """Reference for direct and the deterministic schemes on physical-space
+    state: Strang steps built from apply_schrodinger_group around the phase
+    substep, then, for direct, the increment of the standalone sampler.
+    Returns v after every step; raises BlowUpError like solve."""
+    g, dt = cfg.grid, cfg.dt
+    v = cfg.initial_v
+    out = [v.values]
+    for j in range(cfg.n_steps):
+        u = lattice.apply_schrodinger_group(ComplexField(g, 1.0 + v.values), dt / 2.0)
+        if cfg.scheme == "deterministic_cubic":
+            u = ComplexField(g, u.values * np.exp(-1j * np.abs(u.values) ** 2 * dt))
+        else:
+            u = dynamics.nonlinear_phase_substep(u, dt)
+        u = lattice.apply_schrodinger_group(u, dt / 2.0)
+        v = ComplexField(g, u.values - 1.0)
+        if cfg.scheme == "direct":
+            inc = noise.sample_wiener_increment(cfg.noise, dt, noise.step_rng(cfg.master_seed, cfg.stream_id, j))
+            v = ComplexField(g, v.values - 1j * inc.values)
+        if not v.is_finite():
+            raise BlowUpError(j + 1, (j + 1) * dt)
+        out.append(v.values)
+    return out
+
+
 def stepper_config(scheme, g, n_steps=40, stride=1, v0=None, amplitude=0.5, **kw):
     return dynamics.SolverConfig(
         grid=g,
@@ -478,7 +528,7 @@ class TestPhaseTableStepper:
         return len(calls)
 
     @pytest.mark.parametrize("scheme, prescribed, budget", [
-        ("dpd", True, 4), ("dpd", False, 5), ("direct", False, 5), ("direct", True, 4),
+        ("dpd", True, 3), ("dpd", False, 3), ("direct", False, 2), ("direct", True, 2),
     ])
     def test_fft_budget_per_step(self, monkeypatch, scheme, prescribed, budget):
         # the difference of two run lengths, each storing only its final
@@ -504,7 +554,7 @@ class TestPhaseTableStepper:
         # and the snapshots equal those of a run fed all-zero increments,
         # which transforms Psi_mid every step
         cfg = replace(cfg, snapshot_stride=1)
-        zeros = noise.NoisePath(grid=g, dt=cfg.dt, dw=np.zeros((20,) + g.shape, dtype=complex))
+        zeros = noise.NoisePath(grid=g, dt=cfg.dt, dw_hat=np.zeros((20,) + g.shape, dtype=complex))
         fed = dynamics.solve(replace(cfg, prescribed_path=zeros))
         for got, want in zip(dynamics.solve(cfg).v_snapshots, fed.v_snapshots):
             assert np.array_equal(got.values, want.values)
@@ -521,23 +571,14 @@ class TestPhaseTableStepper:
 
     @pytest.mark.parametrize("scheme", ["direct", "deterministic_gp", "deterministic_cubic"])
     def test_physical_schemes_match_group_steps(self, scheme):
-        # bit-identical to Strang steps built from apply_schrodinger_group
         g = grid2d()
         cfg = stepper_config(scheme, g, n_steps=20)
         traj = dynamics.solve(cfg)
-        v = cfg.initial_v
-        for j in range(cfg.n_steps):
-            u = lattice.apply_schrodinger_group(ComplexField(g, 1.0 + v.values), cfg.dt / 2.0)
-            if scheme == "deterministic_cubic":
-                u = ComplexField(g, u.values * np.exp(-1j * np.abs(u.values) ** 2 * cfg.dt))
-            else:
-                u = dynamics.nonlinear_phase_substep(u, cfg.dt)
-            u = lattice.apply_schrodinger_group(u, cfg.dt / 2.0)
-            v = ComplexField(g, u.values - 1.0)
-            if scheme == "direct":
-                inc = traj.noise_path.increments[j]
-                v = ComplexField(g, v.values - 1j * inc.values)
-            assert np.array_equal(traj.v_snapshots[j + 1].values, v.values)
+        ref = physical_strang_solve(cfg)
+        assert traj.n_snapshots == len(ref) == 21
+        assert np.array_equal(traj.v_snapshots[0].values, cfg.initial_v.values)
+        for got, want in zip(traj.v_snapshots, ref):
+            assert np.max(np.abs(got.values - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
 
     @pytest.mark.parametrize("amplitude, step", [(12.0, 3), (20.0, 2)])
     def test_dpd_blow_up_step_matches_physical_space_stepper(self, amplitude, step):
@@ -546,6 +587,19 @@ class TestPhaseTableStepper:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError) as ref:
                 physical_dpd_solve(cfg)
+            with pytest.raises(BlowUpError) as got:
+                dynamics.solve(cfg)
+        assert got.value.step == ref.value.step == step
+
+    @pytest.mark.parametrize("v0_value, noise_amplitude, step", [(1e200, 0.2, 1), (0.2, 1e160, 2)])
+    def test_direct_blow_up_step_matches_physical_space_stepper(self, v0_value, noise_amplitude, step):
+        # the phase substep overflows once |u|^2 does: at once for a huge
+        # initial state, one step after a huge increment; solve sees it in u_hat
+        g = grid2d()
+        cfg = stepper_config("direct", g, v0=lattice.constant_field(g, v0_value), amplitude=noise_amplitude)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as ref:
+                physical_strang_solve(cfg)
             with pytest.raises(BlowUpError) as got:
                 dynamics.solve(cfg)
         assert got.value.step == ref.value.step == step

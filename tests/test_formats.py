@@ -1,6 +1,7 @@
 """The binary trajectory and noise formats: bytes pinned against the README
 spec, and malformed files rejected with a named error."""
 
+import hashlib
 import os
 import struct
 
@@ -59,9 +60,31 @@ class TestGoldenBytes:
         fname = os.path.join(tmp_path, "p.bin")
         noise.write_noise_path(path, fname)
         expected = (b"SNLSNSE1" + struct.pack("<QQQd", 2, 8, 3, 0.01)
-                    + spec_payload(path.increments))
+                    + spec_payload(lattice.ComplexField(path.grid, row.ravel())
+                                   for row in path.physical()))
         with open(fname, "rb") as fh:
             assert fh.read() == expected
+
+    @pytest.mark.parametrize("scheme", ["direct", "dpd"])
+    @pytest.mark.parametrize("n, steps, seed, cutoff, size, digest", [
+        (8, 3, 4, None, 3112, "07b7dc42cf697bf59a85e25c18cd4009af989c8ba9726b3af1488ce6a2a1a9dc"),
+        # 64 KiB rows: several of the writer's blocks, the last one partial
+        (64, 36, 7, 20.0, 2359336, "51098c50f9f0eb5067ed73dfd92d959cab0912e2276b186a9132f6bdb9746b3b"),
+    ])
+    def test_noise_path_file_digest(self, tmp_path, scheme, n, steps, seed, cutoff, size, digest):
+        # sha256 of noise_path.bin as written when the path held physical rows,
+        # drawn through field_from_spectral one step at a time
+        g = make_grid(2, n, 3.0)
+        cfg = dynamics.SolverConfig(
+            grid=g, t_final=steps * 0.01, dt=0.01, scheme=scheme,
+            noise=noise.multiplier_noise(g, 0.2, 3.0, cutoff),
+            initial_v=dynamics.initial_gaussian_bump(g, 0.2, 0.8), master_seed=seed,
+        )
+        fname = os.path.join(tmp_path, "p.bin")
+        noise.write_noise_path(dynamics.solve(cfg).noise_path, fname)
+        with open(fname, "rb") as fh:
+            data = fh.read()
+        assert len(data) == size and hashlib.sha256(data).hexdigest() == digest
 
     def test_read_arrays_writable(self, tmp_path):
         traj = solved("dpd")
@@ -72,7 +95,7 @@ class TestGoldenBytes:
         assert back.psi_snapshots[-1].values.flags.writeable
         pname = os.path.join(tmp_path, "p.bin")
         noise.write_noise_path(traj.noise_path, pname)
-        assert noise.read_noise_path(pname, 3.0).increments[0].values.flags.writeable
+        assert noise.read_noise_path(pname, 3.0).dw_hat.flags.writeable
 
     def test_ledger_rejects_file_trajectory(self, tmp_path):
         fname = os.path.join(tmp_path, "t.bin")

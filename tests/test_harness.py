@@ -366,6 +366,16 @@ class TestCli:
             assert "configuration error" in err and "field 'snapshot_stride'" in err
         assert solves == []
 
+    def test_stochastic_stride_leaves_no_out_directory(self, tmp_path, capsys):
+        # the refused run once still created its --out directory
+        doc = BASE_CONFIG.replace("scheme = direct", "scheme = direct\nsnapshot_stride = 2")
+        cfgfile = self.write_config(tmp_path, doc)
+        for command in ("simulate", "ensemble"):
+            out = os.path.join(tmp_path, command)
+            assert cli.main([command, "--config", cfgfile, "--out", out]) == 1
+            assert "field 'snapshot_stride'" in capsys.readouterr().err
+            assert not os.path.exists(out)
+
     def test_converge_coarse_dt_rounding(self, tmp_path, capsys):
         # 0.3 = 3 * 0.1 coarsens to a path dt of 0.30000000000000004
         doc = (BASE_CONFIG.replace("dt = 0.005", "dt = 0.1")

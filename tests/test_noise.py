@@ -198,9 +198,9 @@ class TestNoisePath:
         spec = noise.multiplier_noise(small_grid(), 0.2, 3.0)
         whole = noise.generate_noise_path(spec, 0.01, 7, master_seed=9, stream_id=2)
         rows = list(noise.increment_rows(spec, 0.01, 9, 2, 7))
-        assert np.array(rows).tobytes() == whole.dw.tobytes()
+        assert np.array(rows).tobytes() == whole.dw_hat.tobytes()
         short = noise.generate_noise_path(spec, 0.01, 3, master_seed=9, stream_id=2)
-        assert short.dw.tobytes() == whole.dw[:3].tobytes()
+        assert short.dw_hat.tobytes() == whole.dw_hat[:3].tobytes()
 
     def test_increment_rows_draw_on_demand(self, monkeypatch):
         keys = []
@@ -223,8 +223,8 @@ class TestNoisePath:
         coarse = noise.coarsen_noise_path(fine, 4)
         assert coarse.n_steps == 2
         assert coarse.dt == pytest.approx(0.04)
-        manual = sum(f.values for f in fine.increments[:4])
-        assert np.allclose(coarse.increments[0].values, manual, atol=1e-14)
+        manual = fine.physical(0, 4).sum(axis=0)
+        assert np.allclose(coarse.physical(0, 1)[0], manual, atol=1e-14)
 
     @pytest.mark.parametrize("factor", [1, 2, 4])
     def test_coarsen_bytes_match_sequential_sums(self, factor):
@@ -232,13 +232,13 @@ class TestNoisePath:
         fine = noise.generate_noise_path(noise.multiplier_noise(g, 0.7, 2.0), 0.01, 8, master_seed=6, stream_id=1)
         want = []
         for j in range(0, 8, factor):
-            acc = np.zeros(g.total_points, dtype=complex)
-            for f in fine.increments[j : j + factor]:
-                acc += f.values
+            acc = np.zeros(g.shape, dtype=complex)
+            for row in fine.dw_hat[j : j + factor]:
+                acc += row
             want.append(acc)
         coarse = noise.coarsen_noise_path(fine, factor)
-        assert coarse.dw.shape == (8 // factor,) + g.shape
-        assert coarse.dw.tobytes() == np.array(want).tobytes()
+        assert coarse.dw_hat.shape == (8 // factor,) + g.shape
+        assert coarse.dw_hat.tobytes() == np.array(want).tobytes()
 
     def test_coarsen_by_one_is_the_path_itself(self):
         g = make_grid(2, 8, 5.0)
@@ -246,11 +246,16 @@ class TestNoisePath:
         assert noise.coarsen_noise_path(fine, 1) is fine
 
     def test_increments_are_row_views(self):
+        # physical rows are made from the held Fourier rows when asked for, in
+        # blocks or one at a time, with sample_wiener_increment's bytes
         g = make_grid(2, 8, 5.0)
-        path = noise.generate_noise_path(noise.multiplier_noise(g, 0.7, 2.0), 0.01, 3, master_seed=1)
-        assert path.increments is path.increments
-        path.increments[2].values[:] = 0.0
-        assert not path.dw[2].any() and path.dw[1].any()
+        spec = noise.multiplier_noise(g, 0.7, 2.0)
+        path = noise.generate_noise_path(spec, 0.01, 3, master_seed=1, stream_id=4)
+        drawn = [noise.sample_wiener_increment(spec, 0.01, noise.step_rng(1, 4, j)).mesh for j in range(3)]
+        assert path.physical().tobytes() == np.array(drawn).tobytes()
+        assert path.physical(1, 2).tobytes() == drawn[1].tobytes()
+        path.dw_hat[2] = 0.0
+        assert not path.physical(2)[0].any() and path.physical(1, 2).any()
 
     def test_coarsen_rejects_non_divisor(self):
         g = make_grid(1, 8, TWO_PI)
@@ -267,14 +272,15 @@ class TestNoisePath:
         back = noise.read_noise_path(fname, box_length=5.0)
         assert back.n_steps == 3
         assert back.dt == 0.02
-        for a, b in zip(path.increments, back.increments):
-            assert np.array_equal(a.values, b.values)
+        # the file holds the physical rows; the reader's Fourier rows are their transforms
+        assert back.dw_hat.tobytes() == np.fft.fftn(path.physical(), axes=g.axes).tobytes()
+        assert np.allclose(back.dw_hat, path.dw_hat, rtol=0, atol=1e-13 * np.abs(path.dw_hat).max())
 
     def test_empty_path_round_trip(self, tmp_path):
         # a header that promises no fields leaves an empty payload to read
         fname = os.path.join(tmp_path, "p.bin")
         empty = np.zeros((0, 8, 8), dtype=complex)
-        noise.write_noise_path(noise.NoisePath(grid=make_grid(2, 8, 5.0), dt=0.02, dw=empty), fname)
+        noise.write_noise_path(noise.NoisePath(grid=make_grid(2, 8, 5.0), dt=0.02, dw_hat=empty), fname)
         assert noise.read_noise_path(fname, box_length=5.0).n_steps == 0
 
     def test_read_rejects_bad_magic(self, tmp_path):
