@@ -18,7 +18,6 @@ from .noise import (
     NoiseSpec,
     hs_norm,
     multiplier_noise,
-    psi_moment_estimate,
     sample_wiener_increment,
     step_stochastic_convolution,
     zero_noise,
@@ -38,7 +37,6 @@ from .diagnostics import (
     EnergyLedger,
     IntervalPartition,
     energy,
-    energy_bound_report,
     ito_ledger,
     partition_intervals,
     strichartz_report,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lattice, noise as noise_mod
 from .dynamics import Trajectory
-from .errors import UsageError
+from .errors import BlowUpError, UsageError
 from .lattice import ComplexField, SpacetimeInterval
 
 
@@ -64,6 +64,7 @@ class EnergyLedger:
         ]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the columns are checked at the end
 def snapshot_norms(traj) -> dict:
     """Every per-snapshot quantity the diagnostics read, for v* = u - 1 =
     v + Psi: ||grad v*|| in L^4, L^12/5, L^2, ||v*||_{L^6}, E(1 + v*), ham2's
@@ -75,7 +76,8 @@ def snapshot_norms(traj) -> dict:
     with one forward transform per block of v* (and of v and Psi for dpd), and
     the block's physical noise rows made from the path's Fourier rows.  Kept in
     traj.norms: snapshots must not change once a diagnostic has read them.
-    A non-finite snapshot raises UsageError naming it."""
+    A non-finite snapshot raises UsageError naming it, and a column that
+    overflows float64 on finite snapshots BlowUpError naming the first."""
     if traj.norms is not None:
         return traj.norms
     g, n, cell = traj.grid, traj.n_snapshots, traj.grid.cell_measure
@@ -116,6 +118,14 @@ def snapshot_norms(traj) -> dict:
     table = {key: np.concatenate([b[key] for b in blocks if key in b]) for key in blocks[0]}
     if traj.psi is None:
         table["v_grad_l12o5"], table["psi_grad_l12o5"] = table["grad_l12o5"], np.zeros(n)
+    bad = [(int(np.argmin(np.isfinite(col))), key) for key, col in table.items()
+           if not np.isfinite(col).all()]
+    if bad:
+        i, key = min(bad, key=lambda b: b[0])
+        step = i * (traj.config.snapshot_stride if traj.config is not None else 1)
+        t = float(traj.times[i])
+        raise BlowUpError(step, t, f"norm table column {key} is not finite at "
+                                   f"snapshot {i} (t = {t:.6g})")
     traj.norms = table
     return table
 
@@ -172,23 +182,6 @@ def ito_ledger(traj) -> EnergyLedger:
         residual=residual, ham1_balanced=ham1_b, ham2_balanced=ham2_b,
         residual_balanced=residual_b, x1_cum=x1_cum, l6_cum=l6_cum,
     )
-
-
-def energy_bound_report(trajectories: Sequence) -> dict:
-    """Monte Carlo estimate of E[ sup_{t <= T} E(u)(t) ] over an ensemble."""
-    if len(trajectories) == 0:
-        raise UsageError("empty ensemble")
-    es = [snapshot_norms(traj)["energy"] for traj in trajectories]
-    sups = [float(e.max()) for e in es]
-    mean, se = noise_mod.mean_and_se(sups)
-    return {
-        "n_members": len(sups),
-        "sup_energy_mean": mean,
-        "sup_energy_se": se,
-        "sup_energy_quantiles": quantile_summary(sups),
-        "final_energy_mean": float(np.mean([e[-1] for e in es])),
-        "per_member_sup": sups,
-    }
 
 
 def quantile_summary(samples: Sequence[float]) -> dict:

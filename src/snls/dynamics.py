@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import List, Optional
 
 import numpy as np
@@ -165,21 +165,38 @@ def dpd_nonlinearity(v_field: ComplexField, psi_field: ComplexField) -> ComplexF
     return ComplexField(v_field.grid, out)
 
 
+def _phase_substep(u: np.ndarray, dt: float, offset: float) -> np.ndarray:
+    """Exact integrator of i u_t = (|u|^2 - offset) u pointwise on an array:
+    offset 1 for the GP equation, 0 for the cubic one."""
+    return u * np.exp(-1j * (np.abs(u) ** 2 - offset) * dt)
+
+
 def nonlinear_phase_substep(u_field: ComplexField, dt: float) -> ComplexField:
     """Exact integrator of i u_t = (|u|^2 - 1) u: u * exp(-i(|u|^2 - 1) dt)."""
-    u = u_field.values
-    return ComplexField(u_field.grid, u * np.exp(-1j * (np.abs(u) ** 2 - 1.0) * dt))
-
-
-def _cubic_phase_substep(u_field: ComplexField, dt: float) -> ComplexField:
-    u = u_field.values
-    return ComplexField(u_field.grid, u * np.exp(-1j * np.abs(u) ** 2 * dt))
+    return ComplexField(u_field.grid, _phase_substep(u_field.values, dt, 1.0))
 
 
 # --- single steps ---------------------------------------------------------
 #
-# Steps multiply by phase tables schrodinger_phase(grid, dt / 2) ("half") and
-# schrodinger_phase(grid, dt) ("full") that solve builds once per run.
+# A step maps a state, the tuple of Fourier coefficient arrays a scheme
+# carries, and the step's Fourier noise row (None without noise) to the next
+# state.  It multiplies by phase tables schrodinger_phase(grid, dt / 2)
+# ("half") and schrodinger_phase(grid, dt) ("full") that solve builds once per
+# run, and transforms over the tables' axes, the trailing axes of the state.
+
+
+def _over_table(fft, a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """fft (np.fft.fftn or ifftn) of a over the trailing axes a phase table
+    spans.  Giving s, the table's shape, with axes spares numpy a per-call
+    lookup of the axes' lengths that costs about a quarter of a 16^2 transform."""
+    return fft(a, s=table.shape, axes=tuple(range(-table.ndim, 0)))
+
+
+def _add_increment(a_hat: np.ndarray, dw_hat: Optional[np.ndarray]) -> np.ndarray:
+    """a_hat - i * dw_hat in place, the step's additive noise; a_hat without noise."""
+    if dw_hat is not None:
+        a_hat -= 1j * dw_hat
+    return a_hat
 
 
 def strang_step_dpd(v_hat: np.ndarray, psi_mid: np.ndarray, half: np.ndarray, dt: float) -> np.ndarray:
@@ -189,10 +206,10 @@ def strang_step_dpd(v_hat: np.ndarray, psi_mid: np.ndarray, half: np.ndarray, dt
     Half linear step, one classical RK4 substep of the pointwise ODE
     v' = -i (|w|^2 - 1) w with w = 1 + v + psi_mid, half linear step.  The
     caller passes the midpoint-consistent Psi (step-start value freely
-    propagated by dt/2) in physical space, lattice shape, or 0.0 for a zero
-    Psi.  Returns the new coefficients.
+    propagated by dt/2) in physical space, or 0.0 for a zero Psi.  Returns
+    the new coefficients.
     """
-    y = np.fft.ifftn(v_hat * half)
+    y = _over_table(np.fft.ifftn, v_hat * half, half)
     c = 1.0 + psi_mid
 
     def nl(y: np.ndarray) -> np.ndarray:
@@ -205,9 +222,38 @@ def strang_step_dpd(v_hat: np.ndarray, psi_mid: np.ndarray, half: np.ndarray, dt
     k3 = nl(y + (-0.5j * dt) * k2)
     k4 = nl(y + (-1j * dt) * k3)
     y += (-1j * dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    v_hat = np.fft.fftn(y)
+    v_hat = _over_table(np.fft.fftn, y, half)
     v_hat *= half
     return v_hat
+
+
+def _strang_step(state: tuple, dw_hat, half: np.ndarray, dt: float, offset: float) -> tuple:
+    """direct and the deterministic schemes, state (u_hat,): half free step,
+    the exact phase substep, half free step, then the increment."""
+    u = _phase_substep(_over_table(np.fft.ifftn, state[0] * half, half), dt, offset)
+    u_hat = _over_table(np.fft.fftn, u, half)
+    u_hat *= half
+    return (_add_increment(u_hat, dw_hat),)
+
+
+def _dpd_step(state: tuple, dw_hat, half: np.ndarray, full: np.ndarray, dt: float) -> tuple:
+    """dpd, state (v_hat, psi_hat): strang_step_dpd with the step-start Psi
+    freely propagated to the step midpoint (midpoint-consistent convention,
+    adapted: it uses no new increment; a zero Psi without noise), then
+    Psi(t+dt) = S(dt) Psi(t) - i * (phi DeltaW), exactly in Fourier space."""
+    v_hat, psi_hat = state
+    psi_mid = 0.0 if dw_hat is None else _over_table(np.fft.ifftn, psi_hat * half, half)
+    v_hat = strang_step_dpd(v_hat, psi_mid, half, dt)
+    psi_hat *= full
+    return v_hat, _add_increment(psi_hat, dw_hat)
+
+
+def _linear_step(state: tuple, dw_hat, full: np.ndarray) -> tuple:
+    """The free flow of every array, then the increment into the last one:
+    u_hat, or psi_hat for dpd."""
+    for a_hat in state:
+        a_hat *= full
+    return state[:-1] + (_add_increment(state[-1], dw_hat),)
 
 
 # --- full solve -----------------------------------------------------------
@@ -257,72 +303,42 @@ def solve(config: SolverConfig) -> Trajectory:
     half = lattice.schrodinger_phase(g, dt / 2.0)
     full = lattice.schrodinger_phase(g, dt)
     if config.disable_nonlinearity:
-        substep = None
-    elif config.scheme == "deterministic_cubic":
-        substep = _cubic_phase_substep
+        step = partial(_linear_step, full=full)
+    elif dpd:
+        step = partial(_dpd_step, half=half, full=full, dt=dt)
     else:
-        substep = nonlinear_phase_substep
+        offset = 0.0 if config.scheme == "deterministic_cubic" else 1.0
+        step = partial(_strang_step, half=half, dt=dt, offset=offset)
 
     v0 = config.initial_v.mesh
-    v_rows = np.empty((n_steps // stride + 1,) + g.shape, dtype=np.complex128)
-    v_rows[0] = v0
-    psi_rows = np.zeros_like(v_rows) if dpd else None
+    stores = [np.empty((n_steps // stride + 1,) + g.shape, dtype=np.complex128)]
+    stores[0][0] = v0
     if dpd:
-        v_hat = np.fft.fftn(v0)
-        psi_hat = np.zeros(g.shape, dtype=np.complex128)
+        stores.append(np.zeros_like(stores[0]))
+        state = (np.fft.fftn(v0, axes=g.axes), np.zeros(g.shape, dtype=np.complex128))
     else:
-        u_hat = np.fft.fftn(1.0 + v0)
+        state = (np.fft.fftn(1.0 + v0, axes=g.axes),)
 
     for j, dw_hat in enumerate(rows):
-        if not dpd:
-            if substep is None:
-                u_hat *= full
-            else:
-                y = substep(ComplexField(g, np.fft.ifftn(u_hat * half).ravel()), dt).mesh
-                u_hat = np.fft.fftn(y)
-                u_hat *= half
-            if dw_hat is not None:
-                u_hat -= 1j * dw_hat
-            finite = lattice.all_finite(u_hat)
-        else:
-            if substep is None:
-                v_hat *= full
-            else:
-                # midpoint-consistent convention: the step-start Psi (zero until
-                # the first increment) is freely propagated to the step midpoint before
-                # entering the frozen-Psi nonlinear substep (adapted: uses no new increment)
-                psi_mid = np.fft.ifftn(psi_hat * half) if dw_hat is not None and j > 0 else 0.0
-                v_hat = strang_step_dpd(v_hat, psi_mid, half, dt)
-            # Psi(t+dt) = S(dt) Psi(t) - i * (phi DeltaW), exactly in Fourier space
-            psi_hat *= full
-            if dw_hat is not None:
-                psi_hat -= 1j * dw_hat
-            finite = lattice.all_finite(v_hat) and lattice.all_finite(psi_hat)
-
-        if not finite:
+        state = step(state, dw_hat)
+        if not all(lattice.all_finite(a_hat) for a_hat in state):
             raise BlowUpError(j + 1, (j + 1) * dt)
-
         if (j + 1) % stride == 0:
-            k = (j + 1) // stride
-            if dpd:
-                v_rows[k] = v_hat
-                psi_rows[k] = psi_hat
-            else:
-                v_rows[k] = u_hat
+            for store, a_hat in zip(stores, state):
+                store[(j + 1) // stride] = a_hat
 
     # back to physical space in place, with no temporary; row 0 is initial_v as given
-    np.fft.ifftn(v_rows[1:], axes=g.axes, out=v_rows[1:])
-    if dpd:
-        np.fft.ifftn(psi_rows[1:], axes=g.axes, out=psi_rows[1:])
-    else:
-        v_rows[1:] -= 1.0
+    for store in stores:
+        np.fft.ifftn(store[1:], axes=g.axes, out=store[1:])
+    if not dpd:
+        stores[0][1:] -= 1.0
 
     return Trajectory(
         grid=g,
         scheme=config.scheme,
         times=np.arange(0, n_steps + 1, stride) * dt,
-        v=v_rows,
-        psi=psi_rows,
+        v=stores[0],
+        psi=stores[1] if dpd else None,
         config=config,
         noise_path=path,
     )
@@ -454,35 +470,17 @@ def write_trajectory(traj: Trajectory, filename: str) -> None:
             lattice.write_fields(fh, traj.psi)
 
 
-def _read_header(fh) -> tuple:
-    """(grid, snapshot count, snapshot spacing, scheme) of an open trajectory file."""
-    dim, n, snaps, box_length, dt, tag = lattice.read_header(fh, TRAJ_MAGIC, _TRAJ_HEADER)
-    if tag >= len(SCHEMES):
-        raise FormatError(f"{fh.name}: unknown scheme tag {tag}")
-    return lattice.header_grid(fh, dim, n, box_length, dt), snaps, dt, SCHEMES[tag]
-
-
 def read_trajectory(filename: str) -> Trajectory:
     """Read back a file written by write_trajectory.  The stored dt is the
     snapshot spacing, so times are i * dt.  Raises FormatError when the file
     is malformed or holds a non-finite value."""
     with open(filename, "rb") as fh:
-        grid, snaps, dt, scheme = _read_header(fh)
+        dim, n, snaps, box_length, dt, tag = lattice.read_header(fh, TRAJ_MAGIC, _TRAJ_HEADER)
+        if tag >= len(SCHEMES):
+            raise FormatError(f"{fh.name}: unknown scheme tag {tag}")
+        grid, scheme = lattice.header_grid(fh, dim, n, box_length, dt), SCHEMES[tag]
         fields = lattice.read_fields(fh, grid, 2 * snaps if scheme == "dpd" else snaps)
     return Trajectory(
         grid=grid, scheme=scheme, times=np.arange(snaps) * dt,
         v=fields[:snaps], psi=fields[snaps:] if scheme == "dpd" else None,
     )
-
-
-def read_trajectory_header(filename: str) -> dict:
-    with open(filename, "rb") as fh:
-        grid, snaps, dt, scheme = _read_header(fh)
-    return {
-        "dim": grid.dim,
-        "points_per_axis": grid.points_per_axis,
-        "n_snapshots": snaps,
-        "box_length": grid.box_length,
-        "dt": dt,
-        "scheme": scheme,
-    }

@@ -22,7 +22,8 @@ class WorkerError(SnlsError):
 
 
 class BlowUpError(SnlsError):
-    """A non-finite value appeared during time integration."""
+    """A non-finite value appeared during time integration, or in the norm
+    table of finite snapshots."""
 
     def __init__(self, step: int, time: float, message: str = ""):
         self.step = step

@@ -253,10 +253,10 @@ def _member_summary(rc: RunConfig, member: int) -> dict:
     cfg = build_solver_config(rc, stream_id=member)
     try:
         traj = dynamics.solve(cfg)
-    except BlowUpError as exc:
+        ledger = diagnostics.ito_ledger(traj)
+        part = diagnostics.partition_intervals(traj, rc.eta)
+    except BlowUpError as exc:  # in the solve, or in the norm table
         return {"member": member, "failed": True, "blow_up_step": exc.step}
-    ledger = diagnostics.ito_ledger(traj)
-    part = diagnostics.partition_intervals(traj, rc.eta)
     return {
         "member": member,
         "failed": False,
@@ -287,11 +287,11 @@ def run_ensemble(rc: RunConfig) -> EnsembleReport:
 
     ok = [m for m in members if not m["failed"]]
     aggregates = {"n_members": rc.ensemble_size, "n_failed": len(members) - len(ok)}
-    for key in ("final_energy", "sup_energy", "ham3_final", "residual_final"):
-        mean, se = noise_mod.mean_and_se([m[key] for m in ok] if ok else [np.nan])
-        aggregates[key + "_mean"] = mean
-        aggregates[key + "_se"] = se
-    if ok:
+    if ok:  # no statistics of an empty sample
+        for key in ("final_energy", "sup_energy", "ham3_final", "residual_final"):
+            mean, se = noise_mod.mean_and_se([m[key] for m in ok])
+            aggregates[key + "_mean"] = mean
+            aggregates[key + "_se"] = se
         aggregates["sup_energy_quantiles"] = diagnostics.quantile_summary(
             [m["sup_energy"] for m in ok]
         )

@@ -106,9 +106,6 @@ class ComplexField:
         """Values reshaped to the lattice shape (view, not a copy)."""
         return self.values.reshape(self.grid.shape)
 
-    def is_finite(self) -> bool:
-        return all_finite(self.values)
-
 
 @dataclass(frozen=True)
 class SpacetimeInterval:

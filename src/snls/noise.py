@@ -216,7 +216,7 @@ def read_noise_path(filename: str, box_length: float) -> NoisePath:
     return NoisePath(grid=grid, dt=dt, dw_hat=values)
 
 
-# --- statistics over Psi ensembles ---------------------------------------
+# --- ensemble statistics ------------------------------------------------
 
 
 def mean_and_se(samples: Sequence[float]) -> tuple:
@@ -224,28 +224,3 @@ def mean_and_se(samples: Sequence[float]) -> tuple:
     vals = np.asarray(samples, dtype=float)
     se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return float(vals.mean()), se
-
-
-def psi_moment_estimate(
-    ensembles: Sequence[Sequence[ComplexField]],
-    times: Sequence[float],
-    t: float,
-    s: float,
-    p: float,
-) -> tuple:
-    """Monte Carlo estimate of E[ sup_{tau <= t} ||Psi(tau)||_{H^s}^p ].
-
-    Each element of `ensembles` is one Psi trajectory sampled on `times`.
-    Returns (estimate, standard_error).
-    """
-    if len(ensembles) == 0:
-        raise UsageError("empty ensemble")
-    if p < 2:
-        raise UsageError(f"moment order p must be >= 2, got {p}")
-    times = np.asarray(times, dtype=float)
-    upto = np.searchsorted(times, t + 1e-12 * max(1.0, abs(t)), side="right")
-    sups = []
-    for traj in ensembles:
-        norms = [lattice.sobolev_norm(f, s) for f in traj[:upto]]
-        sups.append(max(norms) ** p)
-    return mean_and_se(sups)

@@ -164,27 +164,6 @@ class TestItoLedger:
                                 "residual", "x1_cum", "l6_cum"}
 
 
-class TestEnergyBoundReport:
-    def test_rejects_empty(self):
-        with pytest.raises(UsageError):
-            diagnostics.energy_bound_report([])
-
-    def test_single_member(self):
-        traj = stochastic_traj()
-        rep = diagnostics.energy_bound_report([traj])
-        es = [diagnostics.energy(traj.v_star_snapshot(i)) for i in range(traj.n_snapshots)]
-        assert rep["n_members"] == 1
-        assert rep["sup_energy_mean"] == pytest.approx(max(es), rel=1e-13)
-        assert rep["sup_energy_se"] == 0.0
-
-    def test_quantiles_ordered(self):
-        trajs = [stochastic_traj(seed=s) for s in range(4)]
-        rep = diagnostics.energy_bound_report(trajs)
-        qs = rep["sup_energy_quantiles"]
-        assert qs[0] <= qs[25] <= qs[50] <= qs[75] <= qs[100]
-        assert rep["n_members"] == 4
-
-
 class TestPartition:
     def test_rejects_bad_eta(self):
         traj = stochastic_traj()
@@ -357,11 +336,10 @@ class TestSnapshotNormTable:
         diagnostics.ito_ledger(traj)
         diagnostics.partition_intervals(traj, 0.1)
         diagnostics.strichartz_report(traj, SpacetimeInterval(0, traj.n_snapshots - 1))
-        diagnostics.energy_bound_report([traj])
 
     @pytest.mark.parametrize("scheme, per_snapshot", [("direct", 1), ("dpd", 3)])
     def test_one_gradient_per_snapshot_field(self, monkeypatch, scheme, per_snapshot):
-        # the four diagnostics share one gradient pass: of v* (= v unless
+        # the three diagnostics share one gradient pass: of v* (= v unless
         # dpd), and for dpd also of v and Psi; a second call takes none
         traj = stochastic_traj(scheme)
         calls = []  # one entry per gradient field: a stacked call adds its leading-axis length

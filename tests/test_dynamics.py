@@ -422,15 +422,10 @@ class TestTrajectoryIO:
         traj = dynamics.solve(cfg)
         fname = os.path.join(tmp_path, "t.bin")
         dynamics.write_trajectory(traj, fname)
-        hdr = dynamics.read_trajectory_header(fname)
-        assert hdr == {
-            "dim": 1,
-            "points_per_axis": 8,
-            "n_snapshots": 11,
-            "box_length": 3.0,
-            "dt": pytest.approx(0.01),
-            "scheme": "deterministic_gp",
-        }
+        back = dynamics.read_trajectory(fname)
+        assert back.grid == make_grid(1, 8, 3.0)
+        assert (back.n_snapshots, back.scheme) == (11, "deterministic_gp")
+        assert back.times[1] == pytest.approx(0.01)
 
     def test_bad_magic(self, tmp_path):
         fname = os.path.join(tmp_path, "bad.bin")
@@ -467,7 +462,7 @@ def physical_dpd_solve(cfg):
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         v = lattice.apply_schrodinger_group(ComplexField(g, y), dt / 2.0)
         psi, _ = noise.step_stochastic_convolution(psi, cfg.noise, dt, increment=inc)
-        if not (v.is_finite() and psi.is_finite()):
+        if not (lattice.all_finite(v.values) and lattice.all_finite(psi.values)):
             raise BlowUpError(j + 1, (j + 1) * dt)
         out.append((v.values, psi.values))
     return out
@@ -492,7 +487,7 @@ def physical_strang_solve(cfg):
         if cfg.scheme == "direct":
             inc = noise.sample_wiener_increment(cfg.noise, dt, noise.step_rng(cfg.master_seed, cfg.stream_id, j))
             v = ComplexField(g, v.values - 1j * inc.values)
-        if not v.is_finite():
+        if not lattice.all_finite(v.values):
             raise BlowUpError(j + 1, (j + 1) * dt)
         out.append(v.values)
     return out
@@ -527,19 +522,24 @@ class TestPhaseTableStepper:
         monkeypatch.undo()
         return len(calls)
 
-    @pytest.mark.parametrize("scheme, prescribed, budget", [
-        ("dpd", True, 3), ("dpd", False, 3), ("direct", False, 2), ("direct", True, 2),
-    ])
-    def test_fft_budget_per_step(self, monkeypatch, scheme, prescribed, budget):
+    BUDGETS = [  # scheme, prescribed path, FFTs per step, linear flow
+        ("dpd", True, 3, False), ("dpd", False, 3, False), ("direct", False, 2, False),
+        ("direct", True, 2, False), ("deterministic_gp", False, 2, False),
+        ("deterministic_cubic", False, 2, False), ("direct", False, 0, True), ("dpd", False, 0, True),
+    ]
+
+    @pytest.mark.parametrize("scheme, prescribed, budget, linear", BUDGETS, ids=[
+        f"{s}-{p}-{b}" + ("-linear" if lin else "") for s, p, b, lin in BUDGETS])
+    def test_fft_budget_per_step(self, monkeypatch, scheme, prescribed, budget, linear):
         # the difference of two run lengths, each storing only its final
         # snapshot, leaves the per-step count
         g = grid2d()
         counts = []
         for n in (10, 20):
-            cfg = stepper_config(scheme, g, n_steps=n, stride=n)
+            cfg = stepper_config(scheme, g, n_steps=n, stride=n, disable_nonlinearity=linear)
             if prescribed:
                 path = noise.generate_noise_path(cfg.noise, cfg.dt, n, master_seed=3)
-                cfg = stepper_config(scheme, g, n_steps=n, stride=n, prescribed_path=path)
+                cfg = replace(cfg, prescribed_path=path)
             counts.append(self.count_ffts(monkeypatch, cfg))
         assert (counts[1] - counts[0]) / 10 <= budget
 
@@ -590,6 +590,18 @@ class TestPhaseTableStepper:
             with pytest.raises(BlowUpError) as got:
                 dynamics.solve(cfg)
         assert got.value.step == ref.value.step == step
+
+    def test_dpd_psi_blow_up_step_matches_physical_space_stepper(self):
+        # an increment that overflows makes Psi non-finite at once and v one step
+        # later, so the finiteness check must cover every array of the state
+        g = grid2d()
+        cfg = stepper_config("dpd", g, amplitude=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as ref:
+                physical_dpd_solve(cfg)
+            with pytest.raises(BlowUpError) as got:
+                dynamics.solve(cfg)
+        assert got.value.step == ref.value.step == 1
 
     @pytest.mark.parametrize("v0_value, noise_amplitude, step", [(1e200, 0.2, 1), (0.2, 1e160, 2)])
     def test_direct_blow_up_step_matches_physical_space_stepper(self, v0_value, noise_amplitude, step):

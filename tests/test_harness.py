@@ -180,6 +180,34 @@ class TestRunEnsemble:
         finals = [m["final_energy"] for m in rep.members]
         assert len(set(finals)) == 3
 
+    def test_some_members_blow_up(self):
+        # rough noise drives dpd's RK4 substep unstable on most streams, not all
+        doc = (BASE_CONFIG.replace("points_per_axis = 16", "points_per_axis = 8")
+               .replace("dt = 0.005", "dt = 0.01").replace("scheme = direct", "scheme = dpd")
+               .replace("amplitude = 0.2\nsigma = 3.0", "amplitude = 80\nsigma = 1.0"))
+        rc = replace(harness.parse_config(doc), ensemble_size=6, master_seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # forked workers inherit it
+            serial = harness.run_ensemble(rc)
+            pooled = harness.run_ensemble(replace(rc, workers=2))
+        assert serial.members == pooled.members and serial.aggregates == pooled.aggregates
+        failed = [m for m in serial.members if m["failed"]]
+        assert 0 < len(failed) == serial.n_failed < 6
+        assert all(m["blow_up_step"] >= 1 for m in failed)
+        assert all(np.isfinite(serial.aggregates[k + "_mean"]) for k in ("final_energy", "residual_final"))
+
+    def test_all_members_blow_up(self, tmp_path, capsys):
+        # the report once printed final_energy_mean = nan and each standard error as 0.0
+        doc = (BASE_CONFIG.replace("points_per_axis = 16", "points_per_axis = 8")
+               .replace("amplitude = 0.2\nsigma", "amplitude = 1e307\nsigma"))
+        cfgfile = os.path.join(tmp_path, "run.cfg")
+        with open(cfgfile, "w") as fh:
+            fh.write(doc + f"\n[output]\ndir = {tmp_path}/out\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["ensemble", "--config", cfgfile]) == 0
+        assert capsys.readouterr().out == "n_members = 3\nn_failed = 3\n"
+        report = open(os.path.join(tmp_path, "out", "ensemble_report.txt")).read()
+        assert "[aggregates]\nn_members = 3\nn_failed = 3\n\n[members]" in report
+
 
 class TestConvergenceStudy:
     def test_rejects_non_decreasing(self):
@@ -422,6 +450,30 @@ class TestCli:
         traj = os.path.join(tmp_path, "out", "trajectory.bin")
         assert cli.main(["partition", "--config", cfgfile, "--trajectory", traj]) == 0
         assert "J =" in capsys.readouterr().out
+
+    # finite fields whose |u|^4 overflows float64: the norm table once held inf and nan
+    OVERFLOW = (BASE_CONFIG.replace("points_per_axis = 16", "points_per_axis = 8")
+                .replace("amplitude = 0.2\nwidth", "amplitude = 1e150\nwidth"))
+    OVERFLOW_ERR = "runtime failure: norm table column grad_l4 is not finite at snapshot 0 (t = 0)\n"
+
+    def test_overflowing_norms_exit_two(self, tmp_path, capsys):
+        # simulate once printed final_energy = inf and final_residual = nan, exit 0
+        cfgfile = self.write_config(tmp_path, self.OVERFLOW + f"\n[output]\ndir = {tmp_path}/out\n")
+        assert cli.main(["simulate", "--config", cfgfile]) == 2
+        assert capsys.readouterr().err == self.OVERFLOW_ERR
+        assert not os.path.exists(os.path.join(tmp_path, "out", "diagnostics.csv"))
+        # and ensemble once recorded those members as failed=False with nan values
+        assert cli.main(["ensemble", "--config", cfgfile]) == 0
+        assert capsys.readouterr().out == "n_members = 3\nn_failed = 3\n"
+
+    def test_partition_overflowing_norms_exit_two(self, tmp_path, capsys):
+        # partition once printed x1 = inf for every interval, exit 0
+        cfgfile = self.write_config(tmp_path, self.OVERFLOW)
+        traj = os.path.join(tmp_path, "trajectory.bin")
+        dynamics.write_trajectory(dynamics.solve(harness.build_solver_config(harness.parse_config(
+            self.OVERFLOW))), traj)
+        assert cli.main(["partition", "--config", cfgfile, "--trajectory", traj]) == 2
+        assert capsys.readouterr().err == self.OVERFLOW_ERR
 
     def test_seed_override(self, tmp_path, capsys):
         doc = BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/a\n"

@@ -289,32 +289,3 @@ class TestNoisePath:
             fh.write(b"NOTMAGIC" + b"\x00" * 40)
         with pytest.raises(UsageError):
             noise.read_noise_path(fname, box_length=1.0)
-
-
-class TestPsiMomentEstimate:
-    def test_rejects_empty(self):
-        with pytest.raises(UsageError):
-            noise.psi_moment_estimate([], [0.0], 0.0, 1.0, 2.0)
-
-    def test_rejects_low_order(self):
-        g = make_grid(1, 8, TWO_PI)
-        with pytest.raises(UsageError):
-            noise.psi_moment_estimate([[lattice.zero_field(g)]], [0.0], 0.0, 1.0, 1.0)
-
-    def test_deterministic_trajectory(self):
-        g = make_grid(1, 8, TWO_PI)
-        f = lattice.constant_field(g, 2.0)
-        times = [0.0, 0.1, 0.2]
-        trajs = [[lattice.zero_field(g), f, lattice.zero_field(g)]] * 3
-        est, se = noise.psi_moment_estimate(trajs, times, 0.2, 0.0, 2.0)
-        expected = (2.0 * np.sqrt(g.volume)) ** 2
-        assert est == pytest.approx(expected, rel=1e-12)
-        assert se == 0.0
-
-    def test_time_cutoff_respected(self):
-        g = make_grid(1, 8, TWO_PI)
-        f = lattice.constant_field(g, 2.0)
-        times = [0.0, 0.1, 0.2]
-        trajs = [[lattice.zero_field(g), lattice.zero_field(g), f]]
-        est, _ = noise.psi_moment_estimate(trajs, times, 0.1, 0.0, 2.0)
-        assert est == 0.0
