@@ -31,6 +31,7 @@ from .dynamics import (
     gp_nonlinearity,
     nonlinear_phase_substep,
     solve,
+    solve_members,
     strang_step_dpd,
 )
 from .diagnostics import (

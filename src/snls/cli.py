@@ -9,9 +9,12 @@ partition.  Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 from . import diagnostics, dynamics, harness, lattice, noise as noise_mod
 from .errors import ConfigurationError, SnlsError, UsageError
@@ -84,19 +87,23 @@ def _cmd_noise_stats(args) -> int:
         master_seed=rc.master_seed, disable_nonlinearity=True,
     )
     h1_sq = []
-    for member in range(rc.ensemble_size):
-        psi_t = dynamics.solve(replace(base, stream_id=member)).psi_snapshots[-1]
-        h1_sq.append(lattice.sobolev_norm(psi_t, 1.0) ** 2)
-    est, se = noise_mod.mean_and_se(h1_sq)
-    target = rc.t_final * noise_mod.hs_norm(spec, 1.0) ** 2
-    lines = [
-        "[noise-stats]",
-        f"members = {rc.ensemble_size}",
-        f"E_psi_H1_sq = {est!r}",
-        f"standard_error = {se!r}",
-        f"ito_isometry_target = {target!r}",
-        f"deviation_in_se = {abs(est - target) / se if se else 0.0!r}",
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic is named below
+        for member in range(rc.ensemble_size):
+            psi_t = dynamics.solve(replace(base, stream_id=member)).psi_snapshots[-1]
+            h1_sq.append(lattice.sobolev_norm(psi_t, 1.0) ** 2)
+        est, se = noise_mod.mean_and_se(h1_sq)
+        target = rc.t_final * noise_mod.hs_norm(spec, 1.0) ** 2
+        stats = {
+            "E_psi_H1_sq": est,
+            "standard_error": se,
+            "ito_isometry_target": target,
+            "deviation_in_se": abs(est - target) / se if se else 0.0,
+        }
+    for name, value in stats.items():
+        if not math.isfinite(value):
+            raise UsageError(f"noise-stats: {name} = {value!r} is not finite")
+    lines = ["[noise-stats]", f"members = {rc.ensemble_size}"]
+    lines += [f"{name} = {value!r}" for name, value in stats.items()]
     with open(os.path.join(out, "noise_stats.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))

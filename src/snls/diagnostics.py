@@ -64,6 +64,9 @@ class EnergyLedger:
         ]
 
 
+_SIXTH_POWERED = ("grad_l12o5", "l6", "v_grad_l12o5", "psi_grad_l12o5")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the columns are checked at the end
 def snapshot_norms(traj) -> dict:
     """Every per-snapshot quantity the diagnostics read, for v* = u - 1 =
@@ -77,7 +80,8 @@ def snapshot_norms(traj) -> dict:
     the block's physical noise rows made from the path's Fourier rows.  Kept in
     traj.norms: snapshots must not change once a diagnostic has read them.
     A non-finite snapshot raises UsageError naming it, and a column that
-    overflows float64 on finite snapshots BlowUpError naming the first."""
+    overflows float64 on finite snapshots, or a running sum of the sixth
+    powers the diagnostics integrate, BlowUpError naming the first."""
     if traj.norms is not None:
         return traj.norms
     g, n, cell = traj.grid, traj.n_snapshots, traj.grid.cell_measure
@@ -118,7 +122,11 @@ def snapshot_norms(traj) -> dict:
     table = {key: np.concatenate([b[key] for b in blocks if key in b]) for key in blocks[0]}
     if traj.psi is None:
         table["v_grad_l12o5"], table["psi_grad_l12o5"] = table["grad_l12o5"], np.zeros(n)
-    bad = [(int(np.argmin(np.isfinite(col))), key) for key, col in table.items()
+    # the ledger, the partition and the Strichartz report integrate these
+    # columns' sixth powers over time, so their running sums must be finite too
+    checked = list(table.items()) + [(f"{key}^6 (running sum)", np.cumsum(table[key] ** 6))
+                                     for key in _SIXTH_POWERED]
+    bad = [(int(np.argmin(np.isfinite(col))), key) for key, col in checked
            if not np.isfinite(col).all()]
     if bad:
         i, key = min(bad, key=lambda b: b[0])

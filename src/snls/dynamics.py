@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -167,8 +167,15 @@ def dpd_nonlinearity(v_field: ComplexField, psi_field: ComplexField) -> ComplexF
 
 def _phase_substep(u: np.ndarray, dt: float, offset: float) -> np.ndarray:
     """Exact integrator of i u_t = (|u|^2 - offset) u pointwise on an array:
-    offset 1 for the GP equation, 0 for the cubic one."""
-    return u * np.exp(-1j * (np.abs(u) ** 2 - offset) * dt)
+    offset 1 for the GP equation, 0 for the cubic one.
+
+    The product is always u * f with f the held exponential: with FMA, f * u
+    rounds differently, and numpy's temporary elision would pick one order or
+    the other by the array's size, so a field's bits would depend on how many
+    members are stacked with it."""
+    f = np.exp(-1j * (np.abs(u) ** 2 - offset) * dt)
+    np.multiply(u, f, out=f)
+    return f
 
 
 def nonlinear_phase_substep(u_field: ComplexField, dt: float) -> ComplexField:
@@ -259,23 +266,49 @@ def _linear_step(state: tuple, dw_hat, full: np.ndarray) -> tuple:
 # --- full solve -----------------------------------------------------------
 
 
-def solve(config: SolverConfig) -> Trajectory:
-    """Integrate from config.initial_v, storing every snapshot_stride-th step.
+def member_bytes(config: SolverConfig) -> int:
+    """Bytes solve_members holds per member: its snapshots of every state
+    array and, when it draws the whole path, its noise path."""
+    rows = (config.n_steps // config.snapshot_stride + 1) * (2 if config.scheme == "dpd" else 1)
+    if config.prescribed_path is None and config.stochastic and config.snapshot_stride == 1:
+        rows += config.n_steps
+    return rows * config.grid.total_points * 16
 
-    Row j of the noise path drives step j.  The rows come from
-    config.prescribed_path if given; else, for a stochastic scheme, from
-    generate_noise_path at snapshot_stride 1 (the ledger reads the path), and
-    from increment_rows above it, each row dropped once used, so memory does
-    not grow with the step count.  The trajectory keeps the path in the first
-    two cases.  Every scheme carries Fourier coefficients, and the noise's
-    Fourier rows enter them directly: direct and the deterministic schemes
-    u_hat = fftn(1 + v), dpd those of v and Psi.  Snapshots are kept as
-    coefficients and transformed back in place after the last step."""
+
+def solve(config: SolverConfig) -> Trajectory:
+    """Integrate one trajectory on config.stream_id: solve_members with one
+    member.  Raises BlowUpError at the first step whose state is not finite."""
+    (result,) = solve_members(config, [config.stream_id])
+    if isinstance(result, BlowUpError):
+        raise result
+    return result
+
+
+def solve_members(config: SolverConfig, stream_ids: Sequence[int]) -> list:
+    """Integrate from config.initial_v one member per stream id, all M of them
+    as one (M, *grid.shape) state, storing every snapshot_stride-th step.
+
+    Row j of a member's noise path drives its step j.  The rows come from
+    config.prescribed_path if given, the same for every member; else, for a
+    stochastic scheme, from draw_paths at snapshot_stride 1 (the ledger reads
+    the path), and from increment_rows above it, each row dropped once used,
+    so memory does not grow with the step count.  A trajectory keeps its path
+    in the first two cases.  Every scheme carries Fourier coefficients, and
+    the noise's Fourier rows enter them directly: direct and the deterministic
+    schemes u_hat = fftn(1 + v), dpd those of v and Psi.  Snapshots are kept
+    as coefficients and transformed back in place after the last step.
+
+    Returns per stream id its Trajectory, whose arrays are views into the
+    batch's, or the BlowUpError of the first step after which its rows were
+    not finite.  Every operation acts on each member's rows alone, so a
+    member's bits do not depend on the batch."""
     g = config.grid
     n_steps = config.n_steps
     stride = config.snapshot_stride
     dt = config.dt
+    m_count = len(stream_ids)
     path = config.prescribed_path
+    paths = None
     if path is not None:
         if path.n_steps != n_steps:
             raise ConfigurationError(
@@ -287,16 +320,15 @@ def solve(config: SolverConfig) -> Trajectory:
         # coarsened path's dt; also catches nan
         if not abs(path.dt - dt) <= 1e-9 * dt:
             raise ConfigurationError(f"prescribed path has dt = {path.dt}, solver dt = {dt}")
+        rows = path.dw_hat  # lattice-shaped rows, broadcast over the members
     elif config.stochastic and stride == 1:
-        path = noise_mod.generate_noise_path(
-            config.noise, dt, n_steps, config.master_seed, config.stream_id
-        )
-    if path is not None:
-        rows = path.dw_hat
-    elif config.stochastic:
-        rows = noise_mod.increment_rows(
-            config.noise, dt, config.master_seed, config.stream_id, n_steps
-        )
+        paths = noise_mod.draw_paths(config.noise, dt, n_steps, config.master_seed, stream_ids)
+        rows = paths.swapaxes(0, 1)  # row j holds every member's increment j
+    elif config.stochastic:  # step j's rows, one per member, drawn as the step comes
+        rows = map(np.stack, zip(*(
+            noise_mod.increment_rows(config.noise, dt, config.master_seed, s, n_steps)
+            for s in stream_ids
+        )))
     else:
         rows = [None] * n_steps
     dpd = config.scheme == "dpd"
@@ -311,37 +343,53 @@ def solve(config: SolverConfig) -> Trajectory:
         step = partial(_strang_step, half=half, dt=dt, offset=offset)
 
     v0 = config.initial_v.mesh
-    stores = [np.empty((n_steps // stride + 1,) + g.shape, dtype=np.complex128)]
-    stores[0][0] = v0
+    shape = (m_count,) + g.shape
+    stores = [np.empty((m_count, n_steps // stride + 1) + g.shape, dtype=np.complex128)]
+    stores[0][:, 0] = v0
     if dpd:
         stores.append(np.zeros_like(stores[0]))
-        state = (np.fft.fftn(v0, axes=g.axes), np.zeros(g.shape, dtype=np.complex128))
+        state = (np.broadcast_to(np.fft.fftn(v0, axes=g.axes), shape).copy(),
+                 np.zeros(shape, dtype=np.complex128))
     else:
-        state = (np.fft.fftn(1.0 + v0, axes=g.axes),)
+        state = (np.broadcast_to(np.fft.fftn(1.0 + v0, axes=g.axes), shape).copy(),)
 
+    failures = [None] * m_count
     for j, dw_hat in enumerate(rows):
         state = step(state, dw_hat)
         if not all(lattice.all_finite(a_hat) for a_hat in state):
-            raise BlowUpError(j + 1, (j + 1) * dt)
+            finite = np.all([np.isfinite(a_hat.view(np.float64).reshape(m_count, -1)).all(axis=1)
+                             for a_hat in state], axis=0)
+            # a failed member's rows are zeroed, so later steps stay finite on them
+            for m in np.flatnonzero(~finite):
+                if failures[m] is None:  # a zeroed member may blow up again: keep its first step
+                    failures[m] = BlowUpError(j + 1, (j + 1) * dt)
+                for a_hat in state:
+                    a_hat[m] = 0.0
+            if None not in failures:
+                return failures
         if (j + 1) % stride == 0:
             for store, a_hat in zip(stores, state):
-                store[(j + 1) // stride] = a_hat
+                store[:, (j + 1) // stride] = a_hat
 
     # back to physical space in place, with no temporary; row 0 is initial_v as given
     for store in stores:
-        np.fft.ifftn(store[1:], axes=g.axes, out=store[1:])
+        np.fft.ifftn(store[:, 1:], axes=g.axes, out=store[:, 1:])
     if not dpd:
-        stores[0][1:] -= 1.0
+        stores[0][:, 1:] -= 1.0
 
-    return Trajectory(
-        grid=g,
-        scheme=config.scheme,
-        times=np.arange(0, n_steps + 1, stride) * dt,
-        v=stores[0],
-        psi=stores[1] if dpd else None,
-        config=config,
-        noise_path=path,
-    )
+    times = np.arange(0, n_steps + 1, stride) * dt
+    return [
+        failure if failure is not None else Trajectory(
+            grid=g,
+            scheme=config.scheme,
+            times=times,
+            v=stores[0][m],
+            psi=stores[1][m] if dpd else None,
+            config=config if s == config.stream_id else replace(config, stream_id=s),
+            noise_path=path if paths is None else NoisePath(g, dt, paths[m]),
+        )
+        for m, (s, failure) in enumerate(zip(stream_ids, failures))
+    ]
 
 
 # --- oracles and transforms ------------------------------------------------

@@ -249,41 +249,64 @@ class EnsembleReport:
         return sum(1 for m in self.members if m.get("failed"))
 
 
-def _member_summary(rc: RunConfig, member: int) -> dict:
-    cfg = build_solver_config(rc, stream_id=member)
-    try:
-        traj = dynamics.solve(cfg)
-        ledger = diagnostics.ito_ledger(traj)
-        part = diagnostics.partition_intervals(traj, rc.eta)
-    except BlowUpError as exc:  # in the solve, or in the norm table
-        return {"member": member, "failed": True, "blow_up_step": exc.step}
-    return {
-        "member": member,
-        "failed": False,
-        "final_energy": float(ledger.energy[-1]),
-        "sup_energy": float(ledger.energy.max()),
-        "J": part.J,
-        "ham3_final": float(ledger.ham3[-1]),
-        "residual_final": float(ledger.residual[-1]),
-        "residual_balanced_final": float(ledger.residual_balanced[-1]),
-    }
+# Bytes of snapshots and noise paths one batch of ensemble members may hold
+# (dynamics.member_bytes each).  A 16^2 member of 50 steps holds about
+# 404 KiB, so a batch there is about 40 members.
+BATCH_BYTES = 16 << 20
+
+
+def _batches(rc: RunConfig) -> List[range]:
+    """Consecutive member ranges, at most ceil(size / workers) members each and
+    as many as fit BATCH_BYTES (at least one)."""
+    per_member = dynamics.member_bytes(build_solver_config(rc))
+    size = min(math.ceil(rc.ensemble_size / rc.workers), max(1, BATCH_BYTES // per_member))
+    return [range(first, min(first + size, rc.ensemble_size))
+            for first in range(0, rc.ensemble_size, size)]
+
+
+def _member_summary(rc: RunConfig, members: Sequence[int]) -> List[dict]:
+    """One batched solve of the members (stream_id = member index), then each
+    member's ledger, partition and summary."""
+    summaries = []
+    for member, traj in zip(members, dynamics.solve_members(build_solver_config(rc), members)):
+        try:
+            if isinstance(traj, BlowUpError):
+                raise traj
+            ledger = diagnostics.ito_ledger(traj)
+            part = diagnostics.partition_intervals(traj, rc.eta)
+        except BlowUpError as exc:  # in the solve, or in the norm table
+            summaries.append({"member": member, "failed": True, "blow_up_step": exc.step})
+            continue
+        summaries.append({
+            "member": member,
+            "failed": False,
+            "final_energy": float(ledger.energy[-1]),
+            "sup_energy": float(ledger.energy.max()),
+            "J": part.J,
+            "ham3_final": float(ledger.ham3[-1]),
+            "residual_final": float(ledger.residual[-1]),
+            "residual_balanced_final": float(ledger.residual_balanced[-1]),
+        })
+    return summaries
 
 
 def run_ensemble(rc: RunConfig) -> EnsembleReport:
-    """Independent solves with stream_id = member index; deterministic for a
-    fixed master_seed regardless of worker count.  Blow-ups are recorded
+    """Independent solves with stream_id = member index, in batches of
+    members stepped together; deterministic for a fixed master_seed
+    regardless of worker count and batch size.  Blow-ups are recorded
     per-member without aborting the ensemble."""
     check_ledger_stride(rc)
-    indices = list(range(rc.ensemble_size))
+    batches = _batches(rc)
     if rc.workers > 1 and rc.ensemble_size > 1:
         try:
             with ProcessPoolExecutor(max_workers=rc.workers) as pool:
-                members = list(pool.map(_member_summary, [rc] * len(indices), indices))
+                done = list(pool.map(_member_summary, [rc] * len(batches), batches))
         except BrokenExecutor as exc:
             raise WorkerError(f"ensemble of {rc.ensemble_size} members, config "
                               f"{rc.config_hash()}: a worker process died: {exc}") from None
     else:
-        members = [_member_summary(rc, i) for i in indices]
+        done = [_member_summary(rc, batch) for batch in batches]
+    members = [summary for batch in done for summary in batch]
 
     ok = [m for m in members if not m["failed"]]
     aggregates = {"n_members": rc.ensemble_size, "n_failed": len(members) - len(ok)}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,15 +79,38 @@ def hs_norm(spec: NoiseSpec, s: float, homogeneous: bool = False) -> float:
 # --- counter-based RNG ----------------------------------------------------
 
 
+@cache
+def _generator() -> np.random.Generator:
+    """The one Philox generator of this process, which every step_rng call
+    resets: a reset takes about 5 us, a new Philox and Generator about 14 us
+    (2-CPU x86 VM, numpy 2.4.6).  Made on first use, so importing snls does
+    not import numpy.random."""
+    return np.random.Generator(np.random.Philox(key=0))
+
+
 def step_rng(master_seed: int, stream_id: int, step: int) -> np.random.Generator:
     """Generator keyed by (seed, stream) with a disjoint counter block per step.
 
     Reproducible independently of thread scheduling: the draw for a given
     (stream, step) never depends on what other streams or steps consumed.
+    The generator is the process's one generator with its state reset to the
+    one np.random.Philox(counter=[0, 0, step, 0], key=[seed, stream]) starts
+    in, so it draws the same numbers.  It is valid until the next step_rng
+    call in the process, from any thread, which resets it again.
     """
-    key = np.array([master_seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
-    counter = np.array([0, 0, step & _MASK64, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    rng = _generator()
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([0, 0, step & _MASK64, 0], dtype=np.uint64),
+            "key": np.array([master_seed & _MASK64, stream_id & _MASK64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # the buffer is empty: the next draw makes a new block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _complex_normals(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
@@ -172,13 +195,23 @@ def increment_rows(spec: NoiseSpec, dt: float, master_seed: int, stream_id: int,
         yield spectral_increment(spec, dt, step_rng(master_seed, stream_id, j)) * scale
 
 
+def draw_paths(
+    spec: NoiseSpec, dt: float, n_steps: int, master_seed: int, stream_ids: Sequence[int]
+) -> np.ndarray:
+    """The first n_steps rows of increment_rows on each stream id, as one
+    (len(stream_ids), n_steps, *grid.shape) array: one path per stream."""
+    dw_hat = np.empty((len(stream_ids), n_steps) + spec.grid.shape, dtype=np.complex128)
+    for path, stream_id in zip(dw_hat, stream_ids):
+        for j, row in enumerate(increment_rows(spec, dt, master_seed, stream_id, n_steps)):
+            path[j] = row
+    return dw_hat
+
+
 def generate_noise_path(
     spec: NoiseSpec, dt: float, n_steps: int, master_seed: int, stream_id: int = 0
 ) -> NoisePath:
     """The first n_steps rows of increment_rows, held as one array."""
-    dw_hat = np.empty((n_steps,) + spec.grid.shape, dtype=np.complex128)
-    for j, row in enumerate(increment_rows(spec, dt, master_seed, stream_id, n_steps)):
-        dw_hat[j] = row
+    dw_hat = draw_paths(spec, dt, n_steps, master_seed, [stream_id])[0]
     return NoisePath(grid=spec.grid, dt=dt, dw_hat=dw_hat)
 
 

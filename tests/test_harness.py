@@ -195,6 +195,41 @@ class TestRunEnsemble:
         assert all(m["blow_up_step"] >= 1 for m in failed)
         assert all(np.isfinite(serial.aggregates[k + "_mean"]) for k in ("final_energy", "residual_final"))
 
+    # 8^2 dpd with rough noise: most members blow up, at different steps
+    BLOW_UP = (BASE_CONFIG.replace("points_per_axis = 16", "points_per_axis = 8")
+               .replace("dt = 0.005", "dt = 0.01").replace("scheme = direct", "scheme = dpd")
+               .replace("amplitude = 0.2\nsigma = 3.0", "amplitude = 80\nsigma = 1.0")
+               .replace("master_seed = 11", "master_seed = 1"))
+
+    @pytest.mark.parametrize("doc, size", [
+        # 64 members at 16^2: one batch of all of them holds 256 KiB per state
+        # array, numpy's temporary-elision size, where the phase substep's
+        # operand order once changed with the batch
+        (BASE_CONFIG, 64),
+        (BLOW_UP, 12),
+        # 40 steps at a third of the noise: members blow up at steps 14-33,
+        # some zeroed members blow up a second time before the last one first
+        # does, and each keeps the step of its first blow-up
+        (BLOW_UP.replace("t_final = 0.05", "t_final = 0.4").replace("amplitude = 80", "amplitude = 30"), 24),
+    ], ids=["direct-16sq", "dpd-blow-up", "dpd-blow-up-40-steps"])
+    def test_batch_size_invariance(self, tmp_path, monkeypatch, doc, size):
+        rc = replace(harness.parse_config(doc), ensemble_size=size)
+        member_bytes = dynamics.member_bytes(harness.build_solver_config(rc))
+
+        def report(batch, workers=1):
+            monkeypatch.setattr(harness, "BATCH_BYTES", batch * member_bytes)
+            run = replace(rc, workers=workers)
+            assert len(harness._batches(run)[0]) == min(batch, -(-size // workers))
+            path = os.path.join(tmp_path, f"{batch}-{workers}.txt")
+            with np.errstate(over="ignore", invalid="ignore"):  # forked workers inherit it
+                harness.write_report(harness.run_ensemble(run), path)
+            return open(path, "rb").read()
+
+        want = report(1)
+        for batch, workers in ((3, 1), (5, 1), (size, 1), (size, 2)):
+            assert report(batch, workers) == want, (batch, workers)
+        assert doc == BASE_CONFIG or b"failed=True" in want
+
     def test_all_members_blow_up(self, tmp_path, capsys):
         # the report once printed final_energy_mean = nan and each standard error as 0.0
         doc = (BASE_CONFIG.replace("points_per_axis = 16", "points_per_axis = 8")
@@ -474,6 +509,30 @@ class TestCli:
             self.OVERFLOW))), traj)
         assert cli.main(["partition", "--config", cfgfile, "--trajectory", traj]) == 2
         assert capsys.readouterr().err == self.OVERFLOW_ERR
+
+    def test_sixth_power_overflow_exit_two(self, tmp_path, capsys):
+        # the norm table is finite here, but the ledger, the partition and the
+        # Strichartz report integrate sixth powers of its columns: simulate once
+        # printed grad_L6t_L12/5x = inf, s1_proxy = inf and x1 = inf, exit 0
+        doc = self.OVERFLOW.replace("amplitude = 1e150", "amplitude = 1e51")
+        cfgfile = self.write_config(tmp_path, doc + f"\n[output]\ndir = {tmp_path}/out\n")
+        assert cli.main(["simulate", "--config", cfgfile]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: norm table column grad_l12o5^6 (running sum) is not finite "
+            "at snapshot 1 (t = 0.005)\n")
+        assert not os.path.exists(os.path.join(tmp_path, "out", "diagnostics.csv"))
+        assert cli.main(["ensemble", "--config", cfgfile]) == 0
+        assert capsys.readouterr().out == "n_members = 3\nn_failed = 3\n"
+
+    def test_noise_stats_overflow_exit_two(self, tmp_path, capsys):
+        # noise-stats once printed E_psi_H1_sq = inf and standard_error = nan, exit 0
+        doc = (BASE_CONFIG.replace("points_per_axis = 16", "points_per_axis = 8")
+               .replace("amplitude = 0.2\nsigma", "amplitude = 1e307\nsigma"))
+        cfgfile = self.write_config(tmp_path, doc + f"\n[output]\ndir = {tmp_path}/out\n")
+        assert cli.main(["noise-stats", "--config", cfgfile]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: noise-stats: E_psi_H1_sq = inf is not finite\n")
+        assert not os.path.exists(os.path.join(tmp_path, "out", "noise_stats.txt"))
 
     def test_seed_override(self, tmp_path, capsys):
         doc = BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/a\n"

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snls import lattice, noise
 from snls.errors import UsageError
@@ -98,6 +99,32 @@ class TestStepRng:
         noise.step_rng(1, 2, 4).standard_normal(1000)
         again = noise.step_rng(1, 2, 5).standard_normal(4)
         assert np.array_equal(direct, again)
+
+    # draws that leave buffered state in the generator: a partly used Philox
+    # block, and a spare 32-bit half (has_uint32) after an odd uint32 count
+    DRAWS = {
+        "random": lambda rng, n: rng.random(n),
+        "uint32": lambda rng, n: rng.integers(0, 2**32 - 1, size=n, dtype=np.uint32),
+        "normal": lambda rng, n: rng.standard_normal(n),
+    }
+    KEY = st.integers(0, 2**64 - 1)
+    DRAW = st.tuples(st.sampled_from(sorted(DRAWS)), st.integers(1, 9))
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.tuples(KEY, KEY, KEY), leftover=DRAW,
+           draws=st.lists(DRAW, min_size=1, max_size=4))
+    def test_matches_a_fresh_generator(self, key, leftover, draws):
+        # the reset generator draws what a new Philox with the same counter
+        # and key draws, whatever the previous call left in it
+        self.DRAWS[leftover[0]](noise.step_rng(3, 4, 5), leftover[1])
+        seed, stream, step = key
+        got = noise.step_rng(seed, stream, step)
+        fresh = np.random.Generator(np.random.Philox(
+            counter=np.array([0, 0, step, 0], dtype=np.uint64),
+            key=np.array([seed, stream], dtype=np.uint64),
+        ))
+        for name, n in draws:
+            assert self.DRAWS[name](got, n).tobytes() == self.DRAWS[name](fresh, n).tobytes()
 
 
 class TestWienerIncrement:
