@@ -9,6 +9,7 @@ partition.  Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -17,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import diagnostics, dynamics, harness, lattice, noise as noise_mod
-from .errors import ConfigurationError, SnlsError, UsageError
+from .errors import BlowUpError, ConfigurationError, SnlsError, UsageError
 
 
 def _load_config(args) -> harness.RunConfig:
@@ -38,16 +39,27 @@ def _cmd_simulate(args) -> int:
     harness.check_ledger_stride(rc)
     out = harness.ensure_output_dir(rc)
     cfg = harness.build_solver_config(rc)
-    traj = dynamics.solve(cfg)
-    ledger = diagnostics.ito_ledger(traj)
-    harness.emit_csv(ledger, os.path.join(out, "diagnostics.csv"))
+    names = []
     if rc.emit_snapshots:
-        dynamics.write_trajectory(traj, os.path.join(out, "trajectory.bin"))
-        if traj.noise_path is not None:
-            noise_mod.write_noise_path(traj.noise_path, os.path.join(out, "noise_path.bin"))
-    part = diagnostics.partition_intervals(traj, rc.eta)
+        names = ["trajectory.bin", "noise_path.bin"] if cfg.stochastic else ["trajectory.bin"]
+    # the writers are closed before the files take their names
+    with harness.temporary_outputs(out, names) as tmp, contextlib.ExitStack() as files:
+        sinks = []
+        if rc.emit_snapshots:
+            sinks.append(files.enter_context(dynamics.TrajectoryWriter(
+                tmp["trajectory.bin"], cfg.grid, cfg.scheme, cfg.n_snapshots,
+                cfg.dt * cfg.snapshot_stride)))
+        if "noise_path.bin" in tmp:
+            sinks.append(files.enter_context(noise_mod.NoisePathWriter(
+                tmp["noise_path.bin"], cfg.grid, cfg.dt, cfg.n_steps)))
+        (table,) = diagnostics.solve_tables(cfg, [cfg.stream_id], sinks)
+        if isinstance(table, BlowUpError):
+            raise table
+    ledger = diagnostics.ito_ledger(table)
+    harness.emit_csv(ledger, os.path.join(out, "diagnostics.csv"))
+    part = diagnostics.partition_intervals(table, rc.eta)
     rep = diagnostics.strichartz_report(
-        traj, lattice.SpacetimeInterval(0, traj.n_snapshots - 1)
+        table, lattice.SpacetimeInterval(0, len(table.times) - 1)
     )
     lines = [
         "[simulate]",
@@ -143,8 +155,8 @@ def _cmd_converge(args) -> int:
 
 def _cmd_partition(args) -> int:
     rc = _load_config(args)
-    traj = dynamics.read_trajectory(args.trajectory)
-    part = diagnostics.partition_intervals(traj, rc.eta)
+    grid, _, _, blocks = dynamics.trajectory_blocks(args.trajectory)
+    part = diagnostics.partition_intervals(diagnostics.norm_table(grid, blocks), rc.eta)
     print(f"eta = {rc.eta!r}  J = {part.J}")
     for itv, nrm, irr in zip(part.intervals, part.norms, part.irreducible):
         tag = "  [irreducible]" if irr else ""

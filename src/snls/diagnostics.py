@@ -12,15 +12,15 @@ EnergyLedger.residual vs EnergyLedger.residual_balanced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import lattice, noise as noise_mod
-from .dynamics import Trajectory
+from . import dynamics, lattice, noise as noise_mod
+from .dynamics import SolverConfig, Trajectory
 from .errors import BlowUpError, UsageError
-from .lattice import ComplexField, SpacetimeInterval
+from .lattice import ComplexField, GridSpec, SpacetimeInterval
 
 
 # --- energy -----------------------------------------------------------------
@@ -67,75 +67,156 @@ class EnergyLedger:
 _SIXTH_POWERED = ("grad_l12o5", "l6", "v_grad_l12o5", "psi_grad_l12o5")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the columns are checked at the end
-def snapshot_norms(traj) -> dict:
-    """Every per-snapshot quantity the diagnostics read, for v* = u - 1 =
-    v + Psi: ||grad v*|| in L^4, L^12/5, L^2, ||v*||_{L^6}, E(1 + v*), ham2's
-    integrals of |v*|^2 + (Im v*)^2 + 4 Re v* (qv) and |v*|^2 + 2 Re v*
-    (qv_balanced), ||grad v|| and ||grad Psi|| in L^12/5, and, given a noise
-    path with one increment per step, each step's ham3 term (ham3_steps).
+@dataclass
+class NormTable:
+    """The checked norm table of one run's snapshots (see snapshot_norms),
+    with their times and the run's solver config (None for a file): what
+    the ledger, the partition and the Strichartz report read of a run whose
+    fields were streamed and not kept."""
 
-    The one pass over snapshot fields, in blocks of lattice.BLOCK_BYTES of rows
-    with one forward transform per block of v* (and of v and Psi for dpd), and
-    the block's physical noise rows made from the path's Fourier rows.  Kept in
-    traj.norms: snapshots must not change once a diagnostic has read them.
-    A non-finite snapshot raises UsageError naming it, and a column that
-    overflows float64 on finite snapshots, or a running sum of the sixth
-    powers the diagnostics integrate, BlowUpError naming the first."""
-    if traj.norms is not None:
-        return traj.norms
-    g, n, cell = traj.grid, traj.n_snapshots, traj.grid.cell_measure
-    path = traj.noise_path
-    steps = path.n_steps if path is not None and path.n_steps == n - 1 else 0
-    blocks = []
-    for sl in lattice.row_blocks(traj.v):
-        w = traj.v[sl] if traj.psi is None else traj.v[sl] + traj.psi[sl]  # v* rows
+    grid: GridSpec
+    times: np.ndarray
+    norms: dict
+    config: Optional[SolverConfig] = None
+
+
+class NormAccumulator:
+    """The one pass over snapshot fields, fed SnapshotBlocks in order: every
+    per-snapshot quantity the diagnostics read, for v* = u - 1 = v + Psi:
+    ||grad v*|| in L^4, L^12/5, L^2, ||v*||_{L^6}, E(1 + v*), ham2's
+    integrals of |v*|^2 + (Im v*)^2 + 4 Re v* (qv) and |v*|^2 + 2 Re v*
+    (qv_balanced), ||grad v|| and ||grad Psi|| in L^12/5, and, for blocks
+    that carry noise rows, each step's ham3 term (ham3_steps).
+
+    One forward transform per block of v* (and of v and Psi for dpd) over
+    every member's rows at once; the physical noise rows are the block's
+    own.  A non-finite snapshot raises UsageError naming it.  Columns are
+    kept per member, and tables() checks each member's on its own."""
+
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        self.blocks = []  # per block: key -> (members, rows) column
+        self.times = []
+
+    @np.errstate(over="ignore", invalid="ignore")  # the columns are checked in tables()
+    def add(self, block) -> None:
+        g, cell = self.grid, self.grid.cell_measure
+        m_count, b = block.v.shape[:2]
+        v = block.v.reshape((m_count * b,) + g.shape)
+        psi = None if block.psi is None else block.psi.reshape(v.shape)
+        w = v if psi is None else v + psi  # v* rows
         flat = w.reshape(len(w), -1)
         finite = np.isfinite(flat.view(np.float64)).all(axis=1)
         if not finite.all():
-            raise UsageError(f"snapshot {sl.start + int(np.argmin(finite))} holds a non-finite value")
+            raise UsageError(f"snapshot {block.start + int(np.argmin(finite)) % b} "
+                             "holds a non-finite value")
         w_hat = np.fft.fftn(w, axes=g.axes)
         grad = lattice.gradient_magnitude(g, w_hat)
         cols = {key: lattice._lp_of_values(grad, r, cell)
                 for key, r in (("grad_l4", 4.0), ("grad_l12o5", 12.0 / 5.0), ("grad_l2", 2.0))}
+        del grad
         cols["l6"] = lattice._lp_of_values(flat, 6.0, cell)
         abs2 = np.abs(flat) ** 2
         q = abs2 + 2.0 * flat.real  # |u|^2 - 1
         cols["energy"] = 0.5 * cols["grad_l2"] ** 2 + 0.25 * np.sum(q**2, axis=1) * cell
+        qv_balanced = np.sum(q, axis=1) * cell
+        del q
         cols["qv"] = np.sum(abs2 + flat.imag**2 + 4.0 * flat.real, axis=1) * cell
-        cols["qv_balanced"] = np.sum(q, axis=1) * cell
-        if sl.start < steps:
+        cols["qv_balanced"] = qv_balanced
+        steps = 0 if block.dw_hat is None else block.dw_hat.shape[1]
+        if steps:
             # Im int G(v*) phi dW dx paired with each left-point snapshot, for
             # G(v*) = |v*|^2 conj(v*) - Lap conj(v*) + |v*|^2 + 2 Re(v*) conj(v*) + 2 Re(v*)
-            dw = path.physical(sl.start, min(sl.stop, steps)).reshape(-1, g.total_points)
-            v, a, vb = flat[: len(dw)], abs2[: len(dw)], np.conj(flat[: len(dw)])
-            lap_vb = np.conj(lattice.laplacian(g, w_hat[: len(dw)]))
-            integrand = a * vb - lap_vb + a + 2.0 * v.real * vb + 2.0 * v.real
-            np.multiply(integrand, dw, out=dw)  # integrand * dw into the block's own rows
-            cols["ham3_steps"] = np.imag(np.sum(dw, axis=1)) * cell
-            del integrand, dw  # not held while the next block is made
-        if traj.psi is not None:
-            for key, part in (("v_grad_l12o5", traj.v[sl]), ("psi_grad_l12o5", traj.psi[sl])):
+            paired = slice(None) if steps == b else np.arange(m_count * b) % b < steps
+            v_s, a = flat[paired], abs2[paired]
+            vb = np.conj(v_s)
+            lap_vb = np.conj(lattice.laplacian(g, w_hat[paired]))
+            integrand = a * vb - lap_vb + a + 2.0 * v_s.real * vb + 2.0 * v_s.real
+            del v_s, a, vb, lap_vb
+            np.multiply(integrand, block.dw.reshape(len(integrand), -1), out=integrand)
+            cols["ham3_steps"] = np.imag(np.sum(integrand, axis=1)) * cell
+            del integrand
+        del w_hat, abs2, flat, w
+        if psi is not None:
+            for key, part in (("v_grad_l12o5", v), ("psi_grad_l12o5", psi)):
                 part_grad = lattice.gradient_magnitude(g, np.fft.fftn(part, axes=g.axes))
                 cols[key] = lattice._lp_of_values(part_grad, 12.0 / 5.0, cell)
-        blocks.append(cols)
-    table = {key: np.concatenate([b[key] for b in blocks if key in b]) for key in blocks[0]}
-    if traj.psi is None:
-        table["v_grad_l12o5"], table["psi_grad_l12o5"] = table["grad_l12o5"], np.zeros(n)
-    # the ledger, the partition and the Strichartz report integrate these
-    # columns' sixth powers over time, so their running sums must be finite too
-    checked = list(table.items()) + [(f"{key}^6 (running sum)", np.cumsum(table[key] ** 6))
-                                     for key in _SIXTH_POWERED]
-    bad = [(int(np.argmin(np.isfinite(col))), key) for key, col in checked
-           if not np.isfinite(col).all()]
-    if bad:
-        i, key = min(bad, key=lambda b: b[0])
-        step = i * (traj.config.snapshot_stride if traj.config is not None else 1)
-        t = float(traj.times[i])
-        raise BlowUpError(step, t, f"norm table column {key} is not finite at "
-                                   f"snapshot {i} (t = {t:.6g})")
-    traj.norms = table
+        self.blocks.append({key: col.reshape(m_count, -1) for key, col in cols.items()})
+        self.times.append(block.times)
+
+    def tables(self, configs: Sequence[Optional[SolverConfig]]) -> list:
+        """Per member, in block order, its checked NormTable, or the
+        BlowUpError naming the first column that overflows float64 on its
+        finite snapshots, or a running sum of the sixth powers the
+        diagnostics integrate."""
+        times = np.concatenate(self.times) if self.times else np.zeros(0)
+        keys = list(dict.fromkeys(key for b in self.blocks for key in b))
+        out = []
+        for m, cfg in enumerate(configs):
+            table = {key: np.concatenate([b[key][m] for b in self.blocks if key in b])
+                     for key in keys}
+            if "grad_l12o5" in table and "psi_grad_l12o5" not in table:  # Psi = 0
+                table["v_grad_l12o5"], table["psi_grad_l12o5"] = table["grad_l12o5"], np.zeros(len(times))
+            out.append(_checked(table, times, cfg) or NormTable(self.grid, times, table, cfg))
+        return out
+
+
+def _checked(table: dict, times: np.ndarray, cfg) -> Optional[BlowUpError]:
+    """The BlowUpError for the first non-finite entry of a column, or of the
+    running sums of the sixth powers the ledger, the partition and the
+    Strichartz report integrate; None when every one is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        checked = list(table.items()) + [(f"{key}^6 (running sum)", np.cumsum(table[key] ** 6))
+                                         for key in _SIXTH_POWERED if key in table]
+        bad = [(int(np.argmin(np.isfinite(col))), key) for key, col in checked
+               if not np.isfinite(col).all()]
+    if not bad:
+        return None
+    i, key = min(bad, key=lambda b: b[0])
+    step = i * (cfg.snapshot_stride if cfg is not None else 1)
+    t = float(times[i])
+    return BlowUpError(step, t, f"norm table column {key} is not finite at "
+                                f"snapshot {i} (t = {t:.6g})")
+
+
+def snapshot_norms(traj) -> dict:
+    """The checked norm table of a trajectory's snapshots (NormAccumulator),
+    its rows fed in blocks of lattice.BLOCK_BYTES with, given a noise path
+    with one increment per step, the path's rows; a NormTable's own.  Kept
+    in traj.norms: snapshots must not change once a diagnostic has read
+    them.  Raises the table's BlowUpError, or the accumulator's UsageError."""
+    if traj.norms is None:
+        traj.norms = norm_table(traj.grid, traj.blocks(), traj.config).norms
+    return traj.norms
+
+
+def norm_table(grid: GridSpec, blocks, config: Optional[SolverConfig] = None) -> NormTable:
+    """One member's SnapshotBlocks fed through a NormAccumulator: its
+    checked NormTable.  Raises the table's BlowUpError."""
+    acc = NormAccumulator(grid)
+    for block in blocks:
+        acc.add(block)
+    (table,) = acc.tables([config])
+    if isinstance(table, BlowUpError):
+        raise table
     return table
+
+
+def solve_tables(config: SolverConfig, stream_ids: Sequence[int], sinks=()) -> list:
+    """Stream the members' snapshot blocks (dynamics.snapshot_blocks) into
+    each of sinks, called with every block in order, and into one
+    NormAccumulator.  Returns per stream id its NormTable, or its
+    BlowUpError: the solve's, else the table's.  No snapshot is kept."""
+    acc = NormAccumulator(config.grid)
+    block = None
+    for block in dynamics.snapshot_blocks(config, stream_ids):
+        for sink in sinks:
+            sink(block)
+        acc.add(block)
+    configs = [config if s == config.stream_id else replace(config, stream_id=s)
+               for s in stream_ids]
+    return [table if failure is None else failure
+            for failure, table in zip(block.failures, acc.tables(configs))]
 
 
 def _cumulative(y: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -151,14 +232,15 @@ def ito_ledger(traj) -> EnergyLedger:
     snapshot_stride = 1 for stochastic trajectories so every consumed
     increment has a matching left-point state.
     """
-    cfg = traj.solver_config("ito_ledger")
-    if cfg.stochastic:
-        if cfg.snapshot_stride != 1:
-            raise UsageError(f"ito_ledger requires snapshot_stride = 1, got {cfg.snapshot_stride}")
-        if traj.noise_path is None:
-            raise UsageError("ito_ledger needs the trajectory's recorded noise path")
-
+    cfg = traj.config
+    if cfg is None:
+        raise UsageError("ito_ledger needs the solver config, which a trajectory read "
+                         "from a file lacks")
+    if cfg.stochastic and cfg.snapshot_stride != 1:
+        raise UsageError(f"ito_ledger requires snapshot_stride = 1, got {cfg.snapshot_stride}")
     table = snapshot_norms(traj)
+    if cfg.stochastic and "ham3_steps" not in table:
+        raise UsageError("ito_ledger needs the trajectory's recorded noise path")
     times = np.asarray(traj.times, dtype=float)
     energies = table["energy"]
 

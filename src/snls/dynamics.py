@@ -62,6 +62,9 @@ class SolverConfig:
     stream_id: int = 0
     disable_nonlinearity: bool = False  # linear flow only: noise-stats' Psi-only dpd run
     prescribed_path: Optional[NoisePath] = None
+    # a drawn row is the sum of this many rows drawn at dt / noise_substeps:
+    # the path of the run at the finer step, coarsened as it is drawn
+    noise_substeps: int = 1
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -73,10 +76,20 @@ class SolverConfig:
             raise ConfigurationError(f"t_final/dt = {steps} is not an integer")
         if not stride_divides(self.snapshot_stride, steps):
             raise ConfigurationError("snapshot_stride must divide the step count")
+        if self.noise_substeps < 1:
+            raise ConfigurationError("noise_substeps must be >= 1")
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
+
+    @property
+    def n_snapshots(self) -> int:
+        return self.n_steps // self.snapshot_stride + 1
+
+    @property
+    def snapshot_times(self) -> np.ndarray:
+        return np.arange(0, self.n_steps + 1, self.snapshot_stride) * self.dt
 
     @property
     def stochastic(self) -> bool:
@@ -115,6 +128,19 @@ class Trajectory:
         if self.psi is None:
             return [lattice.zero_field(self.grid)] * self.n_snapshots
         return [ComplexField(self.grid, row.ravel()) for row in self.psi]
+
+    def blocks(self):
+        """The snapshots as SnapshotBlocks of one member, about
+        lattice.BLOCK_BYTES of v rows each, with the rows of the noise path
+        when it has one per step."""
+        path = self.noise_path
+        steps = path.n_steps if path is not None and path.n_steps == self.n_snapshots - 1 else 0
+        for sl in lattice.row_blocks(self.n_snapshots, self.grid.total_points * 16):
+            yield SnapshotBlock(
+                grid=self.grid, start=sl.start, times=self.times[sl], v=self.v[np.newaxis, sl],
+                psi=None if self.psi is None else self.psi[np.newaxis, sl],
+                dw_hat=path.dw_hat[np.newaxis, sl.start:min(sl.stop, steps)] if sl.start < steps else None,
+            )
 
     def solver_config(self, caller: str) -> SolverConfig:
         if self.config is None:
@@ -267,48 +293,86 @@ def _linear_step(state: tuple, dw_hat, full: np.ndarray) -> tuple:
 
 
 def member_bytes(config: SolverConfig) -> int:
-    """Bytes solve_members holds per member: its snapshots of every state
-    array and, when it draws the whole path, its noise path."""
-    rows = (config.n_steps // config.snapshot_stride + 1) * (2 if config.scheme == "dpd" else 1)
-    if config.prescribed_path is None and config.stochastic and config.snapshot_stride == 1:
-        rows += config.n_steps
+    """Bytes one member of a streamed batch holds, about: its state arrays,
+    the step's temporaries (4 fields for the Strang step, 12 for dpd's RK4
+    substep), and its share of one snapshot block with the norm pass's
+    temporaries over it (about ten rows).  It keeps no snapshots and no path."""
+    rows = (2 + 12 if config.scheme == "dpd" else 1 + 4) + 10
     return rows * config.grid.total_points * 16
 
 
-def solve(config: SolverConfig) -> Trajectory:
-    """Integrate one trajectory on config.stream_id: solve_members with one
-    member.  Raises BlowUpError at the first step whose state is not finite."""
-    (result,) = solve_members(config, [config.stream_id])
-    if isinstance(result, BlowUpError):
-        raise result
-    return result
+@dataclass
+class SnapshotBlock:
+    """Consecutive snapshots start .. start + b - 1 of M members: physical v
+    rows (M, b, *grid.shape), Psi rows for dpd (None otherwise), and, when
+    the run's noise rows are kept (stride 1), the Fourier rows dw_hat
+    (M, r, *grid.shape) of steps start .. start + r - 1, each paired with its
+    left-point snapshot (r = b, one fewer in the block holding the last
+    snapshot).  failures holds per member its BlowUpError so far, or None;
+    a failed member's rows after its blow-up are zero."""
+
+    grid: GridSpec
+    start: int
+    times: np.ndarray
+    v: np.ndarray
+    psi: Optional[np.ndarray] = None
+    dw_hat: Optional[np.ndarray] = None
+    failures: tuple = ()
+
+    @cached_property
+    def dw(self) -> np.ndarray:
+        """The physical noise rows, made once per block: the bits
+        sample_wiener_increment gives for a drawn row."""
+        return np.fft.ifftn(self.dw_hat, axes=self.grid.axes)
 
 
-def solve_members(config: SolverConfig, stream_ids: Sequence[int]) -> list:
+def _noise_rows(config: SolverConfig, stream_ids: Sequence[int]):
+    """Step j's Fourier noise rows, one (M, *grid.shape) array per step, or
+    None per step without noise: from increment_rows, or with noise_substeps
+    above 1 each the sum of that many rows drawn at dt / noise_substeps, in
+    order, the bits coarsen_noise_path gives."""
+    if not config.stochastic:
+        yield from [None] * config.n_steps
+        return
+    k = config.noise_substeps
+    draws = [noise_mod.increment_rows(config.noise, config.dt / k, config.master_seed, s,
+                                      config.n_steps * k) for s in stream_ids]
+    for _ in range(config.n_steps):
+        row = np.stack([next(d) for d in draws])
+        for _ in range(k - 1):
+            row += np.stack([next(d) for d in draws])
+        yield row
+
+
+def snapshot_blocks(config: SolverConfig, stream_ids: Sequence[int]):
     """Integrate from config.initial_v one member per stream id, all M of them
-    as one (M, *grid.shape) state, storing every snapshot_stride-th step.
+    as one (M, *grid.shape) state, and yield every snapshot_stride-th state
+    in SnapshotBlocks of consecutive snapshots, at most lattice.BLOCK_BYTES
+    of v rows over all members and at least one snapshot each.  Nothing is
+    held from one block to the next but the state.
 
     Row j of a member's noise path drives its step j.  The rows come from
     config.prescribed_path if given, the same for every member; else, for a
-    stochastic scheme, from draw_paths at snapshot_stride 1 (the ledger reads
-    the path), and from increment_rows above it, each row dropped once used,
-    so memory does not grow with the step count.  A trajectory keeps its path
-    in the first two cases.  Every scheme carries Fourier coefficients, and
-    the noise's Fourier rows enter them directly: direct and the deterministic
-    schemes u_hat = fftn(1 + v), dpd those of v and Psi.  Snapshots are kept
-    as coefficients and transformed back in place after the last step.
+    stochastic scheme, they are drawn as their step comes (_noise_rows).  At
+    snapshot_stride 1 a block carries the rows of its steps.  Every scheme
+    carries Fourier coefficients, and the noise's Fourier rows enter them
+    directly: direct and the deterministic schemes u_hat = fftn(1 + v), dpd
+    those of v and Psi.  A block's snapshots are the held coefficients,
+    transformed back in place by one inverse FFT per block and array; row 0
+    of the run is initial_v as given (and Psi = 0).
 
-    Returns per stream id its Trajectory, whose arrays are views into the
-    batch's, or the BlowUpError of the first step after which its rows were
-    not finite.  Every operation acts on each member's rows alone, so a
-    member's bits do not depend on the batch."""
+    A member whose state is not finite after step j gets BlowUpError(j + 1)
+    in the blocks' failures and its rows are zeroed, so later steps stay
+    finite on them; a zeroed member that blows up again keeps its first
+    step.  When every member has failed, the block so far is the last.
+    Every operation acts on each member's rows alone, so a member's bits do
+    not depend on the batch or on the block size."""
     g = config.grid
     n_steps = config.n_steps
     stride = config.snapshot_stride
     dt = config.dt
     m_count = len(stream_ids)
     path = config.prescribed_path
-    paths = None
     if path is not None:
         if path.n_steps != n_steps:
             raise ConfigurationError(
@@ -320,17 +384,10 @@ def solve_members(config: SolverConfig, stream_ids: Sequence[int]) -> list:
         # coarsened path's dt; also catches nan
         if not abs(path.dt - dt) <= 1e-9 * dt:
             raise ConfigurationError(f"prescribed path has dt = {path.dt}, solver dt = {dt}")
-        rows = path.dw_hat  # lattice-shaped rows, broadcast over the members
-    elif config.stochastic and stride == 1:
-        paths = noise_mod.draw_paths(config.noise, dt, n_steps, config.master_seed, stream_ids)
-        rows = paths.swapaxes(0, 1)  # row j holds every member's increment j
-    elif config.stochastic:  # step j's rows, one per member, drawn as the step comes
-        rows = map(np.stack, zip(*(
-            noise_mod.increment_rows(config.noise, dt, config.master_seed, s, n_steps)
-            for s in stream_ids
-        )))
+        rows = iter(path.dw_hat)  # lattice-shaped rows, broadcast over the members
     else:
-        rows = [None] * n_steps
+        rows = _noise_rows(config, stream_ids)
+    keep_rows = stride == 1 and (path is not None or config.stochastic)
     dpd = config.scheme == "dpd"
     half = lattice.schrodinger_phase(g, dt / 2.0)
     full = lattice.schrodinger_phase(g, dt)
@@ -344,51 +401,112 @@ def solve_members(config: SolverConfig, stream_ids: Sequence[int]) -> list:
 
     v0 = config.initial_v.mesh
     shape = (m_count,) + g.shape
-    stores = [np.empty((m_count, n_steps // stride + 1) + g.shape, dtype=np.complex128)]
-    stores[0][:, 0] = v0
     if dpd:
-        stores.append(np.zeros_like(stores[0]))
         state = (np.broadcast_to(np.fft.fftn(v0, axes=g.axes), shape).copy(),
                  np.zeros(shape, dtype=np.complex128))
     else:
         state = (np.broadcast_to(np.fft.fftn(1.0 + v0, axes=g.axes), shape).copy(),)
 
+    n_snaps, times = config.n_snapshots, config.snapshot_times
+    size = max(1, lattice.BLOCK_BYTES // (m_count * g.total_points * 16))
     failures = [None] * m_count
-    for j, dw_hat in enumerate(rows):
-        state = step(state, dw_hat)
-        if not all(lattice.all_finite(a_hat) for a_hat in state):
-            finite = np.all([np.isfinite(a_hat.view(np.float64).reshape(m_count, -1)).all(axis=1)
-                             for a_hat in state], axis=0)
-            # a failed member's rows are zeroed, so later steps stay finite on them
-            for m in np.flatnonzero(~finite):
-                if failures[m] is None:  # a zeroed member may blow up again: keep its first step
-                    failures[m] = BlowUpError(j + 1, (j + 1) * dt)
-                for a_hat in state:
-                    a_hat[m] = 0.0
-            if None not in failures:
-                return failures
-        if (j + 1) % stride == 0:
+    j = 0  # steps taken
+    for first in range(0, n_snaps, size):
+        stop = min(first + size, n_snaps)
+        stores = [np.empty((m_count, stop - first) + g.shape, dtype=np.complex128) for _ in state]
+        last_step = min(stop, n_snaps - 1) * stride  # the block's steps end here
+        dw_hat = None
+        if keep_rows:
+            rows_shape = (m_count, last_step - j) + g.shape
+            dw_hat = (np.empty(rows_shape, dtype=np.complex128) if path is None
+                      else np.broadcast_to(path.dw_hat[j:last_step], rows_shape))
+        if first == 0:  # in physical space as given, and not transformed
+            stores[0][:, 0] = v0
+            if dpd:
+                stores[1][:, 0] = 0.0
+        else:
             for store, a_hat in zip(stores, state):
-                store[:, (j + 1) // stride] = a_hat
+                store[:, 0] = a_hat
+        held = 1  # snapshots stored in this block
+        while j < last_step:
+            dw_row = next(rows)
+            if keep_rows and path is None:
+                dw_hat[:, j - first] = dw_row
+            state = step(state, dw_row)
+            j += 1
+            if not all(lattice.all_finite(a_hat) for a_hat in state):
+                finite = np.all([np.isfinite(a_hat.view(np.float64).reshape(m_count, -1)).all(axis=1)
+                                 for a_hat in state], axis=0)
+                for m in np.flatnonzero(~finite):
+                    if failures[m] is None:  # a zeroed member may blow up again: keep its first step
+                        failures[m] = BlowUpError(j, j * dt)
+                    for a_hat in state:
+                        a_hat[m] = 0.0
+                if None not in failures:
+                    last_step = j
+                    break
+            if j % stride == 0 and held < stop - first:
+                for store, a_hat in zip(stores, state):
+                    store[:, held] = a_hat
+                held += 1
+        # back to physical space in place, with no temporary
+        done = 1 if first == 0 else 0
+        if held > done:
+            for store in stores:
+                np.fft.ifftn(store[:, done:held], axes=g.axes, out=store[:, done:held])
+            if not dpd:
+                stores[0][:, done:held] -= 1.0
+        yield SnapshotBlock(
+            grid=g, start=first, times=times[first:first + held], v=stores[0][:, :held],
+            psi=stores[1][:, :held] if dpd else None,
+            dw_hat=None if dw_hat is None else dw_hat[:, :last_step - first * stride],
+            failures=tuple(failures),
+        )
+        if None not in failures:
+            return
 
-    # back to physical space in place, with no temporary; row 0 is initial_v as given
-    for store in stores:
-        np.fft.ifftn(store[:, 1:], axes=g.axes, out=store[:, 1:])
-    if not dpd:
-        stores[0][:, 1:] -= 1.0
 
-    times = np.arange(0, n_steps + 1, stride) * dt
+def solve(config: SolverConfig) -> Trajectory:
+    """Integrate one trajectory on config.stream_id: solve_members with one
+    member.  Raises BlowUpError at the first step whose state is not finite."""
+    (result,) = solve_members(config, [config.stream_id])
+    if isinstance(result, BlowUpError):
+        raise result
+    return result
+
+
+def solve_members(config: SolverConfig, stream_ids: Sequence[int]) -> list:
+    """snapshot_blocks collected into one Trajectory per stream id: every
+    snapshot, and the noise path at snapshot_stride 1 (the prescribed one
+    itself, if given), or the member's BlowUpError in place of its
+    trajectory.  A trajectory's arrays are views into the batch's."""
+    g = config.grid
+    dpd = config.scheme == "dpd"
+    stores = [np.empty((len(stream_ids), config.n_snapshots) + g.shape, dtype=np.complex128)
+              for _ in range(2 if dpd else 1)]
+    paths = None
+    block = None
+    for block in snapshot_blocks(config, stream_ids):
+        sl = slice(block.start, block.start + len(block.times))
+        stores[0][:, sl] = block.v
+        if dpd:
+            stores[1][:, sl] = block.psi
+        if block.dw_hat is not None and config.prescribed_path is None:
+            if paths is None:
+                paths = np.empty((len(stream_ids), config.n_steps) + g.shape, dtype=np.complex128)
+            paths[:, block.start:block.start + block.dw_hat.shape[1]] = block.dw_hat
     return [
         failure if failure is not None else Trajectory(
             grid=g,
             scheme=config.scheme,
-            times=times,
+            times=config.snapshot_times,
             v=stores[0][m],
             psi=stores[1][m] if dpd else None,
             config=config if s == config.stream_id else replace(config, stream_id=s),
-            noise_path=path if paths is None else NoisePath(g, dt, paths[m]),
+            noise_path=(config.prescribed_path if paths is None
+                        else NoisePath(g, config.dt, paths[m])),
         )
-        for m, (s, failure) in enumerate(zip(stream_ids, failures))
+        for m, (s, failure) in enumerate(zip(stream_ids, block.failures))
     ]
 
 
@@ -502,33 +620,89 @@ def initial_random_band(
 # --- binary export ----------------------------------------------------------
 
 
+class TrajectoryWriter(lattice.FieldWriter):
+    """trajectory.bin written block by block: the header, whose snapshot
+    count is known up front, then the v snapshots and, for dpd, the Psi
+    snapshots after them.  Called with a one-member SnapshotBlock, it writes
+    the block's rows at their places.  The stored dt is the snapshot
+    spacing (solver dt times the snapshot stride), so a reader can
+    reconstruct snapshot times."""
+
+    def __init__(self, filename: str, grid: GridSpec, scheme: str, n_snapshots: int,
+                 spacing: float):
+        header = struct.pack(_TRAJ_HEADER, grid.dim, grid.points_per_axis, n_snapshots,
+                             grid.box_length, spacing, SCHEMES.index(scheme))
+        super().__init__(filename, TRAJ_MAGIC + header, grid)
+        self.n_snapshots = n_snapshots
+
+    def __call__(self, block: SnapshotBlock) -> None:
+        self.write(block.start, block.v[0])
+        if block.psi is not None:
+            self.write(self.n_snapshots + block.start, block.psi[0])
+
+
 def write_trajectory(traj: Trajectory, filename: str) -> None:
-    """Binary export; the stored dt is the snapshot spacing (solver dt times
-    the snapshot stride), so a reader can reconstruct snapshot times."""
+    """Binary export of a kept trajectory (TrajectoryWriter)."""
     cfg = traj.solver_config("write_trajectory")
-    g = traj.grid
-    header = struct.pack(
-        _TRAJ_HEADER, g.dim, g.points_per_axis, traj.n_snapshots, g.box_length,
-        cfg.dt * cfg.snapshot_stride, SCHEMES.index(traj.scheme),
-    )
-    with open(filename, "wb") as fh:
-        fh.write(TRAJ_MAGIC + header)
-        lattice.write_fields(fh, traj.v)
-        if traj.psi is not None:
-            lattice.write_fields(fh, traj.psi)
+    with TrajectoryWriter(filename, traj.grid, traj.scheme, traj.n_snapshots,
+                          cfg.dt * cfg.snapshot_stride) as writer:
+        for block in traj.blocks():
+            writer(block)
 
 
-def read_trajectory(filename: str) -> Trajectory:
-    """Read back a file written by write_trajectory.  The stored dt is the
-    snapshot spacing, so times are i * dt.  Raises FormatError when the file
-    is malformed or holds a non-finite value."""
+def trajectory_blocks(filename: str) -> tuple:
+    """Open a file written by write_trajectory: check its header, and its
+    size against the header.  Returns (grid, scheme, times, blocks), with
+    times i * dt (the stored dt is the snapshot spacing) and blocks a
+    generator of the file's one-member SnapshotBlocks in order, about
+    lattice.BLOCK_BYTES of v rows each.  Raises FormatError when the file is
+    malformed, and the generator when a block holds a non-finite value,
+    naming the first such field in file order."""
     with open(filename, "rb") as fh:
         dim, n, snaps, box_length, dt, tag = lattice.read_header(fh, TRAJ_MAGIC, _TRAJ_HEADER)
         if tag >= len(SCHEMES):
             raise FormatError(f"{fh.name}: unknown scheme tag {tag}")
         grid, scheme = lattice.header_grid(fh, dim, n, box_length, dt), SCHEMES[tag]
-        fields = lattice.read_fields(fh, grid, 2 * snaps if scheme == "dpd" else snaps)
-    return Trajectory(
-        grid=grid, scheme=scheme, times=np.arange(snaps) * dt,
-        v=fields[:snaps], psi=fields[snaps:] if scheme == "dpd" else None,
-    )
+        lattice.check_payload(fh, grid, 2 * snaps if scheme == "dpd" else snaps)
+        start = fh.tell()
+    times = np.arange(snaps) * dt
+    return grid, scheme, times, _file_blocks(filename, start, grid, scheme == "dpd", times)
+
+
+def _file_blocks(filename: str, start: int, grid: GridSpec, dpd: bool, times: np.ndarray):
+    """The blocks of trajectory_blocks: each block's v rows, then its Psi
+    rows, checked as they are read."""
+    snaps, field_bytes = len(times), grid.total_points * lattice.FIELD_DTYPE.itemsize
+    blocks = list(lattice.row_blocks(snaps, field_bytes))
+    with open(filename, "rb") as fh:
+        for k, sl in enumerate(blocks):
+            fh.seek(start + sl.start * field_bytes)
+            v = lattice.read_rows(fh, grid, sl.stop - sl.start, sl.start)
+            psi = None
+            if dpd:
+                fh.seek(start + (snaps + sl.start) * field_bytes)
+                try:
+                    psi = lattice.read_rows(fh, grid, sl.stop - sl.start, snaps + sl.start)
+                except FormatError:
+                    # a non-finite v field in a later block comes first in the file
+                    for later in blocks[k + 1:]:
+                        fh.seek(start + later.start * field_bytes)
+                        lattice.read_rows(fh, grid, later.stop - later.start, later.start)
+                    raise
+            yield SnapshotBlock(grid=grid, start=sl.start, times=times[sl], v=v[np.newaxis],
+                                psi=None if psi is None else psi[np.newaxis])
+
+
+def read_trajectory(filename: str) -> Trajectory:
+    """Read back a file written by write_trajectory: trajectory_blocks,
+    collected.  Raises FormatError when the file is malformed or holds a
+    non-finite value."""
+    grid, scheme, times, blocks = trajectory_blocks(filename)
+    v = np.empty((len(times),) + grid.shape, dtype=np.complex128)
+    psi = np.empty_like(v) if scheme == "dpd" else None
+    for block in blocks:
+        sl = slice(block.start, block.start + len(block.times))
+        v[sl] = block.v[0]
+        if psi is not None:
+            psi[sl] = block.psi[0]
+    return Trajectory(grid=grid, scheme=scheme, times=times, v=v, psi=psi)

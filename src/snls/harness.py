@@ -8,6 +8,7 @@ a comment.  Unknown sections or keys are rejected with line numbers.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -249,9 +250,9 @@ class EnsembleReport:
         return sum(1 for m in self.members if m.get("failed"))
 
 
-# Bytes of snapshots and noise paths one batch of ensemble members may hold
-# (dynamics.member_bytes each).  A 16^2 member of 50 steps holds about
-# 404 KiB, so a batch there is about 40 members.
+# Bytes one batch of ensemble members may hold while it streams
+# (dynamics.member_bytes each).  A 16^2 direct member holds about 60 KiB,
+# so a batch there is about 270 members.
 BATCH_BYTES = 16 << 20
 
 
@@ -265,15 +266,15 @@ def _batches(rc: RunConfig) -> List[range]:
 
 
 def _member_summary(rc: RunConfig, members: Sequence[int]) -> List[dict]:
-    """One batched solve of the members (stream_id = member index), then each
-    member's ledger, partition and summary."""
+    """One batched, streamed solve of the members (stream_id = member index)
+    into their norm tables, then each member's ledger, partition and summary."""
     summaries = []
-    for member, traj in zip(members, dynamics.solve_members(build_solver_config(rc), members)):
+    for member, table in zip(members, diagnostics.solve_tables(build_solver_config(rc), members)):
         try:
-            if isinstance(traj, BlowUpError):
-                raise traj
-            ledger = diagnostics.ito_ledger(traj)
-            part = diagnostics.partition_intervals(traj, rc.eta)
+            if isinstance(table, BlowUpError):
+                raise table
+            ledger = diagnostics.ito_ledger(table)
+            part = diagnostics.partition_intervals(table, rc.eta)
         except BlowUpError as exc:  # in the solve, or in the norm table
             summaries.append({"member": member, "failed": True, "blow_up_step": exc.step})
             continue
@@ -392,7 +393,8 @@ def convergence_study(rc: RunConfig, dt_list: Sequence[float]) -> dict:
 
 def residual_refinement_study(rc: RunConfig, n_halvings: int = 3) -> dict:
     """Ito-ledger residual at t_final for one fixed noise path across dt
-    halvings (Brownian-consistent coarsening from the finest level).
+    halvings (Brownian-consistent coarsening from the finest level, drawn
+    again for each level, so no level holds the path).
 
     Produces a discrepancy record when the literal printed drift terms fail
     to give a non-increasing |residual|; the balanced drift terms derived
@@ -403,9 +405,13 @@ def residual_refinement_study(rc: RunConfig, n_halvings: int = 3) -> dict:
     dts = [rc.dt / (2**j) for j in range(n_halvings + 1)]
     base = build_solver_config(rc)
     literal, balanced = [], []
-    for dt, path in _shared_noise_paths(rc, base, dts):
-        cfg = replace(base, dt=dt, snapshot_stride=1, prescribed_path=path)
-        ledger = diagnostics.ito_ledger(dynamics.solve(cfg))
+    for j, dt in enumerate(dts):
+        # each level draws the finest level's rows as its steps come, summed
+        cfg = replace(base, dt=dt, snapshot_stride=1, noise_substeps=2 ** (n_halvings - j))
+        (table,) = diagnostics.solve_tables(cfg, [cfg.stream_id])
+        if isinstance(table, BlowUpError):
+            raise table
+        ledger = diagnostics.ito_ledger(table)
         literal.append(abs(float(ledger.residual[-1])))
         balanced.append(abs(float(ledger.residual_balanced[-1])))
     lit_ok = all(b <= a * (1 + 1e-12) for a, b in zip(literal, literal[1:]))
@@ -486,6 +492,23 @@ def write_report(report: EnsembleReport, path: str) -> None:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise UsageError(f"cannot write report to {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def temporary_outputs(out_dir: str, names: Sequence[str]):
+    """Temporary paths in out_dir, one per output file name, as a dict by
+    name: they take their names when the block ends and are removed when it
+    raises, so a failed run leaves no partial output."""
+    tmp = {name: os.path.join(out_dir, name + ".tmp") for name in names}
+    try:
+        yield tmp
+    except BaseException:
+        for path in tmp.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
+    for name, path in tmp.items():
+        os.replace(path, os.path.join(out_dir, name))
 
 
 def ensure_output_dir(rc: RunConfig) -> str:

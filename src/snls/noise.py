@@ -195,23 +195,13 @@ def increment_rows(spec: NoiseSpec, dt: float, master_seed: int, stream_id: int,
         yield spectral_increment(spec, dt, step_rng(master_seed, stream_id, j)) * scale
 
 
-def draw_paths(
-    spec: NoiseSpec, dt: float, n_steps: int, master_seed: int, stream_ids: Sequence[int]
-) -> np.ndarray:
-    """The first n_steps rows of increment_rows on each stream id, as one
-    (len(stream_ids), n_steps, *grid.shape) array: one path per stream."""
-    dw_hat = np.empty((len(stream_ids), n_steps) + spec.grid.shape, dtype=np.complex128)
-    for path, stream_id in zip(dw_hat, stream_ids):
-        for j, row in enumerate(increment_rows(spec, dt, master_seed, stream_id, n_steps)):
-            path[j] = row
-    return dw_hat
-
-
 def generate_noise_path(
     spec: NoiseSpec, dt: float, n_steps: int, master_seed: int, stream_id: int = 0
 ) -> NoisePath:
     """The first n_steps rows of increment_rows, held as one array."""
-    dw_hat = draw_paths(spec, dt, n_steps, master_seed, [stream_id])[0]
+    dw_hat = np.empty((n_steps,) + spec.grid.shape, dtype=np.complex128)
+    for j, row in enumerate(increment_rows(spec, dt, master_seed, stream_id, n_steps)):
+        dw_hat[j] = row
     return NoisePath(grid=spec.grid, dt=dt, dw_hat=dw_hat)
 
 
@@ -225,16 +215,28 @@ def coarsen_noise_path(path: NoisePath, factor: int) -> NoisePath:
     return NoisePath(grid=path.grid, dt=path.dt * factor, dw_hat=dw_hat)
 
 
+class NoisePathWriter(lattice.FieldWriter):
+    """noise_path.bin written block by block: magic, dim/n/steps as u64 LE,
+    dt as LE double, then the physical increments in the lattice field
+    codec, step-major.  Called with a SnapshotBlock, it writes the block's
+    physical noise rows at their steps."""
+
+    def __init__(self, filename: str, grid: GridSpec, dt: float, n_steps: int):
+        header = struct.pack(_NOISE_HEADER, grid.dim, grid.points_per_axis, n_steps, dt)
+        super().__init__(filename, NOISE_MAGIC + header, grid)
+
+    def __call__(self, block) -> None:
+        if block.dw_hat is not None and block.dw_hat.shape[1]:
+            self.write(block.start, block.dw[0])
+
+
 def write_noise_path(path: NoisePath, filename: str) -> None:
-    """Binary export: magic, dim/n/steps as u64 LE, dt as LE double, then
-    the physical increments in the lattice field codec, step-major, made from
-    the Fourier rows block by block."""
+    """Binary export of a held path (NoisePathWriter), its physical rows made
+    from the Fourier rows block by block."""
     g = path.grid
-    with open(filename, "wb") as fh:
-        fh.write(NOISE_MAGIC)
-        fh.write(struct.pack(_NOISE_HEADER, g.dim, g.points_per_axis, path.n_steps, path.dt))
-        for sl in lattice.row_blocks(path.dw_hat):
-            lattice.write_fields(fh, path.physical(sl.start, sl.stop))
+    with NoisePathWriter(filename, g, path.dt, path.n_steps) as writer:
+        for sl in lattice.row_blocks(path.n_steps, g.total_points * 16):
+            writer.write(sl.start, path.physical(sl.start, sl.stop))
 
 
 def read_noise_path(filename: str, box_length: float) -> NoisePath:
