@@ -89,14 +89,17 @@ class NormAccumulator:
     that carry noise rows, each step's ham3 term (ham3_steps).
 
     One forward transform per block of v* (and of v and Psi for dpd) over
-    every member's rows at once; the physical noise rows are the block's
-    own.  A non-finite snapshot raises UsageError naming it.  Columns are
-    kept per member, and tables() checks each member's on its own."""
+    every member's rows at once, into a work array kept from block to
+    block; ham3 reads the block's physical and Fourier noise rows and takes
+    no transform of its own.  A non-finite snapshot raises UsageError naming
+    it.  Columns are kept per member, and tables() checks each member's on
+    its own."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
         self.blocks = []  # per block: key -> (members, rows) column
         self.times = []
+        self._work = np.empty(0, dtype=np.complex128)  # a block's forward transforms
 
     @np.errstate(over="ignore", invalid="ignore")  # the columns are checked in tables()
     def add(self, block) -> None:
@@ -110,37 +113,55 @@ class NormAccumulator:
         if not finite.all():
             raise UsageError(f"snapshot {block.start + int(np.argmin(finite)) % b} "
                              "holds a non-finite value")
-        w_hat = np.fft.fftn(w, axes=g.axes)
-        grad = lattice.gradient_magnitude(g, w_hat)
-        cols = {key: lattice._lp_of_values(grad, r, cell)
-                for key, r in (("grad_l4", 4.0), ("grad_l12o5", 12.0 / 5.0), ("grad_l2", 2.0))}
-        del grad
-        cols["l6"] = lattice._lp_of_values(flat, 6.0, cell)
+        if self._work.shape != w.shape:  # the same for every block but the last
+            self._work = np.empty(w.shape, dtype=np.complex128)
+        w_hat = np.fft.fftn(w, s=g.shape, axes=g.axes, out=self._work)
+        grad = lattice.gradient_magnitude(g, w_hat)  # non-negative: no abs
+        l12o5 = lattice._lp_of_powers(grad ** 2.4, 2.4, cell)
+        l2 = lattice._lp_of_powers(np.square(grad, out=grad), 2.0, cell)
+        l4 = lattice._lp_of_powers(np.square(grad, out=grad), 4.0, cell)
+        # in this order, _checked names the first non-finite column
+        cols = {"grad_l4": l4, "grad_l12o5": l12o5, "grad_l2": l2}
         abs2 = np.abs(flat) ** 2
-        q = abs2 + 2.0 * flat.real  # |u|^2 - 1
-        cols["energy"] = 0.5 * cols["grad_l2"] ** 2 + 0.25 * np.sum(q**2, axis=1) * cell
+        cube = np.square(abs2, out=grad)  # grad's buffer, no longer read
+        cube *= abs2
+        cols["l6"] = lattice._lp_of_powers(cube, 6.0, cell)
+        del grad, cube
+        q = 2.0 * flat.real
+        q += abs2  # |u|^2 - 1
+        cols["energy"] = 0.5 * cols["grad_l2"] ** 2 + 0.25 * np.sum(np.square(q), axis=1) * cell
         qv_balanced = np.sum(q, axis=1) * cell
-        del q
-        cols["qv"] = np.sum(abs2 + flat.imag**2 + 4.0 * flat.real, axis=1) * cell
+        abs2 += np.square(flat.imag)
+        abs2 += 4.0 * flat.real
+        cols["qv"] = np.sum(abs2, axis=1) * cell
         cols["qv_balanced"] = qv_balanced
+        del abs2
         steps = 0 if block.dw_hat is None else block.dw_hat.shape[1]
         if steps:
             # Im int G(v*) phi dW dx paired with each left-point snapshot, for
-            # G(v*) = |v*|^2 conj(v*) - Lap conj(v*) + |v*|^2 + 2 Re(v*) conj(v*) + 2 Re(v*)
-            paired = slice(None) if steps == b else np.arange(m_count * b) % b < steps
-            v_s, a = flat[paired], abs2[paired]
-            vb = np.conj(v_s)
-            lap_vb = np.conj(lattice.laplacian(g, w_hat[paired]))
-            integrand = a * vb - lap_vb + a + 2.0 * v_s.real * vb + 2.0 * v_s.real
-            del v_s, a, vb, lap_vb
-            np.multiply(integrand, block.dw.reshape(len(integrand), -1), out=integrand)
-            cols["ham3_steps"] = np.imag(np.sum(integrand, axis=1)) * cell
-            del integrand
-        del w_hat, abs2, flat, w
+            # G(v*) = (|u|^2 - 1) conj(u) - Lap conj(v*) and u = 1 + v*.  The
+            # first term is real arithmetic on the physical rows; the second
+            # is, by Parseval, (1/N) sum_k |k|^2 Im(conj(w_hat) dw_hat)
+            # on the Fourier rows, with no transform.
+            rows = (m_count, b, -1)
+            w_s, q_s, w_hat_s = (a.reshape(rows)[:, :steps] for a in (flat, q, w_hat))
+            dw, dw_hat = (a.reshape(m_count, steps, -1) for a in (block.dw, block.dw_hat))
+            term = 1.0 + w_s.real
+            term *= dw.imag
+            term -= w_s.imag * dw.real
+            term *= q_s
+            lap_term = w_hat_s.real * dw_hat.imag
+            lap_term -= w_hat_s.imag * dw_hat.real
+            lap_term *= g.ksq().reshape(-1)
+            ham3 = np.sum(term, axis=-1) + np.sum(lap_term, axis=-1) / g.total_points
+            cols["ham3_steps"] = ham3 * cell
+            del term, lap_term, w_s, q_s, w_hat_s
+        del w_hat, q, flat, w
         if psi is not None:
             for key, part in (("v_grad_l12o5", v), ("psi_grad_l12o5", psi)):
-                part_grad = lattice.gradient_magnitude(g, np.fft.fftn(part, axes=g.axes))
-                cols[key] = lattice._lp_of_values(part_grad, 12.0 / 5.0, cell)
+                part_hat = np.fft.fftn(part, s=g.shape, axes=g.axes, out=self._work)
+                part_grad = lattice.gradient_magnitude(g, part_hat)
+                cols[key] = lattice._lp_of_powers(part_grad ** 2.4, 2.4, cell)
         self.blocks.append({key: col.reshape(m_count, -1) for key, col in cols.items()})
         self.times.append(block.times)
 

@@ -198,8 +198,15 @@ def _phase_substep(u: np.ndarray, dt: float, offset: float) -> np.ndarray:
     The product is always u * f with f the held exponential: with FMA, f * u
     rounds differently, and numpy's temporary elision would pick one order or
     the other by the array's size, so a field's bits would depend on how many
-    members are stacked with it."""
-    f = np.exp(-1j * (np.abs(u) ** 2 - offset) * dt)
+    members are stacked with it.  f = cos(theta) + i sin(-theta) for
+    theta = (|u|^2 - offset) dt has the bits of exp(-1j * theta), with no
+    complex temporary."""
+    theta = np.abs(u) ** 2
+    theta -= offset
+    theta *= dt
+    f = np.empty(u.shape, dtype=np.complex128)
+    np.cos(theta, out=f.real)
+    np.sin(np.negative(theta, out=theta), out=f.imag)
     np.multiply(u, f, out=f)
     return f
 

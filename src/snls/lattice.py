@@ -65,9 +65,17 @@ class GridSpec:
         """The trailing axes of a stack of fields in lattice shape."""
         return tuple(range(-self.dim, 0))
 
-    def wavenumber_mesh(self) -> list:
-        """One |dim|-dimensional wavenumber array per axis (open meshgrid)."""
-        return list(np.meshgrid(*([self.wavenumbers] * self.dim), indexing="ij", sparse=True))
+    def wavenumber_mesh(self) -> tuple:
+        """One |dim|-dimensional wavenumber array per axis (open meshgrid);
+        built once per grid and read-only."""
+        return self._wavenumber_mesh
+
+    @cached_property
+    def _wavenumber_mesh(self) -> tuple:
+        mesh = tuple(np.meshgrid(*([self.wavenumbers] * self.dim), indexing="ij", sparse=True))
+        for km in mesh:
+            km.flags.writeable = False
+        return mesh
 
     def ksq(self) -> np.ndarray:
         """|k|^2 on the full lattice, shape = grid.shape; computed once per
@@ -202,12 +210,19 @@ def apply_schrodinger_group(field: ComplexField, t: float) -> ComplexField:
 def gradient_magnitude(field, uhat=None) -> np.ndarray:
     """|grad u|(x) = (sum_axes |d_j u|^2)^{1/2} by spectral derivatives, flat
     per field, for one ComplexField or for a stack of fields given as their
-    GridSpec and their forward transform uhat over the trailing grid axes."""
+    GridSpec and their forward transform uhat over the trailing grid axes.
+
+    Each derivative is made and transformed in one scratch array, and its
+    squared parts summed in place: no other array of the stack's size."""
     grid, uhat = (field.grid, np.fft.fftn(field.mesh)) if uhat is None else (field, uhat)
+    d = np.empty(uhat.shape, dtype=np.complex128)
     acc = np.zeros(uhat.shape)
     for km in grid.wavenumber_mesh():
-        acc += np.abs(np.fft.ifftn(1j * km * uhat, axes=grid.axes)) ** 2
-    return np.sqrt(acc).reshape(uhat.shape[: uhat.ndim - grid.dim] + (-1,))
+        np.multiply(1j * km, uhat, out=d)
+        np.fft.ifftn(d, s=grid.shape, axes=grid.axes, out=d)
+        acc += np.square(d.real, out=d.real)
+        acc += np.square(d.imag, out=d.imag)
+    return np.sqrt(acc, out=acc).reshape(uhat.shape[: uhat.ndim - grid.dim] + (-1,))
 
 
 def laplacian(field, uhat=None):
@@ -242,12 +257,18 @@ def sobolev_norm(field: ComplexField, s: float, homogeneous: bool = False) -> fl
 
 def _lp_of_values(values: np.ndarray, r: float, cell: float):
     """L^r norm of flat field values, or one per field of a stack (leading
-    axes); roots are taken in scalar arithmetic, so a stacked field's norm
-    is the one it has alone."""
+    axes)."""
     mags = np.abs(values)
     if r == INF:
         return mags.max(axis=-1, initial=0.0)
-    sums = np.sum(mags**r, axis=-1) * cell
+    return _lp_of_powers(mags**r, r, cell)
+
+
+def _lp_of_powers(powers: np.ndarray, r: float, cell: float):
+    """L^r norm from the values of |f|^r, flat per field or one per field of
+    a stack (leading axes); roots are taken in scalar arithmetic, so a
+    stacked field's norm is the one it has alone."""
+    sums = np.sum(powers, axis=-1) * cell
     return np.array([s ** (1.0 / r) for s in sums.tolist()]) if sums.ndim else sums ** (1.0 / r)
 
 

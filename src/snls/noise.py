@@ -189,10 +189,13 @@ class NoisePath:
 def increment_rows(spec: NoiseSpec, dt: float, master_seed: int, stream_id: int, n_steps: int):
     """Fourier rows 0 .. n_steps - 1 of the path keyed by (master_seed,
     stream_id), each drawn when asked for; a step's draw depends only on its
-    own key.  A row is the array field_from_spectral transforms."""
+    own key.  A row is the array field_from_spectral transforms, scaled in
+    place."""
     scale = spec.grid.total_points / np.sqrt(spec.grid.volume)
     for j in range(n_steps):
-        yield spectral_increment(spec, dt, step_rng(master_seed, stream_id, j)) * scale
+        row = spectral_increment(spec, dt, step_rng(master_seed, stream_id, j))
+        row *= scale
+        yield row
 
 
 def generate_noise_path(

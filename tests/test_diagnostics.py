@@ -480,3 +480,26 @@ class TestBlockedNormPass:
         finally:
             tracemalloc.stop()
         assert peak < traj.v.nbytes
+
+
+@pytest.mark.parametrize("scheme", ["direct", "dpd"])
+def test_4d_pass_matches_per_snapshot_reference(monkeypatch, scheme):
+    # ham3's Laplacian term is taken by Parseval on the Fourier rows; the
+    # oracle takes it in physical space.  11 snapshots at 8^4 in blocks of
+    # 3 rows: several blocks, the last one partial
+    g = make_grid(4, 8, TWO_PI)
+    monkeypatch.setattr(lattice, "BLOCK_BYTES", 3 * g.total_points * 16)
+    traj = dynamics.solve(dynamics.SolverConfig(
+        grid=g, t_final=0.02, dt=0.002, scheme=scheme, noise=noise.multiplier_noise(g, 0.4, 3.5),
+        initial_v=dynamics.initial_gaussian_bump(g, 0.2, 0.8), master_seed=11))
+    assert [len(block.times) for block in traj.blocks()] == [3, 3, 3, 2]
+    cols, ledger = reference_table_and_ledger(traj)
+    table = diagnostics.snapshot_norms(traj)
+    assert table.keys() == cols.keys()
+    for key, want in cols.items():
+        np.testing.assert_allclose(table[key], want, rtol=1e-13, atol=0.0, err_msg=key)
+    got = vars(diagnostics.ito_ledger(traj))
+    scale = np.max(np.abs(ledger["energy"]))
+    for key, want in ledger.items():
+        atol = 1e-13 * scale if key.startswith("residual") else 0.0  # a small difference
+        np.testing.assert_allclose(got[key], want, rtol=1e-13, atol=atol, err_msg=key)

@@ -90,6 +90,20 @@ class TestNonlinearities:
         out = dynamics.nonlinear_phase_substep(u, 0.37)
         assert np.allclose(np.abs(out.values), np.abs(u.values), atol=1e-13)
 
+    @pytest.mark.parametrize("shape", [(16, 16), (4, 16, 16), (128, 128), (16,) * 4],
+                             ids=["16sq", "4x16sq", "128sq", "16e4"])
+    @pytest.mark.parametrize("offset", [1.0, 0.0])
+    def test_phase_substep_bits_are_the_exponential(self, shape, offset):
+        # cos/sin keep the bits of u * exp(-1j * theta).  The exponential is
+        # held by a name: numpy elides a nameless temporary of 256 KiB or
+        # more and computes f * u into it, which rounds differently with FMA
+        rng = np.random.default_rng(7)
+        u = 1.0 + 0.6 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        u.flat[:3] = [1.0, 0.0, 3.0 - 2.0j]  # |u| = 1, u = 0 and |u| > 1
+        for dt in (1e-3, 2e-3, 0.37):
+            f = np.exp(-1j * (np.abs(u) ** 2 - offset) * dt)
+            assert np.array_equal(dynamics._phase_substep(u, dt, offset), u * f)
+
 
 class TestSolveDeterministic:
     def test_vacuum_is_stationary(self):
