@@ -172,8 +172,9 @@ def gp_nonlinearity(u_field: ComplexField) -> ComplexField:
 def dpd_nonlinearity(v_field: ComplexField, psi_field: ComplexField) -> ComplexField:
     """|v|^2 v plus the expanded remainder nonlinearity, summand by summand.
 
-    Algebraically identical to (|v + 1 + psi|^2 - 1)(v + 1 + psi), the form
-    strang_step_dpd evaluates.
+    Algebraically identical to (|w|^2 - 1) w with w = 1 + v + psi, the form
+    strang_step_dpd evaluates on w itself: _dpd_step forms w from the
+    coefficients of v + psi in one inverse FFT, and never forms v alone.
     """
     if v_field.grid != psi_field.grid:
         raise UsageError("v and psi live on different grids")
@@ -225,11 +226,12 @@ def nonlinear_phase_substep(u_field: ComplexField, dt: float) -> ComplexField:
 # run, and transforms over the tables' axes, the trailing axes of the state.
 
 
-def _over_table(fft, a: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _over_table(fft, a: np.ndarray, table: np.ndarray, out=None) -> np.ndarray:
     """fft (np.fft.fftn or ifftn) of a over the trailing axes a phase table
-    spans.  Giving s, the table's shape, with axes spares numpy a per-call
-    lookup of the axes' lengths that costs about a quarter of a 16^2 transform."""
-    return fft(a, s=table.shape, axes=tuple(range(-table.ndim, 0)))
+    spans, into out= if given.  Giving s, the table's shape, with axes spares
+    numpy a per-call lookup of the axes' lengths that costs about a quarter
+    of a 16^2 transform."""
+    return fft(a, s=table.shape, axes=tuple(range(-table.ndim, 0)), out=out)
 
 
 def _add_increment(a_hat: np.ndarray, dw_hat: Optional[np.ndarray]) -> np.ndarray:
@@ -239,32 +241,49 @@ def _add_increment(a_hat: np.ndarray, dw_hat: Optional[np.ndarray]) -> np.ndarra
     return a_hat
 
 
-def strang_step_dpd(v_hat: np.ndarray, psi_mid: np.ndarray, half: np.ndarray, dt: float) -> np.ndarray:
-    """Strang step for the remainder v, carried as its Fourier coefficients
-    v_hat = fftn(v), with Psi frozen over the step at psi_mid.
+def dpd_work(shape: tuple) -> tuple:
+    """The held work arrays of strang_step_dpd for a state of this shape:
+    w, the stage argument, the stage and the running stage sum (complex),
+    and |w|^2 - 1 (real)."""
+    return (tuple(np.empty(shape, dtype=np.complex128) for _ in range(4))
+            + (np.empty(shape, dtype=np.float64),))
 
-    Half linear step, one classical RK4 substep of the pointwise ODE
-    v' = -i (|w|^2 - 1) w with w = 1 + v + psi_mid, half linear step.  The
-    caller passes the midpoint-consistent Psi (step-start value freely
-    propagated by dt/2) in physical space, or 0.0 for a zero Psi.  Returns
-    the new coefficients.
-    """
-    y = _over_table(np.fft.ifftn, v_hat * half, half)
-    c = 1.0 + psi_mid
 
-    def nl(y: np.ndarray) -> np.ndarray:
-        """(|w|^2 - 1) w; the factor -i sits in the stage coefficients."""
-        w = y + c
-        return (w.real**2 + w.imag**2 - 1.0) * w
+def strang_step_dpd(dt: float, work: tuple) -> np.ndarray:
+    """One classical RK4 step of the pointwise ODE w' = -i (|w|^2 - 1) w from
+    w = work[0]: dpd's nonlinear substep, where w = 1 + v + Psi_mid
+    and Psi_mid is frozen, so w' = v'.  Returns Delta = w(dt) - w(0) in
+    work[3].
 
-    k1 = nl(y)
-    k2 = nl(y + (-0.5j * dt) * k1)
-    k3 = nl(y + (-0.5j * dt) * k2)
-    k4 = nl(y + (-1j * dt) * k3)
-    y += (-1j * dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    v_hat = _over_table(np.fft.fftn, y, half)
-    v_hat *= half
-    return v_hat
+    Every operation writes into the held arrays with out=, so no temporary
+    is made, and numpy's temporary elision cannot change an operand order
+    with the array's size: a member's bits do not depend on its batch."""
+    w, s, k, acc, r = work
+
+    def stage(src: np.ndarray, out: np.ndarray) -> None:
+        """out = (|src|^2 - 1) src; the factor -i sits in the stage
+        coefficients.  The squares pass through out's memory."""
+        np.square(src.view(np.float64), out=out.view(np.float64))
+        np.add(out.real, out.imag, out=r)
+        np.subtract(r, 1.0, out=r)
+        np.multiply(src, r, out=out)
+
+    def argument(kj: np.ndarray, c: complex) -> None:
+        """s = w + c kj."""
+        np.multiply(kj, c, out=s)
+        np.add(s, w, out=s)
+
+    stage(w, acc)  # acc = k1
+    argument(acc, -0.5j * dt)
+    for c in (-0.5j * dt, -1j * dt):  # k2, then k3
+        stage(s, k)
+        argument(k, c)
+        k *= 2.0
+        acc += k
+    stage(s, k)  # k4
+    acc += k
+    acc *= -1j * dt / 6.0
+    return acc
 
 
 def _strang_step(state: tuple, dw_hat, half: np.ndarray, dt: float, offset: float) -> tuple:
@@ -276,14 +295,26 @@ def _strang_step(state: tuple, dw_hat, half: np.ndarray, dt: float, offset: floa
     return (_add_increment(u_hat, dw_hat),)
 
 
-def _dpd_step(state: tuple, dw_hat, half: np.ndarray, full: np.ndarray, dt: float) -> tuple:
-    """dpd, state (v_hat, psi_hat): strang_step_dpd with the step-start Psi
-    freely propagated to the step midpoint (midpoint-consistent convention,
-    adapted: it uses no new increment; a zero Psi without noise), then
-    Psi(t+dt) = S(dt) Psi(t) - i * (phi DeltaW), exactly in Fourier space."""
+def _dpd_step(state: tuple, dw_hat, half: np.ndarray, full: np.ndarray, dt: float,
+              work: tuple) -> tuple:
+    """dpd, state (v_hat, psi_hat): Psi frozen over the step at its step-start
+    value freely propagated to the step midpoint (midpoint-consistent
+    convention, adapted: it uses no new increment), half free step of v, one
+    RK4 substep, half free step.  One inverse FFT gives the substep's start
+    w = 1 + ifftn(half (v_hat + psi_hat)); strang_step_dpd integrates w over
+    the step to its change Delta; then v_hat <- full v_hat + half fftn(Delta),
+    since half^2 = full.  v alone is never formed in physical space.  Psi
+    advances exactly in Fourier space: S(dt) Psi(t) - i * (phi DeltaW)."""
     v_hat, psi_hat = state
-    psi_mid = 0.0 if dw_hat is None else _over_table(np.fft.ifftn, psi_hat * half, half)
-    v_hat = strang_step_dpd(v_hat, psi_mid, half, dt)
+    w = work[0]
+    np.add(v_hat, psi_hat, out=w)
+    w *= half
+    _over_table(np.fft.ifftn, w, half, out=w)
+    w += 1.0
+    delta = _over_table(np.fft.fftn, strang_step_dpd(dt, work), half, out=work[3])
+    delta *= half
+    v_hat *= full
+    v_hat += delta
     psi_hat *= full
     return v_hat, _add_increment(psi_hat, dw_hat)
 
@@ -301,10 +332,11 @@ def _linear_step(state: tuple, dw_hat, full: np.ndarray) -> tuple:
 
 def member_bytes(config: SolverConfig) -> int:
     """Bytes one member of a streamed batch holds, about: its state arrays,
-    the step's temporaries (4 fields for the Strang step, 12 for dpd's RK4
-    substep), and its share of one snapshot block with the norm pass's
-    temporaries over it (about ten rows).  It keeps no snapshots and no path."""
-    rows = (2 + 12 if config.scheme == "dpd" else 1 + 4) + 10
+    the step's temporaries (4 fields for the Strang step; for dpd the held
+    work arrays of dpd_work, four complex and one real, 5 rounded up), and
+    its share of one snapshot block with the norm pass's temporaries over it
+    (about ten rows).  It keeps no snapshots and no path."""
+    rows = (2 + 5 if config.scheme == "dpd" else 1 + 4) + 10
     return rows * config.grid.total_points * 16
 
 
@@ -401,7 +433,8 @@ def snapshot_blocks(config: SolverConfig, stream_ids: Sequence[int]):
     if config.disable_nonlinearity:
         step = partial(_linear_step, full=full)
     elif dpd:
-        step = partial(_dpd_step, half=half, full=full, dt=dt)
+        step = partial(_dpd_step, half=half, full=full, dt=dt,
+                       work=dpd_work((m_count,) + g.shape))
     else:
         offset = 0.0 if config.scheme == "deterministic_cubic" else 1.0
         step = partial(_strang_step, half=half, dt=dt, offset=offset)

@@ -537,7 +537,7 @@ class TestPhaseTableStepper:
         return len(calls)
 
     BUDGETS = [  # scheme, prescribed path, FFTs per step, linear flow
-        ("dpd", True, 3, False), ("dpd", False, 3, False), ("direct", False, 2, False),
+        ("dpd", True, 2, False), ("dpd", False, 2, False), ("direct", False, 2, False),
         ("direct", True, 2, False), ("deterministic_gp", False, 2, False),
         ("deterministic_cubic", False, 2, False), ("direct", False, 0, True), ("dpd", False, 0, True),
     ]
@@ -558,30 +558,37 @@ class TestPhaseTableStepper:
         assert (counts[1] - counts[0]) / 10 <= budget
 
     def test_fft_budget_per_step_zero_noise_dpd(self, monkeypatch):
-        # with no increments Psi stays zero, so Psi_mid takes no transform
+        # with no increments Psi stays zero, and the step still transforms
+        # only v_hat + psi_hat forward and back
         g = grid2d()
         counts = []
         for n in (10, 20):
             cfg = replace(stepper_config("dpd", g, n_steps=n, stride=n), noise=noise.zero_noise(g))
             counts.append(self.count_ffts(monkeypatch, cfg))
         assert (counts[1] - counts[0]) / 10 <= 2
-        # and the snapshots equal those of a run fed all-zero increments,
-        # which transforms Psi_mid every step
+        # and the snapshots equal those of a run fed all-zero increments
         cfg = replace(cfg, snapshot_stride=1)
         zeros = noise.NoisePath(grid=g, dt=cfg.dt, dw_hat=np.zeros((20,) + g.shape, dtype=complex))
         fed = dynamics.solve(replace(cfg, prescribed_path=zeros))
         for got, want in zip(dynamics.solve(cfg).v_snapshots, fed.v_snapshots):
             assert np.array_equal(got.values, want.values)
 
-    def test_dpd_matches_physical_space_stepper(self):
-        g = grid2d()
-        cfg = stepper_config("dpd", g)
+    def check_dpd_against_physical_space_stepper(self, g, n_steps):
+        cfg = stepper_config("dpd", g, n_steps=n_steps)
         traj = dynamics.solve(cfg)
         ref = physical_dpd_solve(cfg)
-        assert traj.n_snapshots == len(ref) == 41
+        assert traj.n_snapshots == len(ref) == n_steps + 1
         for i, (v_ref, psi_ref) in enumerate(ref):
             for got, want in ((traj.v_snapshots[i].values, v_ref), (traj.psi_snapshots[i].values, psi_ref)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+
+    def test_dpd_matches_physical_space_stepper(self):
+        self.check_dpd_against_physical_space_stepper(grid2d(), 40)
+
+    def test_dpd_matches_physical_space_stepper_4d(self):
+        # the step's one inverse FFT of v_hat + psi_hat and forward FFT of
+        # the substep's change, over four axes
+        self.check_dpd_against_physical_space_stepper(make_grid(4, 8, TWO_PI), 10)
 
     @pytest.mark.parametrize("scheme", ["direct", "deterministic_gp", "deterministic_cubic"])
     def test_physical_schemes_match_group_steps(self, scheme):

@@ -200,6 +200,8 @@ class TestRunEnsemble:
                .replace("dt = 0.005", "dt = 0.01").replace("scheme = direct", "scheme = dpd")
                .replace("amplitude = 0.2\nsigma = 3.0", "amplitude = 80\nsigma = 1.0")
                .replace("master_seed = 11", "master_seed = 1"))
+    # 16^2 dpd, no member blowing up
+    DPD_16SQ = BASE_CONFIG.replace("scheme = direct", "scheme = dpd")
 
     @pytest.mark.parametrize("doc, size", [
         # 64 members at 16^2: one batch of all of them holds 256 KiB per state
@@ -211,7 +213,9 @@ class TestRunEnsemble:
         # some zeroed members blow up a second time before the last one first
         # does, and each keeps the step of its first blow-up
         (BLOW_UP.replace("t_final = 0.05", "t_final = 0.4").replace("amplitude = 80", "amplitude = 30"), 24),
-    ], ids=["direct-16sq", "dpd-blow-up", "dpd-blow-up-40-steps"])
+        # dpd's RK4 substep writes into held work arrays of 256 KiB here
+        (DPD_16SQ, 64),
+    ], ids=["direct-16sq", "dpd-blow-up", "dpd-blow-up-40-steps", "dpd-16sq"])
     def test_batch_size_invariance(self, tmp_path, monkeypatch, doc, size):
         rc = replace(harness.parse_config(doc), ensemble_size=size)
         member_bytes = dynamics.member_bytes(harness.build_solver_config(rc))
@@ -228,7 +232,7 @@ class TestRunEnsemble:
         want = report(1)
         for batch, workers in ((3, 1), (5, 1), (size, 1), (size, 2)):
             assert report(batch, workers) == want, (batch, workers)
-        assert doc == BASE_CONFIG or b"failed=True" in want
+        assert doc in (BASE_CONFIG, self.DPD_16SQ) or b"failed=True" in want
 
     def test_all_members_blow_up(self, tmp_path, capsys):
         # the report once printed final_energy_mean = nan and each standard error as 0.0
