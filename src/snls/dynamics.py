@@ -13,6 +13,7 @@ deterministic_cubic (i u_t + Lap u = |u|^2 u, the gauge image of GP).
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -62,9 +63,6 @@ class SolverConfig:
     stream_id: int = 0
     disable_nonlinearity: bool = False  # linear flow only: noise-stats' Psi-only dpd run
     prescribed_path: Optional[NoisePath] = None
-    # a drawn row is the sum of this many rows drawn at dt / noise_substeps:
-    # the path of the run at the finer step, coarsened as it is drawn
-    noise_substeps: int = 1
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -76,8 +74,6 @@ class SolverConfig:
             raise ConfigurationError(f"t_final/dt = {steps} is not an integer")
         if not stride_divides(self.snapshot_stride, steps):
             raise ConfigurationError("snapshot_stride must divide the step count")
-        if self.noise_substeps < 1:
-            raise ConfigurationError("noise_substeps must be >= 1")
 
     @property
     def n_steps(self) -> int:
@@ -365,54 +361,171 @@ class SnapshotBlock:
         return np.fft.ifftn(self.dw_hat, axes=self.grid.axes)
 
 
-def _noise_rows(config: SolverConfig, stream_ids: Sequence[int]):
-    """Step j's Fourier noise rows, one (M, *grid.shape) array per step, or
-    None per step without noise: from increment_rows, or with noise_substeps
-    above 1 each the sum of that many rows drawn at dt / noise_substeps, in
-    order, the bits coarsen_noise_path gives."""
+def _drawn_rows(config: SolverConfig, stream_ids: Sequence[int], dt: float, n_steps: int):
+    """Rows 0 .. n_steps - 1 of the members' paths at step dt, one
+    (M, *grid.shape) array per step, drawn from increment_rows as their
+    step comes; None per step without noise."""
     if not config.stochastic:
-        yield from [None] * config.n_steps
-        return
-    k = config.noise_substeps
-    draws = [noise_mod.increment_rows(config.noise, config.dt / k, config.master_seed, s,
-                                      config.n_steps * k) for s in stream_ids]
-    for _ in range(config.n_steps):
-        row = np.stack([next(d) for d in draws])
-        for _ in range(k - 1):
-            row += np.stack([next(d) for d in draws])
-        yield row
+        return itertools.repeat(None, n_steps)
+    draws = [noise_mod.increment_rows(config.noise, dt, config.master_seed, s, n_steps)
+             for s in stream_ids]
+    return map(lambda *rows: np.stack(rows), *draws)
+
+
+class Stepper:
+    """One run of M members stepped as one (M, *grid.shape) state, fed its
+    noise rows one step at a time (advance) and emitting its snapshots in
+    SnapshotBlocks of consecutive snapshots (emit), at most
+    lattice.BLOCK_BYTES of v rows over all members and at least one
+    snapshot each.  Nothing is held from one block to the next but the
+    state, the step's phase tables and work arrays.
+
+    Every scheme carries Fourier coefficients, and the noise's Fourier
+    rows enter them directly: direct and the deterministic schemes
+    u_hat = fftn(1 + v), dpd those of v and Psi.  A block's snapshots are
+    the held coefficients, transformed back in place by one inverse FFT
+    per block and array; row 0 of the run is initial_v as given (and
+    Psi = 0).  At snapshot_stride 1, a run with noise keeps the rows of a
+    block's steps in the block.
+
+    A member whose state is not finite after step j (from 0) gets
+    BlowUpError(j + 1) in failures and its rows are zeroed, so later steps
+    stay finite on them; a zeroed member that blows up again keeps its
+    first step.  When every member has failed, the block so far is the
+    last.  Every operation acts on each member's rows alone, so a
+    member's bits do not depend on the batch or on the block size."""
+
+    def __init__(self, config: SolverConfig, m_count: int, work: Optional[tuple] = None):
+        """work: dpd_work arrays of the state's shape to step in, made here
+        if not given.  They hold nothing from one step to the next, so
+        steppers that take their steps one at a time can share them."""
+        g, dt = config.grid, config.dt
+        self.config, self.m_count = config, m_count
+        self.keep_rows = config.snapshot_stride == 1 and (
+            config.prescribed_path is not None or config.stochastic)
+        self.dpd = config.scheme == "dpd"
+        half = lattice.schrodinger_phase(g, dt / 2.0)
+        full = lattice.schrodinger_phase(g, dt)
+        shape = (m_count,) + g.shape
+        if config.disable_nonlinearity:
+            self.step = partial(_linear_step, full=full)
+        elif self.dpd:
+            self.step = partial(_dpd_step, half=half, full=full, dt=dt,
+                                work=dpd_work(shape) if work is None else work)
+        else:
+            offset = 0.0 if config.scheme == "deterministic_cubic" else 1.0
+            self.step = partial(_strang_step, half=half, dt=dt, offset=offset)
+        v0 = config.initial_v.mesh
+        if self.dpd:
+            self.state = (np.broadcast_to(np.fft.fftn(v0, axes=g.axes), shape).copy(),
+                          np.zeros(shape, dtype=np.complex128))
+        else:
+            self.state = (np.broadcast_to(np.fft.fftn(1.0 + v0, axes=g.axes), shape).copy(),)
+        self.size = max(1, lattice.BLOCK_BYTES // (m_count * g.total_points * 16))
+        self.stride = config.snapshot_stride
+        self.failures = [None] * m_count
+        self.j = 0  # steps taken
+        self.done = False  # the last block is emitted
+        self._open(0)
+
+    def _open(self, first: int) -> None:
+        """Bound the block of snapshots first .. stop - 1.  Its arrays are
+        made when it takes its first step or is emitted (_fill), so the
+        block emitted before it is consumed first, as a generator's would
+        be, and its memory can be reused."""
+        self.first = first
+        self.stop = min(first + self.size, self.config.n_snapshots)
+        self.last_step = min(self.stop, self.config.n_snapshots - 1) * self.stride
+        self.stores = None
+
+    def _fill(self) -> None:
+        """Make the open block's arrays, holding snapshot first."""
+        cfg, m_count, shape, first = self.config, self.m_count, self.config.grid.shape, self.first
+        self.stores = [np.empty((m_count, self.stop - first) + shape, dtype=np.complex128)
+                       for _ in self.state]
+        self.dw_hat = (np.empty((m_count, self.last_step - self.j) + shape, dtype=np.complex128)
+                       if self.keep_rows else None)
+        if first == 0:  # in physical space as given, and not transformed
+            self.stores[0][:, 0] = cfg.initial_v.mesh
+            if self.dpd:
+                self.stores[1][:, 0] = 0.0
+        else:
+            for store, a_hat in zip(self.stores, self.state):
+                store[:, 0] = a_hat
+        self.held = 1  # snapshots stored in this block
+
+    @property
+    def ready(self) -> bool:
+        """True when the open block has taken all its steps: emit it next."""
+        return not self.done and self.j == self.last_step
+
+    def advance(self, dw_hat_row: Optional[np.ndarray]) -> None:
+        """Take step j with its Fourier noise row ((M, *grid.shape), or
+        lattice-shaped for every member alike; None without noise)."""
+        if self.stores is None:
+            self._fill()
+        j = self.j
+        if self.dw_hat is not None:
+            self.dw_hat[:, j - self.first] = dw_hat_row
+        state = self.state = self.step(self.state, dw_hat_row)
+        self.j = j = j + 1
+        if not all(lattice.all_finite(a_hat) for a_hat in state):
+            self._zero_failed(state)
+            if None not in self.failures:
+                self.last_step = j
+                return
+        if j % self.stride == 0 and self.held < self.stop - self.first:
+            for store, a_hat in zip(self.stores, state):
+                store[:, self.held] = a_hat
+            self.held += 1
+
+    def _zero_failed(self, state: tuple) -> None:
+        """Zero the rows of each member whose rows of state are not finite,
+        and record its BlowUpError at the steps taken unless it has one."""
+        finite = np.all([np.isfinite(a_hat.view(np.float64).reshape(self.m_count, -1)).all(axis=1)
+                         for a_hat in state], axis=0)
+        for m in np.flatnonzero(~finite):
+            if self.failures[m] is None:  # a zeroed member may blow up again: keep its first step
+                self.failures[m] = BlowUpError(self.j, self.j * self.config.dt)
+            for a_hat in state:
+                a_hat[m] = 0.0
+
+    def emit(self) -> SnapshotBlock:
+        """The open block, its snapshots back in physical space, once it is
+        ready; then the next block opens, unless this one is the last."""
+        if self.stores is None:
+            self._fill()
+        g, first, held, stores = self.config.grid, self.first, self.held, self.stores
+        # back to physical space in place, with no temporary
+        done = 1 if first == 0 else 0
+        if held > done:
+            for store in stores:
+                np.fft.ifftn(store[:, done:held], axes=g.axes, out=store[:, done:held])
+            if not self.dpd:
+                stores[0][:, done:held] -= 1.0
+        block = SnapshotBlock(
+            grid=g, start=first, times=self.config.snapshot_times[first:first + held],
+            v=stores[0][:, :held], psi=stores[1][:, :held] if self.dpd else None,
+            dw_hat=(None if self.dw_hat is None
+                    else self.dw_hat[:, :self.last_step - first * self.stride]),
+            failures=tuple(self.failures),
+        )
+        self.done = None not in self.failures or self.stop == self.config.n_snapshots
+        if not self.done:
+            self._open(self.stop)
+        return block
 
 
 def snapshot_blocks(config: SolverConfig, stream_ids: Sequence[int]):
     """Integrate from config.initial_v one member per stream id, all M of them
-    as one (M, *grid.shape) state, and yield every snapshot_stride-th state
-    in SnapshotBlocks of consecutive snapshots, at most lattice.BLOCK_BYTES
-    of v rows over all members and at least one snapshot each.  Nothing is
-    held from one block to the next but the state.
+    as one Stepper, and yield its SnapshotBlocks.
 
     Row j of a member's noise path drives its step j.  The rows come from
     config.prescribed_path if given, the same for every member; else, for a
-    stochastic scheme, they are drawn as their step comes (_noise_rows).  At
-    snapshot_stride 1 a block carries the rows of its steps.  Every scheme
-    carries Fourier coefficients, and the noise's Fourier rows enter them
-    directly: direct and the deterministic schemes u_hat = fftn(1 + v), dpd
-    those of v and Psi.  A block's snapshots are the held coefficients,
-    transformed back in place by one inverse FFT per block and array; row 0
-    of the run is initial_v as given (and Psi = 0).
-
-    A member whose state is not finite after step j gets BlowUpError(j + 1)
-    in the blocks' failures and its rows are zeroed, so later steps stay
-    finite on them; a zeroed member that blows up again keeps its first
-    step.  When every member has failed, the block so far is the last.
-    Every operation acts on each member's rows alone, so a member's bits do
-    not depend on the batch or on the block size."""
-    g = config.grid
-    n_steps = config.n_steps
-    stride = config.snapshot_stride
-    dt = config.dt
-    m_count = len(stream_ids)
-    path = config.prescribed_path
+    stochastic scheme, they are drawn as their step comes (_drawn_rows)."""
+    n_steps, path = config.n_steps, config.prescribed_path
     if path is not None:
+        g, dt = config.grid, config.dt
         if path.n_steps != n_steps:
             raise ConfigurationError(
                 f"prescribed path has {path.n_steps} steps, solver needs {n_steps}"
@@ -425,85 +538,55 @@ def snapshot_blocks(config: SolverConfig, stream_ids: Sequence[int]):
             raise ConfigurationError(f"prescribed path has dt = {path.dt}, solver dt = {dt}")
         rows = iter(path.dw_hat)  # lattice-shaped rows, broadcast over the members
     else:
-        rows = _noise_rows(config, stream_ids)
-    keep_rows = stride == 1 and (path is not None or config.stochastic)
-    dpd = config.scheme == "dpd"
-    half = lattice.schrodinger_phase(g, dt / 2.0)
-    full = lattice.schrodinger_phase(g, dt)
-    if config.disable_nonlinearity:
-        step = partial(_linear_step, full=full)
-    elif dpd:
-        step = partial(_dpd_step, half=half, full=full, dt=dt,
-                       work=dpd_work((m_count,) + g.shape))
-    else:
-        offset = 0.0 if config.scheme == "deterministic_cubic" else 1.0
-        step = partial(_strang_step, half=half, dt=dt, offset=offset)
+        rows = _drawn_rows(config, stream_ids, config.dt, n_steps)
+    stepper = Stepper(config, len(stream_ids))
+    while not stepper.done:
+        while not stepper.ready:
+            stepper.advance(next(rows))
+        yield stepper.emit()
 
-    v0 = config.initial_v.mesh
-    shape = (m_count,) + g.shape
-    if dpd:
-        state = (np.broadcast_to(np.fft.fftn(v0, axes=g.axes), shape).copy(),
-                 np.zeros(shape, dtype=np.complex128))
-    else:
-        state = (np.broadcast_to(np.fft.fftn(1.0 + v0, axes=g.axes), shape).copy(),)
 
-    n_snaps, times = config.n_snapshots, config.snapshot_times
-    size = max(1, lattice.BLOCK_BYTES // (m_count * g.total_points * 16))
-    failures = [None] * m_count
-    j = 0  # steps taken
-    for first in range(0, n_snaps, size):
-        stop = min(first + size, n_snaps)
-        stores = [np.empty((m_count, stop - first) + g.shape, dtype=np.complex128) for _ in state]
-        last_step = min(stop, n_snaps - 1) * stride  # the block's steps end here
-        dw_hat = None
-        if keep_rows:
-            rows_shape = (m_count, last_step - j) + g.shape
-            dw_hat = (np.empty(rows_shape, dtype=np.complex128) if path is None
-                      else np.broadcast_to(path.dw_hat[j:last_step], rows_shape))
-        if first == 0:  # in physical space as given, and not transformed
-            stores[0][:, 0] = v0
-            if dpd:
-                stores[1][:, 0] = 0.0
-        else:
-            for store, a_hat in zip(stores, state):
-                store[:, 0] = a_hat
-        held = 1  # snapshots stored in this block
-        while j < last_step:
-            dw_row = next(rows)
-            if keep_rows and path is None:
-                dw_hat[:, j - first] = dw_row
-            state = step(state, dw_row)
-            j += 1
-            if not all(lattice.all_finite(a_hat) for a_hat in state):
-                finite = np.all([np.isfinite(a_hat.view(np.float64).reshape(m_count, -1)).all(axis=1)
-                                 for a_hat in state], axis=0)
-                for m in np.flatnonzero(~finite):
-                    if failures[m] is None:  # a zeroed member may blow up again: keep its first step
-                        failures[m] = BlowUpError(j, j * dt)
-                    for a_hat in state:
-                        a_hat[m] = 0.0
-                if None not in failures:
-                    last_step = j
-                    break
-            if j % stride == 0 and held < stop - first:
-                for store, a_hat in zip(stores, state):
-                    store[:, held] = a_hat
-                held += 1
-        # back to physical space in place, with no temporary
-        done = 1 if first == 0 else 0
-        if held > done:
-            for store in stores:
-                np.fft.ifftn(store[:, done:held], axes=g.axes, out=store[:, done:held])
-            if not dpd:
-                stores[0][:, done:held] -= 1.0
-        yield SnapshotBlock(
-            grid=g, start=first, times=times[first:first + held], v=stores[0][:, :held],
-            psi=stores[1][:, :held] if dpd else None,
-            dw_hat=None if dw_hat is None else dw_hat[:, :last_step - first * stride],
-            failures=tuple(failures),
-        )
-        if None not in failures:
-            return
+def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) -> list:
+    """Step the runs of configs, the levels, on one Brownian path per stream
+    id: one Stepper each, fed from one stream of rows drawn once at the
+    finest dt.  Level k with dt = f_k times the finest sums f_k rows in
+    order, the bits coarsen_noise_path gives, and steps when it has them;
+    each of its blocks goes to the callable sinks[k].  A level without
+    noise steps with None.  The levels must share the grid, t_final, noise
+    and seed, and their configs' prescribed paths are not read; dpd levels
+    step in one set of work arrays.  Returns per level the members'
+    failures: BlowUpError, naming the level's own step, or None."""
+    dt_fine = min(c.dt for c in configs)
+    n_fine = int(round(configs[0].t_final / dt_fine))
+    factors = [int(round(c.dt / dt_fine)) for c in configs]
+    for c, f in zip(configs, factors):
+        if c.n_steps * f != n_fine:
+            raise UsageError(f"dt = {c.dt} is not a whole multiple of the finest dt "
+                             f"{dt_fine} over t_final = {configs[0].t_final}")
+    noisy = next((c for c in configs if c.stochastic), configs[0])  # draws the rows, if any
+    rows = _drawn_rows(noisy, stream_ids, dt_fine, n_fine)
+    work = (dpd_work((len(stream_ids),) + configs[0].grid.shape)
+            if any(c.scheme == "dpd" for c in configs) else None)
+    steppers = [Stepper(c, len(stream_ids), work) for c in configs]
+    sums = [None] * len(configs)
+    for i, row in enumerate(rows):
+        for k, (cfg, stepper, f, sink) in enumerate(zip(configs, steppers, factors, sinks)):
+            if stepper.done:
+                continue
+            step_row = row if cfg.stochastic else None
+            if f > 1 and step_row is not None:
+                if i % f == 0:
+                    sums[k] = step_row.copy()
+                else:
+                    sums[k] += step_row
+                step_row = sums[k]
+            if (i + 1) % f == 0:
+                stepper.advance(step_row)
+                while stepper.ready:
+                    sink(stepper.emit())
+        if all(s.done for s in steppers):  # every level has blown up: draw no more rows
+            break
+    return [s.failures for s in steppers]
 
 
 def solve(config: SolverConfig) -> Trajectory:

@@ -330,26 +330,10 @@ def run_ensemble(rc: RunConfig) -> EnsembleReport:
 # --- convergence studies --------------------------------------------------------
 
 
-def _shared_noise_paths(rc: RunConfig, base: SolverConfig, dts: Sequence[float]):
-    """Yield (dt, noise path) for each dt, finest last.  Every path sums the
-    increments of one path drawn at the finest dt, so all runs see the same
-    Brownian path; the path is None for a deterministic run."""
-    dt_min = dts[-1]
-    fine = None
-    if base.stochastic:
-        fine = noise_mod.generate_noise_path(
-            base.noise, dt_min, int(round(rc.t_final / dt_min)), rc.master_seed, stream_id=0
-        )
-    for dt in dts:
-        yield dt, None if fine is None else noise_mod.coarsen_noise_path(
-            fine, int(round(dt / dt_min))
-        )
-
-
 def convergence_study(rc: RunConfig, dt_list: Sequence[float]) -> dict:
-    """Errors at t_final against the finest-dt reference run, with the noise
-    path generated at the finest resolution and coarsened by increment
-    summation so every run sees the same Brownian path."""
+    """Errors at t_final against the finest-dt reference run, every run on
+    one Brownian path: the levels step in lockstep (dynamics.lockstep) on
+    rows drawn once at the finest dt, and each keeps only its final state."""
     dts = list(dt_list)
     if len(dts) < 2 or any(b >= a for a, b in zip(dts, dts[1:])) or not dts[-1] > 0:
         raise UsageError("dt_list must be positive and strictly decreasing with >= 2 entries")
@@ -361,20 +345,33 @@ def convergence_study(rc: RunConfig, dt_list: Sequence[float]) -> dict:
             raise UsageError(f"dt = {dt} is not an integer multiple of the finest dt")
 
     base = build_solver_config(rc)
-    runs = {}
-    for dt, path in _shared_noise_paths(rc, base, dts):
-        cfg = replace(
-            base, dt=dt, snapshot_stride=int(round(rc.t_final / dt)), prescribed_path=path
-        )
-        runs[dt] = dynamics.solve(cfg)
+    finals = [None] * len(dts)  # u = 1 + v + Psi at t_final, per level
 
-    ref = runs[dt_min].u_snapshot(runs[dt_min].n_snapshots - 1)
-    errors = []
-    for dt in dts[:-1]:
-        traj = runs[dt]
-        u = traj.u_snapshot(traj.n_snapshots - 1)
-        diff = lattice.ComplexField(u.grid, u.values - ref.values)
-        errors.append(lattice.lebesgue_norm(diff, 2.0))
+    def keep_final(k):
+        def sink(block):
+            u = 1.0 + block.v[0, -1]
+            finals[k] = u if block.psi is None else u + block.psi[0, -1]
+        return sink
+
+    configs = [replace(base, dt=dt, snapshot_stride=int(round(rc.t_final / dt))) for dt in dts]
+    for (failure,) in dynamics.lockstep(configs, [base.stream_id],
+                                         [keep_final(k) for k in range(len(dts))]):
+        if failure is not None:
+            raise failure
+    errors = [lattice.lebesgue_norm(lattice.ComplexField(base.grid, (u - finals[-1]).ravel()), 2.0)
+              for u in finals[:-1]]
+    return {
+        "dts": dts,
+        "errors_vs_finest": errors,
+        "observed_order": observed_order(dts, errors),
+        "at_round_off": bool(max(errors) < 1e-11),
+    }
+
+
+def observed_order(dts: Sequence[float], errors: Sequence[float]) -> float:
+    """The slope of log error against log dt, errors[k] at dts[k] measured
+    against the finest dt, dts[-1]."""
+    dt_min = dts[-1]
     # dts too close to the reference are biased toward higher apparent order
     # (errors behave like C*(dt^p - dt_min^p)); keep dt >= 4*dt_min in the fit
     fit = [(dt, e) for dt, e in zip(dts[:-1], errors) if dt >= 4 * dt_min * (1 - 1e-9)]
@@ -382,19 +379,14 @@ def convergence_study(rc: RunConfig, dt_list: Sequence[float]) -> dict:
         fit = list(zip(dts[:-1], errors))
     log_dt = np.log(np.asarray([f[0] for f in fit]))
     log_err = np.log(np.maximum(np.asarray([f[1] for f in fit]), 1e-300))
-    order = float(np.polyfit(log_dt, log_err, 1)[0]) if len(fit) > 1 else float("nan")
-    return {
-        "dts": dts,
-        "errors_vs_finest": errors,
-        "observed_order": order,
-        "at_round_off": bool(max(errors) < 1e-11),
-    }
+    return float(np.polyfit(log_dt, log_err, 1)[0]) if len(fit) > 1 else float("nan")
 
 
 def residual_refinement_study(rc: RunConfig, n_halvings: int = 3) -> dict:
     """Ito-ledger residual at t_final for one fixed noise path across dt
-    halvings (Brownian-consistent coarsening from the finest level, drawn
-    again for each level, so no level holds the path).
+    halvings: the levels step in lockstep (dynamics.lockstep) on rows drawn
+    once at the finest dt, each into its own norm table, so no level holds
+    the path.
 
     Produces a discrepancy record when the literal printed drift terms fail
     to give a non-increasing |residual|; the balanced drift terms derived
@@ -404,11 +396,14 @@ def residual_refinement_study(rc: RunConfig, n_halvings: int = 3) -> dict:
         raise UsageError(f"the number of dt halvings must be >= 0, got {n_halvings}")
     dts = [rc.dt / (2**j) for j in range(n_halvings + 1)]
     base = build_solver_config(rc)
+    configs = [replace(base, dt=dt, snapshot_stride=1) for dt in dts]
+    accs = [diagnostics.NormAccumulator(base.grid) for _ in dts]
+    failures = dynamics.lockstep(configs, [base.stream_id], [acc.add for acc in accs])
     literal, balanced = [], []
-    for j, dt in enumerate(dts):
-        # each level draws the finest level's rows as its steps come, summed
-        cfg = replace(base, dt=dt, snapshot_stride=1, noise_substeps=2 ** (n_halvings - j))
-        (table,) = diagnostics.solve_tables(cfg, [cfg.stream_id])
+    for cfg, acc, (failure,) in zip(configs, accs, failures):
+        if failure is not None:
+            raise failure
+        (table,) = acc.tables([cfg])
         if isinstance(table, BlowUpError):
             raise table
         ledger = diagnostics.ito_ledger(table)

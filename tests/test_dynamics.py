@@ -263,6 +263,27 @@ class TestSolveStochastic:
         assert np.array_equal(traj.v, every.v[::4])
         assert scheme == "direct" or np.array_equal(traj.psi, every.psi[::4])
 
+    def test_lockstep_levels_are_the_held_path_runs(self):
+        # levels that differ in dt and scheme, the two dpd ones stepping in
+        # one set of work arrays: the bits of solve on the coarsened held path
+        base = replace(self.stochastic_config("direct", seed=3, stream=1), snapshot_stride=5)
+        configs = [replace(base, scheme=s, dt=dt) for s, dt in
+                   (("dpd", 0.02), ("direct", 0.01), ("dpd", 0.005))]
+        blocks = [[] for _ in configs]
+        assert dynamics.lockstep(configs, [1], [b.append for b in blocks]) == [[None]] * 3
+        fine = noise.generate_noise_path(base.noise, 0.005, 20, 3, stream_id=1)
+        for cfg, got in zip(configs, blocks):
+            path = noise.coarsen_noise_path(fine, int(round(cfg.dt / 0.005)))
+            want = dynamics.solve(replace(cfg, prescribed_path=path))
+            assert np.concatenate([b.v[0] for b in got]).tobytes() == want.v.tobytes()
+            assert cfg.scheme == "direct" or (
+                np.concatenate([b.psi[0] for b in got]).tobytes() == want.psi.tobytes())
+
+    def test_lockstep_rejects_a_dt_off_the_finest_steps(self):
+        base = self.stochastic_config("direct")  # t_final 0.1
+        with pytest.raises(UsageError, match="whole multiple"):
+            dynamics.lockstep([replace(base, dt=0.02), replace(base, dt=0.0125)], [0], [print, print])
+
     def test_dpd_psi_matches_standalone_sampler(self):
         traj = dynamics.solve(self.stochastic_config("dpd", seed=6))
         g = traj.grid

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from snls import cli, diagnostics, dynamics, harness, lattice, noise
-from snls.errors import FormatError
+from snls.errors import BlowUpError, FormatError
 
 CONFIG = """
 [grid]
@@ -59,11 +59,37 @@ def read_files(out_dir):
     return {name: open(os.path.join(out_dir, name), "rb").read() for name in sorted(os.listdir(out_dir))}
 
 
+def held_levels(base, dts, stride_one=False):
+    """Per dt its run on one held path: generate_noise_path at the finest dt,
+    coarsen_noise_path to each dt, solve with it prescribed; a BlowUpError in
+    place of a run that blows up."""
+    n_fine = int(round(base.t_final / dts[-1]))
+    fine = (noise.generate_noise_path(base.noise, dts[-1], n_fine, base.master_seed)
+            if base.stochastic else None)
+    runs = []
+    for dt in dts:
+        path = None if fine is None else noise.coarsen_noise_path(fine, int(round(dt / dts[-1])))
+        stride = 1 if stride_one else int(round(base.t_final / dt))
+        try:
+            runs.append(dynamics.solve(dynamics.SolverConfig(
+                grid=base.grid, t_final=base.t_final, dt=dt, scheme=base.scheme,
+                noise=base.noise, initial_v=base.initial_v, snapshot_stride=stride,
+                master_seed=base.master_seed, prescribed_path=path)))
+        except BlowUpError as exc:
+            runs.append(exc)
+    return runs
+
+
+def converge_dts(t_final):
+    return [t_final / 5, t_final / 10, t_final / 20, t_final / 40]
+
+
 def kept_route(cfgfile, out_dir):
-    """simulate, partition and verify-energy written out on kept trajectories:
-    solve, the ledger, the two writers, the partition of the file read back,
-    the Strichartz report, and the residual study on coarsened held paths.
-    Returns (simulate stdout, its files, partition stdout, verify-energy stdout)."""
+    """simulate, partition, verify-energy and converge written out on kept
+    trajectories: solve, the ledger, the two writers, the partition of the
+    file read back, the Strichartz report, and the residual and convergence
+    studies on coarsened held paths.  Returns (simulate stdout, its files,
+    partition stdout, verify-energy stdout, converge stdout)."""
     rc = harness.load_config(cfgfile)
     os.makedirs(out_dir)
     traj = dynamics.solve(harness.build_solver_config(rc))
@@ -90,27 +116,33 @@ def kept_route(cfgfile, out_dir):
 
     base = harness.build_solver_config(rc)
     dts = [rc.dt / 2**j for j in range(3)]
-    fine = noise.generate_noise_path(base.noise, dts[-1], base.n_steps * 4, rc.master_seed)
     residuals = []
-    for j, dt in enumerate(dts):
-        path = noise.coarsen_noise_path(fine, 2 ** (2 - j)) if base.stochastic else None
-        led = diagnostics.ito_ledger(dynamics.solve(dynamics.SolverConfig(
-            grid=base.grid, t_final=base.t_final, dt=dt, scheme=base.scheme, noise=base.noise,
-            initial_v=base.initial_v, master_seed=base.master_seed, prescribed_path=path)))
+    for dt, traj in zip(dts, held_levels(base, dts, stride_one=True)):
+        led = diagnostics.ito_ledger(traj)
         residuals.append((dt, abs(float(led.residual[-1])), abs(float(led.residual_balanced[-1]))))
     verify = "".join(f"dt = {dt!r}  |literal residual| = {lit!r}  |balanced residual| = {bal!r}\n"
                      for dt, lit, bal in residuals)
     lit = [r[1] for r in residuals]
     verify += f"literal_non_increasing = {all(b <= a * (1 + 1e-12) for a, b in zip(lit, lit[1:]))}\n"
-    return simulate, read_files(out_dir), partition, verify
+
+    dts = converge_dts(rc.t_final)
+    finals = [traj.u_snapshot(traj.n_snapshots - 1) for traj in held_levels(base, dts)]
+    errors = [lattice.lebesgue_norm(lattice.ComplexField(base.grid, u.values - finals[-1].values), 2.0)
+              for u in finals[:-1]]
+    converge = "".join(f"dt = {dt!r}  error = {err!r}\n" for dt, err in zip(dts, errors))
+    converge += f"observed_order = {harness.observed_order(dts, errors)!r}\n"
+    return simulate, read_files(out_dir), partition, verify, converge
 
 
-@pytest.mark.parametrize("scheme", ["direct", "dpd", "deterministic_gp"])
+@pytest.mark.parametrize("scheme", ["direct", "dpd", "deterministic_gp", "deterministic_cubic"])
 @pytest.mark.parametrize("dim, n, t_final", [(2, 16, 0.08), (4, 8, 0.024)], ids=["16sq", "8e4"])
 def test_block_size_invariance(tmp_path, monkeypatch, scheme, dim, n, t_final):
+    # converge and verify-energy step their levels in lockstep on rows drawn
+    # once; the kept route holds the fine path and coarsens it per level
     cfgfile = write_config(tmp_path, dim=dim, n=n, scheme=scheme, t_final=t_final)
     want = kept_route(cfgfile, os.path.join(tmp_path, "kept"))
-    assert ("noise_path.bin" in want[1]) == (scheme != "deterministic_gp")
+    assert ("noise_path.bin" in want[1]) == (scheme in ("direct", "dpd"))
+    dts = ",".join(map(repr, converge_dts(t_final)))
     row, default = n**dim * 16, lattice.BLOCK_BYTES
     for rows in (1, 3, None):
         monkeypatch.setattr(lattice, "BLOCK_BYTES", rows * row if rows else default)
@@ -122,6 +154,45 @@ def test_block_size_invariance(tmp_path, monkeypatch, scheme, dim, n, t_final):
         assert run_cli(["partition", "--config", cfgfile, "--trajectory", traj]) == (0, want[2], "")
         assert run_cli(["verify-energy", "--config", cfgfile, "--out", out, "--halvings", "2"])[:2] == (
             0, want[3])
+        assert run_cli(["converge", "--config", cfgfile, "--out", out, "--dts", dts]) == (0, want[4], "")
+
+
+def count_draws(monkeypatch):
+    """The (seed, stream, step) keys of the noise.step_rng calls from now on."""
+    calls, draw = [], noise.step_rng
+    monkeypatch.setattr(noise, "step_rng", lambda *key: calls.append(key) or draw(*key))
+    return calls
+
+
+@pytest.mark.parametrize("halvings", [0, 2, 3])
+def test_studies_draw_each_fine_row_once(tmp_path, monkeypatch, halvings):
+    cfgfile = write_config(tmp_path, n=8)  # dt 0.004, t_final 0.08: 20 steps
+    calls = count_draws(monkeypatch)
+    assert run_cli(["verify-energy", "--config", cfgfile, "--halvings", str(halvings)])[0] == 0
+    n_fine = 20 * 2**halvings
+    assert sorted(calls) == [(0, 0, j) for j in range(n_fine)]
+    calls.clear()
+    assert run_cli(["converge", "--config", cfgfile, "--dts", "0.016,0.008,0.004,0.002"])[0] == 0
+    assert sorted(calls) == [(0, 0, j) for j in range(40)]
+
+
+@pytest.mark.parametrize("amplitude, blown_levels", [("9", 1), ("14", 3)])
+def test_a_level_that_blows_up_names_its_own_step(tmp_path, amplitude, blown_levels):
+    # rough noise on dpd: RK4 is unstable at the coarse steps first
+    cfgfile = write_config(tmp_path, scheme="dpd")
+    with open(cfgfile) as fh:
+        doc = fh.read().replace("amplitude = 0.3\nsigma = 3.5", f"amplitude = {amplitude}\nsigma = 0.0")
+    with open(cfgfile, "w") as fh:
+        fh.write(doc.replace("dt = 0.004", "dt = 0.016"))
+    base = harness.build_solver_config(harness.load_config(cfgfile))
+    dts = [0.016, 0.008, 0.004, 0.002]
+    with np.errstate(over="ignore", invalid="ignore"):
+        held = held_levels(base, dts)
+        assert [isinstance(r, BlowUpError) for r in held] == [True] * blown_levels + [False] * (4 - blown_levels)
+        for argv in (["converge", "--dts", "0.016,0.008,0.004,0.002"], ["verify-energy", "--halvings", "3"]):
+            code, out, err = run_cli(argv + ["--config", cfgfile])
+            # the first level in dt order that blows up, at its own step
+            assert (code, out, err) == (2, "", f"runtime failure: {held[0]}\n"), argv[0]
 
 
 def test_memory_does_not_grow_with_steps(tmp_path):
