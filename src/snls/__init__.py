@@ -31,7 +31,6 @@ from .dynamics import (
     gp_nonlinearity,
     nonlinear_phase_substep,
     solve,
-    solve_members,
     strang_step_dpd,
 )
 from .diagnostics import (

@@ -224,20 +224,22 @@ def norm_table(grid: GridSpec, blocks, config: Optional[SolverConfig] = None) ->
 
 
 def solve_tables(config: SolverConfig, stream_ids: Sequence[int], sinks=()) -> list:
-    """Stream the members' snapshot blocks (dynamics.snapshot_blocks) into
-    each of sinks, called with every block in order, and into one
+    """Stream the members' snapshot blocks (a one-level dynamics.lockstep)
+    into each of sinks, called with every block in order, and then into one
     NormAccumulator.  Returns per stream id its NormTable, or its
     BlowUpError: the solve's, else the table's.  No snapshot is kept."""
     acc = NormAccumulator(config.grid)
-    block = None
-    for block in dynamics.snapshot_blocks(config, stream_ids):
+
+    def feed(block):
         for sink in sinks:
             sink(block)
         acc.add(block)
+
+    (failures,) = dynamics.lockstep([config], stream_ids, [feed])
     configs = [config if s == config.stream_id else replace(config, stream_id=s)
                for s in stream_ids]
     return [table if failure is None else failure
-            for failure, table in zip(block.failures, acc.tables(configs))]
+            for failure, table in zip(failures, acc.tables(configs))]
 
 
 def _cumulative(y: np.ndarray, times: np.ndarray) -> np.ndarray:

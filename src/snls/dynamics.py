@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import List, Optional, Sequence
 
@@ -374,8 +374,8 @@ def _drawn_rows(config: SolverConfig, stream_ids: Sequence[int], dt: float, n_st
 
 class Stepper:
     """One run of M members stepped as one (M, *grid.shape) state, fed its
-    noise rows one step at a time (advance) and emitting its snapshots in
-    SnapshotBlocks of consecutive snapshots (emit), at most
+    noise rows one step at a time (advance) and handing its snapshots to
+    its sink in SnapshotBlocks of consecutive snapshots, at most
     lattice.BLOCK_BYTES of v rows over all members and at least one
     snapshot each.  Nothing is held from one block to the next but the
     state, the step's phase tables and work arrays.
@@ -395,12 +395,13 @@ class Stepper:
     last.  Every operation acts on each member's rows alone, so a
     member's bits do not depend on the batch or on the block size."""
 
-    def __init__(self, config: SolverConfig, m_count: int, work: Optional[tuple] = None):
-        """work: dpd_work arrays of the state's shape to step in, made here
-        if not given.  They hold nothing from one step to the next, so
-        steppers that take their steps one at a time can share them."""
+    def __init__(self, config: SolverConfig, m_count: int, sink, work: Optional[tuple] = None):
+        """sink: called with each block once it is full.  work: dpd_work
+        arrays of the state's shape to step in, made here if not given.
+        They hold nothing from one step to the next, so steppers that take
+        their steps one at a time can share them."""
         g, dt = config.grid, config.dt
-        self.config, self.m_count = config, m_count
+        self.config, self.m_count, self.sink = config, m_count, sink
         self.keep_rows = config.snapshot_stride == 1 and (
             config.prescribed_path is not None or config.stochastic)
         self.dpd = config.scheme == "dpd"
@@ -425,14 +426,14 @@ class Stepper:
         self.stride = config.snapshot_stride
         self.failures = [None] * m_count
         self.j = 0  # steps taken
-        self.done = False  # the last block is emitted
+        self.done = False  # the last block is handed over
         self._open(0)
 
     def _open(self, first: int) -> None:
         """Bound the block of snapshots first .. stop - 1.  Its arrays are
-        made when it takes its first step or is emitted (_fill), so the
-        block emitted before it is consumed first, as a generator's would
-        be, and its memory can be reused."""
+        made at its first step, or when it is handed over without one
+        (_fill), so the block before it has been through the sink by then
+        and its memory can be reused."""
         self.first = first
         self.stop = min(first + self.size, self.config.n_snapshots)
         self.last_step = min(self.stop, self.config.n_snapshots - 1) * self.stride
@@ -454,14 +455,11 @@ class Stepper:
                 store[:, 0] = a_hat
         self.held = 1  # snapshots stored in this block
 
-    @property
-    def ready(self) -> bool:
-        """True when the open block has taken all its steps: emit it next."""
-        return not self.done and self.j == self.last_step
-
+    @np.errstate(over="ignore", invalid="ignore")  # a blow-up is named by _zero_failed
     def advance(self, dw_hat_row: Optional[np.ndarray]) -> None:
         """Take step j with its Fourier noise row ((M, *grid.shape), or
-        lattice-shaped for every member alike; None without noise)."""
+        lattice-shaped for every member alike; None without noise), and
+        hand the open block to the sink once it has taken all its steps."""
         if self.stores is None:
             self._fill()
         j = self.j
@@ -469,19 +467,19 @@ class Stepper:
             self.dw_hat[:, j - self.first] = dw_hat_row
         state = self.state = self.step(self.state, dw_hat_row)
         self.j = j = j + 1
-        if not all(lattice.all_finite(a_hat) for a_hat in state):
-            self._zero_failed(state)
-            if None not in self.failures:
-                self.last_step = j
-                return
-        if j % self.stride == 0 and self.held < self.stop - self.first:
+        if not all(lattice.all_finite(a_hat) for a_hat in state) and self._zero_failed(state):
+            self.last_step = j  # every member has failed: this block is the last
+        elif j % self.stride == 0 and self.held < self.stop - self.first:
             for store, a_hat in zip(self.stores, state):
                 store[:, self.held] = a_hat
             self.held += 1
+        while not self.done and j == self.last_step:  # a last block of one snapshot takes no step
+            self._emit()
 
-    def _zero_failed(self, state: tuple) -> None:
+    def _zero_failed(self, state: tuple) -> bool:
         """Zero the rows of each member whose rows of state are not finite,
-        and record its BlowUpError at the steps taken unless it has one."""
+        and record its BlowUpError at the steps taken unless it has one.
+        True when every member has failed."""
         finite = np.all([np.isfinite(a_hat.view(np.float64).reshape(self.m_count, -1)).all(axis=1)
                          for a_hat in state], axis=0)
         for m in np.flatnonzero(~finite):
@@ -489,10 +487,12 @@ class Stepper:
                 self.failures[m] = BlowUpError(self.j, self.j * self.config.dt)
             for a_hat in state:
                 a_hat[m] = 0.0
+        return None not in self.failures
 
-    def emit(self) -> SnapshotBlock:
-        """The open block, its snapshots back in physical space, once it is
-        ready; then the next block opens, unless this one is the last."""
+    def _emit(self) -> None:
+        """Hand the open block to the sink, its snapshots back in physical
+        space, with its arrays released here; then the next block opens,
+        unless this one is the last."""
         if self.stores is None:
             self._fill()
         g, first, held, stores = self.config.grid, self.first, self.held, self.stores
@@ -511,51 +511,27 @@ class Stepper:
             failures=tuple(self.failures),
         )
         self.done = None not in self.failures or self.stop == self.config.n_snapshots
+        self.stores = self.dw_hat = None  # the block's arrays are the sink's alone
         if not self.done:
             self._open(self.stop)
-        return block
-
-
-def snapshot_blocks(config: SolverConfig, stream_ids: Sequence[int]):
-    """Integrate from config.initial_v one member per stream id, all M of them
-    as one Stepper, and yield its SnapshotBlocks.
-
-    Row j of a member's noise path drives its step j.  The rows come from
-    config.prescribed_path if given, the same for every member; else, for a
-    stochastic scheme, they are drawn as their step comes (_drawn_rows)."""
-    n_steps, path = config.n_steps, config.prescribed_path
-    if path is not None:
-        g, dt = config.grid, config.dt
-        if path.n_steps != n_steps:
-            raise ConfigurationError(
-                f"prescribed path has {path.n_steps} steps, solver needs {n_steps}"
-            )
-        if path.grid != g:
-            raise ConfigurationError(f"prescribed path is on {path.grid}, solver on {g}")
-        # relative 1e-9, the slack converge's is_whole(dt / dt_min) leaves in a
-        # coarsened path's dt; also catches nan
-        if not abs(path.dt - dt) <= 1e-9 * dt:
-            raise ConfigurationError(f"prescribed path has dt = {path.dt}, solver dt = {dt}")
-        rows = iter(path.dw_hat)  # lattice-shaped rows, broadcast over the members
-    else:
-        rows = _drawn_rows(config, stream_ids, config.dt, n_steps)
-    stepper = Stepper(config, len(stream_ids))
-    while not stepper.done:
-        while not stepper.ready:
-            stepper.advance(next(rows))
-        yield stepper.emit()
+        self.sink(block)
 
 
 def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) -> list:
     """Step the runs of configs, the levels, on one Brownian path per stream
-    id: one Stepper each, fed from one stream of rows drawn once at the
-    finest dt.  Level k with dt = f_k times the finest sums f_k rows in
-    order, the bits coarsen_noise_path gives, and steps when it has them;
-    each of its blocks goes to the callable sinks[k].  A level without
-    noise steps with None.  The levels must share the grid, t_final, noise
-    and seed, and their configs' prescribed paths are not read; dpd levels
-    step in one set of work arrays.  Returns per level the members'
-    failures: BlowUpError, naming the level's own step, or None."""
+    id: one Stepper each, handing its blocks to the callable sinks[k], fed
+    from one stream of rows at the finest dt.  Level k with dt = f_k times
+    the finest sums f_k rows in order, the bits coarsen_noise_path gives,
+    and steps when it has them.
+
+    The rows are the finest level's prescribed_path when it has one, the
+    same for every member; else, for a stochastic scheme, they are drawn
+    once, as their step comes (_drawn_rows).  A level steps on them when
+    it is stochastic or the path is prescribed, else with None.  The
+    levels must share the grid, t_final, noise and seed, and the other
+    levels' prescribed paths are not read; dpd levels step in one set of
+    work arrays.  Returns per level the members' failures: BlowUpError,
+    naming the level's own step, or None."""
     dt_fine = min(c.dt for c in configs)
     n_fine = int(round(configs[0].t_final / dt_fine))
     factors = [int(round(c.dt / dt_fine)) for c in configs]
@@ -563,17 +539,33 @@ def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) 
         if c.n_steps * f != n_fine:
             raise UsageError(f"dt = {c.dt} is not a whole multiple of the finest dt "
                              f"{dt_fine} over t_final = {configs[0].t_final}")
-    noisy = next((c for c in configs if c.stochastic), configs[0])  # draws the rows, if any
-    rows = _drawn_rows(noisy, stream_ids, dt_fine, n_fine)
-    work = (dpd_work((len(stream_ids),) + configs[0].grid.shape)
+    fine = configs[factors.index(1)]
+    path = fine.prescribed_path
+    if path is not None:
+        if path.n_steps != n_fine:
+            raise ConfigurationError(
+                f"prescribed path has {path.n_steps} steps, solver needs {n_fine}"
+            )
+        if path.grid != fine.grid:
+            raise ConfigurationError(f"prescribed path is on {path.grid}, solver on {fine.grid}")
+        # relative 1e-9, is_whole's slack: a coarsened path's dt carries
+        # rounding (3 * 0.1); also catches nan
+        if not abs(path.dt - fine.dt) <= 1e-9 * fine.dt:
+            raise ConfigurationError(f"prescribed path has dt = {path.dt}, solver dt = {fine.dt}")
+        rows = iter(path.dw_hat)  # lattice-shaped rows, broadcast over the members
+    else:
+        noisy = next((c for c in configs if c.stochastic), fine)  # draws the rows, if any
+        rows = _drawn_rows(noisy, stream_ids, dt_fine, n_fine)
+    work = (dpd_work((len(stream_ids),) + fine.grid.shape)
             if any(c.scheme == "dpd" for c in configs) else None)
-    steppers = [Stepper(c, len(stream_ids), work) for c in configs]
+    steppers = [Stepper(c, len(stream_ids), sink, work) for c, sink in zip(configs, sinks)]
+    takes_rows = [c.stochastic or path is not None for c in configs]
     sums = [None] * len(configs)
     for i, row in enumerate(rows):
-        for k, (cfg, stepper, f, sink) in enumerate(zip(configs, steppers, factors, sinks)):
+        for k, (stepper, f, takes) in enumerate(zip(steppers, factors, takes_rows)):
             if stepper.done:
                 continue
-            step_row = row if cfg.stochastic else None
+            step_row = row if takes else None
             if f > 1 and step_row is not None:
                 if i % f == 0:
                     sums[k] = step_row.copy()
@@ -582,55 +574,47 @@ def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) 
                 step_row = sums[k]
             if (i + 1) % f == 0:
                 stepper.advance(step_row)
-                while stepper.ready:
-                    sink(stepper.emit())
-        if all(s.done for s in steppers):  # every level has blown up: draw no more rows
+        if all(s.done for s in steppers):  # every level has blown up: take no more rows
             break
     return [s.failures for s in steppers]
 
 
-def solve(config: SolverConfig) -> Trajectory:
-    """Integrate one trajectory on config.stream_id: solve_members with one
-    member.  Raises BlowUpError at the first step whose state is not finite."""
-    (result,) = solve_members(config, [config.stream_id])
-    if isinstance(result, BlowUpError):
-        raise result
-    return result
+class _Collector:
+    """A sink that copies one member's SnapshotBlocks into whole arrays:
+    v, Psi for dpd (psi, else None) and, given n_steps, the blocks' noise
+    rows (dw_hat, None while no block has carried any)."""
 
+    def __init__(self, grid: GridSpec, n_snapshots: int, dpd: bool, n_steps: Optional[int] = None):
+        self.v = np.empty((n_snapshots,) + grid.shape, dtype=np.complex128)
+        self.psi = np.empty_like(self.v) if dpd else None
+        self.n_steps, self.dw_hat = n_steps, None
 
-def solve_members(config: SolverConfig, stream_ids: Sequence[int]) -> list:
-    """snapshot_blocks collected into one Trajectory per stream id: every
-    snapshot, and the noise path at snapshot_stride 1 (the prescribed one
-    itself, if given), or the member's BlowUpError in place of its
-    trajectory.  A trajectory's arrays are views into the batch's."""
-    g = config.grid
-    dpd = config.scheme == "dpd"
-    stores = [np.empty((len(stream_ids), config.n_snapshots) + g.shape, dtype=np.complex128)
-              for _ in range(2 if dpd else 1)]
-    paths = None
-    block = None
-    for block in snapshot_blocks(config, stream_ids):
+    def __call__(self, block: SnapshotBlock) -> None:
         sl = slice(block.start, block.start + len(block.times))
-        stores[0][:, sl] = block.v
-        if dpd:
-            stores[1][:, sl] = block.psi
-        if block.dw_hat is not None and config.prescribed_path is None:
-            if paths is None:
-                paths = np.empty((len(stream_ids), config.n_steps) + g.shape, dtype=np.complex128)
-            paths[:, block.start:block.start + block.dw_hat.shape[1]] = block.dw_hat
-    return [
-        failure if failure is not None else Trajectory(
-            grid=g,
-            scheme=config.scheme,
-            times=config.snapshot_times,
-            v=stores[0][m],
-            psi=stores[1][m] if dpd else None,
-            config=config if s == config.stream_id else replace(config, stream_id=s),
-            noise_path=(config.prescribed_path if paths is None
-                        else NoisePath(g, config.dt, paths[m])),
-        )
-        for m, (s, failure) in enumerate(zip(stream_ids, block.failures))
-    ]
+        self.v[sl] = block.v[0]
+        if self.psi is not None:
+            self.psi[sl] = block.psi[0]
+        if block.dw_hat is not None and self.n_steps is not None:
+            if self.dw_hat is None:
+                self.dw_hat = np.empty((self.n_steps,) + self.v.shape[1:], dtype=np.complex128)
+            self.dw_hat[block.start:block.start + block.dw_hat.shape[1]] = block.dw_hat[0]
+
+
+def solve(config: SolverConfig) -> Trajectory:
+    """Integrate one trajectory on config.stream_id: a one-level lockstep
+    with its blocks collected.  It keeps every snapshot, and the noise path
+    at snapshot_stride 1 (the prescribed one itself, if given).  Raises
+    BlowUpError at the first step whose state is not finite."""
+    g, path = config.grid, config.prescribed_path
+    rows = _Collector(g, config.n_snapshots, config.scheme == "dpd",
+                      config.n_steps if path is None else None)
+    ((failure,),) = lockstep([config], [config.stream_id], [rows])
+    if failure is not None:
+        raise failure
+    return Trajectory(
+        grid=g, scheme=config.scheme, times=config.snapshot_times, v=rows.v, psi=rows.psi,
+        config=config, noise_path=path if rows.dw_hat is None else NoisePath(g, config.dt, rows.dw_hat),
+    )
 
 
 # --- oracles and transforms ------------------------------------------------
@@ -821,11 +805,7 @@ def read_trajectory(filename: str) -> Trajectory:
     collected.  Raises FormatError when the file is malformed or holds a
     non-finite value."""
     grid, scheme, times, blocks = trajectory_blocks(filename)
-    v = np.empty((len(times),) + grid.shape, dtype=np.complex128)
-    psi = np.empty_like(v) if scheme == "dpd" else None
+    rows = _Collector(grid, len(times), scheme == "dpd")
     for block in blocks:
-        sl = slice(block.start, block.start + len(block.times))
-        v[sl] = block.v[0]
-        if psi is not None:
-            psi[sl] = block.psi[0]
-    return Trajectory(grid=grid, scheme=scheme, times=times, v=v, psi=psi)
+        rows(block)
+    return Trajectory(grid=grid, scheme=scheme, times=times, v=rows.v, psi=rows.psi)

@@ -467,6 +467,7 @@ class TestCli:
         (["verify-energy", "--halvings", "-1"], "halvings must be >= 0"),
         (["converge", "--dts", "abc"], "--dts must be comma-separated numbers"),
         (["converge", "--dts", "0.01,0.005,0"], "must be positive"),
+        (["converge", "--dts", "0.01,0.00625"], "multiple of the finest dt"),
     ])
     def test_bad_study_arguments_exit_two(self, tmp_path, capsys, argv, match):
         cfgfile = self.write_config(tmp_path, BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/out\n")

@@ -7,6 +7,7 @@ import io
 import os
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,16 @@ def test_studies_draw_each_fine_row_once(tmp_path, monkeypatch, halvings):
     calls.clear()
     assert run_cli(["converge", "--config", cfgfile, "--dts", "0.016,0.008,0.004,0.002"])[0] == 0
     assert sorted(calls) == [(0, 0, j) for j in range(40)]
+    calls.clear()
+    assert run_cli(["simulate", "--config", cfgfile])[0] == 0
+    assert sorted(calls) == [(0, 0, j) for j in range(20)]
+    with open(cfgfile) as fh:
+        doc = fh.read().replace("[ensemble]\n", "[ensemble]\nsize = 3\n")
+    with open(cfgfile, "w") as fh:
+        fh.write(doc)
+    calls.clear()
+    assert run_cli(["ensemble", "--config", cfgfile])[0] == 0
+    assert sorted(calls) == [(0, m, j) for m in range(3) for j in range(20)]
 
 
 @pytest.mark.parametrize("amplitude, blown_levels", [("9", 1), ("14", 3)])
@@ -186,13 +197,30 @@ def test_a_level_that_blows_up_names_its_own_step(tmp_path, amplitude, blown_lev
         fh.write(doc.replace("dt = 0.004", "dt = 0.016"))
     base = harness.build_solver_config(harness.load_config(cfgfile))
     dts = [0.016, 0.008, 0.004, 0.002]
-    with np.errstate(over="ignore", invalid="ignore"):
-        held = held_levels(base, dts)
-        assert [isinstance(r, BlowUpError) for r in held] == [True] * blown_levels + [False] * (4 - blown_levels)
-        for argv in (["converge", "--dts", "0.016,0.008,0.004,0.002"], ["verify-energy", "--halvings", "3"]):
-            code, out, err = run_cli(argv + ["--config", cfgfile])
-            # the first level in dt order that blows up, at its own step
-            assert (code, out, err) == (2, "", f"runtime failure: {held[0]}\n"), argv[0]
+    held = held_levels(base, dts)
+    assert [isinstance(r, BlowUpError) for r in held] == [True] * blown_levels + [False] * (4 - blown_levels)
+    for argv in (["converge", "--dts", "0.016,0.008,0.004,0.002"], ["verify-energy", "--halvings", "3"]):
+        code, out, err = run_cli(argv + ["--config", cfgfile])
+        # the first level in dt order that blows up, at its own step
+        assert (code, out, err) == (2, "", f"runtime failure: {held[0]}\n"), argv[0]
+
+
+def test_blow_ups_print_no_numpy_warnings(tmp_path):
+    # the stepper's overflow is named once, by the BlowUpError; numpy's
+    # RuntimeWarnings once came first, and an ensemble printed four of them
+    cfgfile = write_config(tmp_path, scheme="dpd", t_final=0.064)
+    with open(cfgfile) as fh:
+        doc = (fh.read().replace("amplitude = 0.3\nsigma = 3.5", "amplitude = 14\nsigma = 0.0")
+               .replace("dt = 0.004", "dt = 0.016").replace("[ensemble]\n", "[ensemble]\nsize = 3\n"))
+    with open(cfgfile, "w") as fh:
+        fh.write(doc)
+    named = "runtime failure: non-finite field value detected at step 4 (t = 0.064)\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["simulate", "--config", cfgfile]) == (2, "", named)
+        assert run_cli(["converge", "--config", cfgfile, "--dts", "0.016,0.008"]) == (2, "", named)
+        code, out, err = run_cli(["ensemble", "--config", cfgfile])
+    assert (code, err) == (0, "") and "n_failed = 3\n" in out
 
 
 def test_memory_does_not_grow_with_steps(tmp_path):
