@@ -52,7 +52,7 @@ def _cmd_simulate(args) -> int:
         if "noise_path.bin" in tmp:
             sinks.append(files.enter_context(noise_mod.NoisePathWriter(
                 tmp["noise_path.bin"], cfg.grid, cfg.dt, cfg.n_steps)))
-        (table,) = diagnostics.solve_tables(cfg, [cfg.stream_id], sinks)
+        ((table,),) = diagnostics.solve_tables([cfg], [cfg.stream_id], sinks)
         if isinstance(table, BlowUpError):
             raise table
     ledger = diagnostics.ito_ledger(table)
@@ -145,7 +145,7 @@ def _cmd_converge(args) -> int:
         except ValueError:
             raise UsageError(f"--dts must be comma-separated numbers, got {args.dts!r}") from None
     else:
-        dts = [rc.dt * 2**j for j in range(args.levels - 1, -1, -1)]
+        dts = harness.dt_levels(rc.dt, range(args.levels - 1, -1, -1), f"--levels {args.levels}")
     study = harness.convergence_study(rc, dts)
     for dt, err in zip(study["dts"][:-1], study["errors_vs_finest"]):
         print(f"dt = {dt!r}  error = {err!r}")
@@ -196,7 +196,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return 1
-    except (SnlsError, OSError) as exc:
+    except (SnlsError, OSError, MemoryError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

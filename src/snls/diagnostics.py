@@ -223,23 +223,28 @@ def norm_table(grid: GridSpec, blocks, config: Optional[SolverConfig] = None) ->
     return table
 
 
-def solve_tables(config: SolverConfig, stream_ids: Sequence[int], sinks=()) -> list:
-    """Stream the members' snapshot blocks (a one-level dynamics.lockstep)
-    into each of sinks, called with every block in order, and then into one
-    NormAccumulator.  Returns per stream id its NormTable, or its
-    BlowUpError: the solve's, else the table's.  No snapshot is kept."""
-    acc = NormAccumulator(config.grid)
+def solve_tables(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks=()) -> list:
+    """Stream the members' snapshot blocks at every level of configs (one
+    dynamics.lockstep) into each of sinks, called with every block in
+    order, and then into the level's own NormAccumulator.  Returns per
+    level, per stream id, its NormTable or its BlowUpError: the solve's,
+    else the table's.  No snapshot is kept."""
+    accs = [NormAccumulator(config.grid) for config in configs]
 
-    def feed(block):
-        for sink in sinks:
-            sink(block)
-        acc.add(block)
+    def feed(acc):
+        def sink(block):
+            for s in sinks:
+                s(block)
+            acc.add(block)
+        return sink
 
-    (failures,) = dynamics.lockstep([config], stream_ids, [feed])
-    configs = [config if s == config.stream_id else replace(config, stream_id=s)
-               for s in stream_ids]
-    return [table if failure is None else failure
-            for failure, table in zip(failures, acc.tables(configs))]
+    levels = dynamics.lockstep(configs, stream_ids, [feed(acc) for acc in accs])
+    out = []
+    for config, acc, failures in zip(configs, accs, levels):
+        members = [replace(config, stream_id=s) for s in stream_ids]
+        out.append([table if failure is None else failure
+                    for failure, table in zip(failures, acc.tables(members))])
+    return out
 
 
 def _cumulative(y: np.ndarray, times: np.ndarray) -> np.ndarray:

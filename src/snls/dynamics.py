@@ -343,8 +343,7 @@ class SnapshotBlock:
     the run's noise rows are kept (stride 1), the Fourier rows dw_hat
     (M, r, *grid.shape) of steps start .. start + r - 1, each paired with its
     left-point snapshot (r = b, one fewer in the block holding the last
-    snapshot).  failures holds per member its BlowUpError so far, or None;
-    a failed member's rows after its blow-up are zero."""
+    snapshot).  A failed member's rows after its blow-up are zero."""
 
     grid: GridSpec
     start: int
@@ -352,7 +351,6 @@ class SnapshotBlock:
     v: np.ndarray
     psi: Optional[np.ndarray] = None
     dw_hat: Optional[np.ndarray] = None
-    failures: tuple = ()
 
     @cached_property
     def dw(self) -> np.ndarray:
@@ -395,11 +393,11 @@ class Stepper:
     last.  Every operation acts on each member's rows alone, so a
     member's bits do not depend on the batch or on the block size."""
 
-    def __init__(self, config: SolverConfig, m_count: int, sink, work: Optional[tuple] = None):
-        """sink: called with each block once it is full.  work: dpd_work
-        arrays of the state's shape to step in, made here if not given.
-        They hold nothing from one step to the next, so steppers that take
-        their steps one at a time can share them."""
+    def __init__(self, config: SolverConfig, m_count: int, sink, work: Optional[tuple]):
+        """sink: called with each block once it is full.  work: for dpd,
+        the dpd_work arrays of the state's shape to step in.  They hold
+        nothing from one step to the next, so steppers that take their
+        steps one at a time share them."""
         g, dt = config.grid, config.dt
         self.config, self.m_count, self.sink = config, m_count, sink
         self.keep_rows = config.snapshot_stride == 1 and (
@@ -411,8 +409,7 @@ class Stepper:
         if config.disable_nonlinearity:
             self.step = partial(_linear_step, full=full)
         elif self.dpd:
-            self.step = partial(_dpd_step, half=half, full=full, dt=dt,
-                                work=dpd_work(shape) if work is None else work)
+            self.step = partial(_dpd_step, half=half, full=full, dt=dt, work=work)
         else:
             offset = 0.0 if config.scheme == "deterministic_cubic" else 1.0
             self.step = partial(_strang_step, half=half, dt=dt, offset=offset)
@@ -508,7 +505,6 @@ class Stepper:
             v=stores[0][:, :held], psi=stores[1][:, :held] if self.dpd else None,
             dw_hat=(None if self.dw_hat is None
                     else self.dw_hat[:, :self.last_step - first * self.stride]),
-            failures=tuple(self.failures),
         )
         self.done = None not in self.failures or self.stop == self.config.n_snapshots
         self.stores = self.dw_hat = None  # the block's arrays are the sink's alone

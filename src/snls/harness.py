@@ -269,15 +269,13 @@ def _member_summary(rc: RunConfig, members: Sequence[int]) -> List[dict]:
     """One batched, streamed solve of the members (stream_id = member index)
     into their norm tables, then each member's ledger, partition and summary."""
     summaries = []
-    for member, table in zip(members, diagnostics.solve_tables(build_solver_config(rc), members)):
-        try:
-            if isinstance(table, BlowUpError):
-                raise table
-            ledger = diagnostics.ito_ledger(table)
-            part = diagnostics.partition_intervals(table, rc.eta)
-        except BlowUpError as exc:  # in the solve, or in the norm table
-            summaries.append({"member": member, "failed": True, "blow_up_step": exc.step})
+    (tables,) = diagnostics.solve_tables([build_solver_config(rc)], members)
+    for member, table in zip(members, tables):
+        if isinstance(table, BlowUpError):  # in the solve, or in the norm table
+            summaries.append({"member": member, "failed": True, "blow_up_step": table.step})
             continue
+        ledger = diagnostics.ito_ledger(table)
+        part = diagnostics.partition_intervals(table, rc.eta)
         summaries.append({
             "member": member,
             "failed": False,
@@ -298,9 +296,10 @@ def run_ensemble(rc: RunConfig) -> EnsembleReport:
     per-member without aborting the ensemble."""
     check_ledger_stride(rc)
     batches = _batches(rc)
-    if rc.workers > 1 and rc.ensemble_size > 1:
+    workers = min(rc.workers, len(batches))  # fork starts every worker at the first submit
+    if workers > 1:
         try:
-            with ProcessPoolExecutor(max_workers=rc.workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 done = list(pool.map(_member_summary, [rc] * len(batches), batches))
         except BrokenExecutor as exc:
             raise WorkerError(f"ensemble of {rc.ensemble_size} members, config "
@@ -330,6 +329,15 @@ def run_ensemble(rc: RunConfig) -> EnsembleReport:
 # --- convergence studies --------------------------------------------------------
 
 
+def dt_levels(dt: float, exponents: Sequence[int], what: str) -> List[float]:
+    """dt * 2**j for each j of exponents, exact; UsageError naming `what`
+    unless each is a normal float, 2**-1022 <= dt * 2**j < 2**1024."""
+    e = math.frexp(dt)[1]  # dt = m * 2**e with 0.5 <= m < 1
+    if not all(-1021 <= e + j <= 1024 for j in exponents):
+        raise UsageError(f"{what} takes dt = {dt!r} out of the normal floats")
+    return [math.ldexp(dt, j) for j in exponents]
+
+
 def convergence_study(rc: RunConfig, dt_list: Sequence[float]) -> dict:
     """Errors at t_final against the finest-dt reference run, every run on
     one Brownian path: the levels step in lockstep (dynamics.lockstep) on
@@ -340,7 +348,7 @@ def convergence_study(rc: RunConfig, dt_list: Sequence[float]) -> dict:
     if len(dts) < 2 or any(b >= a for a, b in zip(dts, dts[1:])) or not dts[-1] > 0:
         raise UsageError("dt_list must be positive and strictly decreasing with >= 2 entries")
     for dt in dts:
-        if not dynamics.is_whole(rc.t_final / dt):
+        if not (dt <= rc.t_final and dynamics.is_whole(rc.t_final / dt)):  # t_final / inf is whole
             raise UsageError(f"dt = {dt} does not divide t_final = {rc.t_final}")
 
     base = build_solver_config(rc)
@@ -383,9 +391,9 @@ def observed_order(dts: Sequence[float], errors: Sequence[float]) -> float:
 
 def residual_refinement_study(rc: RunConfig, n_halvings: int = 3) -> dict:
     """Ito-ledger residual at t_final for one fixed noise path across dt
-    halvings: the levels step in lockstep (dynamics.lockstep) on rows drawn
-    once at the finest dt, each into its own norm table, so no level holds
-    the path.
+    halvings: the levels step in lockstep on rows drawn once at the finest
+    dt, each into its own norm table (diagnostics.solve_tables), so no
+    level holds the path.
 
     Produces a discrepancy record when the literal printed drift terms fail
     to give a non-increasing |residual|; the balanced drift terms derived
@@ -393,16 +401,11 @@ def residual_refinement_study(rc: RunConfig, n_halvings: int = 3) -> dict:
     """
     if n_halvings < 0:
         raise UsageError(f"the number of dt halvings must be >= 0, got {n_halvings}")
-    dts = [rc.dt / (2**j) for j in range(n_halvings + 1)]
+    dts = dt_levels(rc.dt, range(0, -n_halvings - 1, -1), f"--halvings {n_halvings}")
     base = build_solver_config(rc)
     configs = [replace(base, dt=dt, snapshot_stride=1) for dt in dts]
-    accs = [diagnostics.NormAccumulator(base.grid) for _ in dts]
-    failures = dynamics.lockstep(configs, [base.stream_id], [acc.add for acc in accs])
     literal, balanced = [], []
-    for cfg, acc, (failure,) in zip(configs, accs, failures):
-        if failure is not None:
-            raise failure
-        (table,) = acc.tables([cfg])
+    for (table,) in diagnostics.solve_tables(configs, [base.stream_id]):
         if isinstance(table, BlowUpError):
             raise table
         ledger = diagnostics.ito_ledger(table)
@@ -464,8 +467,6 @@ def _format_value(v) -> str:
         return repr(v)
     if isinstance(v, dict):
         return "; ".join(f"{k}: {_format_value(x)}" for k, x in v.items())
-    if isinstance(v, (list, tuple)):
-        return ", ".join(_format_value(x) for x in v)
     return str(v)
 
 

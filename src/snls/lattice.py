@@ -225,13 +225,10 @@ def gradient_magnitude(field, uhat=None) -> np.ndarray:
     return np.sqrt(acc, out=acc).reshape(uhat.shape[: uhat.ndim - grid.dim] + (-1,))
 
 
-def laplacian(field, uhat=None):
-    """Lap u by spectral derivatives: a ComplexField for one field, or flat
-    values per field for a stack given as for gradient_magnitude."""
-    grid, uhat = (field.grid, np.fft.fftn(field.mesh)) if uhat is None else (field, uhat)
-    lap = np.fft.ifftn(-grid.ksq() * uhat, axes=grid.axes)
-    lap = lap.reshape(uhat.shape[: uhat.ndim - grid.dim] + (-1,))
-    return ComplexField(grid, lap) if lap.ndim == 1 else lap
+def laplacian(field: ComplexField) -> ComplexField:
+    """Lap u by spectral derivatives."""
+    lap = np.fft.ifftn(-field.grid.ksq() * np.fft.fftn(field.mesh))
+    return ComplexField(field.grid, lap.ravel())
 
 
 # --- norms ---------------------------------------------------------------

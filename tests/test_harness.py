@@ -174,6 +174,30 @@ class TestRunEnsemble:
             assert a["final_energy"] == b["final_energy"]
             assert a["sup_energy"] == b["sup_energy"]
 
+    def test_pool_opens_one_worker_per_batch(self, monkeypatch):
+        # fork starts every requested worker at the first submit; a fake pool
+        # records the request and maps serially, so no process starts
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        rc = replace(harness.parse_config(BASE_CONFIG), ensemble_size=2)
+        serial = harness.run_ensemble(rc)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        assert harness.run_ensemble(replace(rc, workers=64)) == serial
+        assert opened == [2]
+
     def test_members_differ(self):
         rc = harness.parse_config(BASE_CONFIG)
         rep = harness.run_ensemble(rc)
@@ -468,12 +492,38 @@ class TestCli:
         (["converge", "--dts", "abc"], "--dts must be comma-separated numbers"),
         (["converge", "--dts", "0.01,0.005,0"], "must be positive"),
         (["converge", "--dts", "0.01,0.00625"], "multiple of the finest dt"),
+        # 2**1100 overflowed float conversion, a traceback
+        (["verify-energy", "--halvings", "1100"], "--halvings 1100 takes dt = 0.005 out of the normal"),
+        (["converge", "--levels", "1100"], "--levels 1100 takes dt = 0.005 out of the normal"),
+        # t_final / inf = 0 is whole: a configuration error, exit 1
+        (["converge", "--dts", "inf,0.01"], "dt = inf does not divide t_final = 0.05"),
     ])
     def test_bad_study_arguments_exit_two(self, tmp_path, capsys, argv, match):
         cfgfile = self.write_config(tmp_path, BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/out\n")
         assert cli.main([argv[0], "--config", cfgfile] + argv[1:]) == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime failure: ") and match in err
+
+    def test_converge_default_levels(self, tmp_path, capsys):
+        # without --dts: --levels 3 doublings of dt
+        doc = (BASE_CONFIG.replace("dt = 0.005", "dt = 0.0025")
+               + f"\n[output]\ndir = {tmp_path}/out\n")
+        cfgfile = self.write_config(tmp_path, doc)
+        assert cli.main(["converge", "--config", cfgfile]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("  ")[0] for line in lines[:2]] == ["dt = 0.01", "dt = 0.005"]
+        assert lines[2].startswith("observed_order = ")
+
+    def test_unallocatable_grid_exits_two(self, tmp_path, capsys):
+        # a 4-d complex field of 8192 points per axis is 64 PiB, past the
+        # address space: the allocation fails at once and touches no memory
+        doc = (BASE_CONFIG.replace("dim = 2", "dim = 4")
+               .replace("points_per_axis = 16", "points_per_axis = 8192")
+               + f"\n[output]\ndir = {tmp_path}/out\n")
+        cfgfile = self.write_config(tmp_path, doc)
+        assert cli.main(["simulate", "--config", cfgfile]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_two(self, tmp_path, capsys, workers):
