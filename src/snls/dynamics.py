@@ -218,7 +218,7 @@ def nonlinear_phase_substep(u_field: ComplexField, dt: float) -> ComplexField:
 # A step maps a state, the tuple of Fourier coefficient arrays a scheme
 # carries, and the step's Fourier noise row (None without noise) to the next
 # state.  It multiplies by phase tables schrodinger_phase(grid, dt / 2)
-# ("half") and schrodinger_phase(grid, dt) ("full") that solve builds once per
+# ("half") and schrodinger_phase(grid, dt) ("full") that _run builds once per
 # run, and transforms over the tables' axes, the trailing axes of the state.
 
 
@@ -370,155 +370,130 @@ def _drawn_rows(config: SolverConfig, stream_ids: Sequence[int], dt: float, n_st
     return map(lambda *rows: np.stack(rows), *draws)
 
 
-class Stepper:
-    """One run of M members stepped as one (M, *grid.shape) state, fed its
-    noise rows one step at a time (advance) and handing its snapshots to
-    its sink in SnapshotBlocks of consecutive snapshots, at most
-    lattice.BLOCK_BYTES of v rows over all members and at least one
-    snapshot each.  Nothing is held from one block to the next but the
-    state, the step's phase tables and work arrays.
+def _store(stores: list, i: int, state: tuple) -> None:
+    """Snapshot i of a block: each array of state into its store."""
+    for store, a_hat in zip(stores, state):
+        store[:, i] = a_hat
 
-    Every scheme carries Fourier coefficients, and the noise's Fourier
-    rows enter them directly: direct and the deterministic schemes
-    u_hat = fftn(1 + v), dpd those of v and Psi.  A block's snapshots are
-    the held coefficients, transformed back in place by one inverse FFT
-    per block and array; row 0 of the run is initial_v as given (and
-    Psi = 0).  At snapshot_stride 1, a run with noise keeps the rows of a
-    block's steps in the block.
+
+def _open_block(config: SolverConfig, state: tuple, first: int, n: int, n_steps: int):
+    """The arrays of a block of n snapshots from first, holding snapshot
+    first, and of its n_steps noise rows when the run keeps them (else
+    None)."""
+    shape = (len(state[0]), n) + config.grid.shape
+    stores = [np.empty(shape, dtype=np.complex128) for _ in state]
+    # row 0 of the run is initial_v as given, not transformed, and Psi = 0
+    _store(stores, 0, state if first else (config.initial_v.mesh, 0.0))
+    keep = config.snapshot_stride == 1 and (config.prescribed_path is not None or config.stochastic)
+    rows = np.empty((shape[0], n_steps) + shape[2:], dtype=np.complex128) if keep else None
+    return stores, rows
+
+
+def _zero_failed(state: tuple, failures: list, j: int, dt: float) -> bool:
+    """Zero the rows of each member whose rows of state are not finite
+    after j steps, and record its BlowUpError unless it has one.  True
+    when every member has failed."""
+    finite = np.all([np.isfinite(a_hat.view(np.float64).reshape(len(failures), -1)).all(axis=1)
+                     for a_hat in state], axis=0)
+    for m in np.flatnonzero(~finite):
+        if failures[m] is None:  # a zeroed member may blow up again: keep its first step
+            failures[m] = BlowUpError(j, j * dt)
+        for a_hat in state:
+            a_hat[m] = 0.0
+    return None not in failures
+
+
+def _run(config: SolverConfig, m_count: int, factor: int, sink, work: Optional[tuple]):
+    """One run of M members stepped as one (M, *grid.shape) state, as a
+    generator: lockstep primes it, then sends it every row at a dt factor
+    times finer ((M, *grid.shape), or lattice-shaped for every member
+    alike; None without noise), and it returns the members' failures.  A
+    step sums its factor rows in order into a copy of the first, the bits
+    coarsen_noise_path gives.  work: for dpd, the dpd_work arrays of the
+    state's shape, which hold nothing from one step to the next, so runs
+    stepped one at a time share them.
+
+    The snapshots go to sink in SnapshotBlocks of consecutive snapshots, at
+    most lattice.BLOCK_BYTES of v rows over all members and at least one
+    snapshot; at stride 1 a run with noise keeps its steps' rows in them.
+    A block's arrays are made at its first step, once its rows are in (a
+    last block of one snapshot takes none), so the sink is done with the
+    block before.  At a yield the generator holds no other block and no
+    row but a coarse step's partial sum.  Every scheme carries Fourier
+    coefficients (u_hat = fftn(1 + v), or for dpd those of v and Psi),
+    which a block transforms back in place, one inverse FFT per array.
 
     A member whose state is not finite after step j (from 0) gets
     BlowUpError(j + 1) in failures and its rows are zeroed, so later steps
-    stay finite on them; a zeroed member that blows up again keeps its
-    first step.  When every member has failed, the block so far is the
-    last.  Every operation acts on each member's rows alone, so a
+    stay finite on them; when every member has failed, the block so far
+    is the last.  Every operation acts on each member's rows alone, so a
     member's bits do not depend on the batch or on the block size."""
-
-    def __init__(self, config: SolverConfig, m_count: int, sink, work: Optional[tuple]):
-        """sink: called with each block once it is full.  work: for dpd,
-        the dpd_work arrays of the state's shape to step in.  They hold
-        nothing from one step to the next, so steppers that take their
-        steps one at a time share them."""
-        g, dt = config.grid, config.dt
-        self.config, self.m_count, self.sink = config, m_count, sink
-        self.keep_rows = config.snapshot_stride == 1 and (
-            config.prescribed_path is not None or config.stochastic)
-        self.dpd = config.scheme == "dpd"
-        half = lattice.schrodinger_phase(g, dt / 2.0)
-        full = lattice.schrodinger_phase(g, dt)
-        shape = (m_count,) + g.shape
-        if config.disable_nonlinearity:
-            self.step = partial(_linear_step, full=full)
-        elif self.dpd:
-            self.step = partial(_dpd_step, half=half, full=full, dt=dt, work=work)
-        else:
-            offset = 0.0 if config.scheme == "deterministic_cubic" else 1.0
-            self.step = partial(_strang_step, half=half, dt=dt, offset=offset)
-        v0 = config.initial_v.mesh
-        if self.dpd:
-            self.state = (np.broadcast_to(np.fft.fftn(v0, axes=g.axes), shape).copy(),
-                          np.zeros(shape, dtype=np.complex128))
-        else:
-            self.state = (np.broadcast_to(np.fft.fftn(1.0 + v0, axes=g.axes), shape).copy(),)
-        self.size = max(1, lattice.BLOCK_BYTES // (m_count * g.total_points * 16))
-        self.stride = config.snapshot_stride
-        self.failures = [None] * m_count
-        self.j = 0  # steps taken
-        self.done = False  # the last block is handed over
-        self._open(0)
-
-    def _open(self, first: int) -> None:
-        """Bound the block of snapshots first .. stop - 1.  Its arrays are
-        made at its first step, or when it is handed over without one
-        (_fill), so the block before it has been through the sink by then
-        and its memory can be reused."""
-        self.first = first
-        self.stop = min(first + self.size, self.config.n_snapshots)
-        self.last_step = min(self.stop, self.config.n_snapshots - 1) * self.stride
-        self.stores = None
-
-    def _fill(self) -> None:
-        """Make the open block's arrays, holding snapshot first."""
-        cfg, m_count, shape, first = self.config, self.m_count, self.config.grid.shape, self.first
-        self.stores = [np.empty((m_count, self.stop - first) + shape, dtype=np.complex128)
-                       for _ in self.state]
-        self.dw_hat = (np.empty((m_count, self.last_step - self.j) + shape, dtype=np.complex128)
-                       if self.keep_rows else None)
-        if first == 0:  # in physical space as given, and not transformed
-            self.stores[0][:, 0] = cfg.initial_v.mesh
-            if self.dpd:
-                self.stores[1][:, 0] = 0.0
-        else:
-            for store, a_hat in zip(self.stores, self.state):
-                store[:, 0] = a_hat
-        self.held = 1  # snapshots stored in this block
-
-    @np.errstate(over="ignore", invalid="ignore")  # a blow-up is named by _zero_failed
-    def advance(self, dw_hat_row: Optional[np.ndarray]) -> None:
-        """Take step j with its Fourier noise row ((M, *grid.shape), or
-        lattice-shaped for every member alike; None without noise), and
-        hand the open block to the sink once it has taken all its steps."""
-        if self.stores is None:
-            self._fill()
-        j = self.j
-        if self.dw_hat is not None:
-            self.dw_hat[:, j - self.first] = dw_hat_row
-        state = self.state = self.step(self.state, dw_hat_row)
-        self.j = j = j + 1
-        if not all(lattice.all_finite(a_hat) for a_hat in state) and self._zero_failed(state):
-            self.last_step = j  # every member has failed: this block is the last
-        elif j % self.stride == 0 and self.held < self.stop - self.first:
-            for store, a_hat in zip(self.stores, state):
-                store[:, self.held] = a_hat
-            self.held += 1
-        while not self.done and j == self.last_step:  # a last block of one snapshot takes no step
-            self._emit()
-
-    def _zero_failed(self, state: tuple) -> bool:
-        """Zero the rows of each member whose rows of state are not finite,
-        and record its BlowUpError at the steps taken unless it has one.
-        True when every member has failed."""
-        finite = np.all([np.isfinite(a_hat.view(np.float64).reshape(self.m_count, -1)).all(axis=1)
-                         for a_hat in state], axis=0)
-        for m in np.flatnonzero(~finite):
-            if self.failures[m] is None:  # a zeroed member may blow up again: keep its first step
-                self.failures[m] = BlowUpError(self.j, self.j * self.config.dt)
-            for a_hat in state:
-                a_hat[m] = 0.0
-        return None not in self.failures
-
-    def _emit(self) -> None:
-        """Hand the open block to the sink, its snapshots back in physical
-        space, with its arrays released here; then the next block opens,
-        unless this one is the last."""
-        if self.stores is None:
-            self._fill()
-        g, first, held, stores = self.config.grid, self.first, self.held, self.stores
-        # back to physical space in place, with no temporary
-        done = 1 if first == 0 else 0
-        if held > done:
-            for store in stores:
-                np.fft.ifftn(store[:, done:held], axes=g.axes, out=store[:, done:held])
-            if not self.dpd:
-                stores[0][:, done:held] -= 1.0
-        block = SnapshotBlock(
-            grid=g, start=first, times=self.config.snapshot_times[first:first + held],
-            v=stores[0][:, :held], psi=stores[1][:, :held] if self.dpd else None,
-            dw_hat=(None if self.dw_hat is None
-                    else self.dw_hat[:, :self.last_step - first * self.stride]),
-        )
-        self.done = None not in self.failures or self.stop == self.config.n_snapshots
-        self.stores = self.dw_hat = None  # the block's arrays are the sink's alone
-        if not self.done:
-            self._open(self.stop)
-        self.sink(block)
+    g, dt, stride, n_snap = config.grid, config.dt, config.snapshot_stride, config.n_snapshots
+    dpd = config.scheme == "dpd"
+    half, full = lattice.schrodinger_phase(g, dt / 2.0), lattice.schrodinger_phase(g, dt)
+    if config.disable_nonlinearity:
+        step = partial(_linear_step, full=full)
+    elif dpd:
+        step = partial(_dpd_step, half=half, full=full, dt=dt, work=work)
+    else:
+        offset = 0.0 if config.scheme == "deterministic_cubic" else 1.0
+        step = partial(_strang_step, half=half, dt=dt, offset=offset)
+    del half, full  # the step holds the tables it uses, and no other is kept
+    shape, v0 = (m_count,) + g.shape, config.initial_v.mesh
+    state = (np.broadcast_to(np.fft.fftn(v0 if dpd else 1.0 + v0, axes=g.axes), shape).copy(),)
+    if dpd:
+        state += (np.zeros(shape, dtype=np.complex128),)
+    size = max(1, lattice.BLOCK_BYTES // (m_count * g.total_points * 16))
+    failures = [None] * m_count
+    for first in range(0, n_snap, size):  # the block of snapshots first .. stop - 1
+        stop = min(first + size, n_snap)
+        steps = range(first * stride, min(stop, n_snap - 1) * stride)
+        stores, held, end = None, 1, steps.stop
+        for j in steps:
+            row = yield
+            if factor > 1 and row is not None:
+                row = row.copy()  # the fine rows are every level's
+                for _ in range(factor - 1):
+                    row += yield
+            else:
+                for _ in range(factor - 1):
+                    yield
+            if stores is None:
+                stores, dw_hat = _open_block(config, state, first, stop - first, len(steps))
+            with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is named by its BlowUpError
+                if dw_hat is not None:
+                    dw_hat[:, j - steps.start] = row
+                state, row = step(state, row), None
+                if not all(lattice.all_finite(a_hat) for a_hat in state) and (
+                        _zero_failed(state, failures, j + 1, dt)):
+                    end = j + 1  # every member has failed: this block is the last
+                    break
+                if (j + 1) % stride == 0 and held < stop - first:
+                    _store(stores, held, state)
+                    held += 1
+        if stores is None:
+            stores, dw_hat = _open_block(config, state, first, stop - first, len(steps))
+        with np.errstate(over="ignore", invalid="ignore"):
+            back = slice(0 if first else 1, held)  # to physical space in place, with no temporary
+            for k in range(len(stores)):
+                np.fft.ifftn(stores[k][:, back], axes=g.axes, out=stores[k][:, back])
+            if not dpd:
+                stores[0][:, back] -= 1.0
+            sink(SnapshotBlock(
+                grid=g, start=first, times=config.snapshot_times[first:first + held],
+                v=stores[0][:, :held], psi=stores[1][:, :held] if dpd else None,
+                dw_hat=None if dw_hat is None else dw_hat[:, :end - steps.start]))
+        stores = dw_hat = None  # the block's arrays are the sink's alone
+        if None not in failures:
+            break
+    return failures
 
 
 def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) -> list:
     """Step the runs of configs, the levels, on one Brownian path per stream
-    id: one Stepper each, handing its blocks to the callable sinks[k], fed
-    from one stream of rows at the finest dt.  Level k with dt = f_k times
-    the finest sums f_k rows in order, the bits coarsen_noise_path gives,
-    and steps when it has them.
+    id: one _run generator each, handing its blocks to the callable
+    sinks[k] and sent every row of one stream at the finest dt: f_k rows a
+    step for a level whose dt is f_k times the finest.
 
     The rows are the finest level's prescribed_path when it has one, the
     same for every member; else, for a stochastic scheme, they are drawn
@@ -526,8 +501,9 @@ def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) 
     it is stochastic or the path is prescribed, else with None.  The
     levels must share the grid, t_final, noise and seed, and the other
     levels' prescribed paths are not read; dpd levels step in one set of
-    work arrays.  Returns per level the members' failures: BlowUpError,
-    naming the level's own step, or None."""
+    work arrays.  No row is drawn once every level has returned.  Returns
+    per level the members' failures: BlowUpError, naming the level's own
+    step, or None."""
     dt_fine = min(c.dt for c in configs)
     n_fine = int(round(configs[0].t_final / dt_fine))
     factors = [int(round(c.dt / dt_fine)) for c in configs]
@@ -554,25 +530,21 @@ def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) 
         rows = _drawn_rows(noisy, stream_ids, dt_fine, n_fine)
     work = (dpd_work((len(stream_ids),) + fine.grid.shape)
             if any(c.scheme == "dpd" for c in configs) else None)
-    steppers = [Stepper(c, len(stream_ids), sink, work) for c, sink in zip(configs, sinks)]
+    runs = [_run(c, len(stream_ids), f, sink, work) for c, f, sink in zip(configs, factors, sinks)]
+    for run in runs:
+        next(run)  # to its first yield
     takes_rows = [c.stochastic or path is not None for c in configs]
-    sums = [None] * len(configs)
-    for i, row in enumerate(rows):
-        for k, (stepper, f, takes) in enumerate(zip(steppers, factors, takes_rows)):
-            if stepper.done:
-                continue
-            step_row = row if takes else None
-            if f > 1 and step_row is not None:
-                if i % f == 0:
-                    sums[k] = step_row.copy()
-                else:
-                    sums[k] += step_row
-                step_row = sums[k]
-            if (i + 1) % f == 0:
-                stepper.advance(step_row)
-        if all(s.done for s in steppers):  # every level has blown up: take no more rows
+    failures, live = [None] * len(runs), list(range(len(runs)))
+    for row in rows:
+        for k in list(live):
+            try:
+                runs[k].send(row if takes_rows[k] else None)
+            except StopIteration as returned:
+                failures[k] = returned.value
+                live.remove(k)
+        if not live:  # every level has returned: draw no more rows
             break
-    return [s.failures for s in steppers]
+    return failures
 
 
 class _Collector:

@@ -1,4 +1,5 @@
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -263,21 +264,45 @@ class TestSolveStochastic:
         assert np.array_equal(traj.v, every.v[::4])
         assert scheme == "direct" or np.array_equal(traj.psi, every.psi[::4])
 
-    def test_lockstep_levels_are_the_held_path_runs(self):
+    def test_lockstep_levels_are_the_held_path_runs(self, monkeypatch):
         # levels that differ in dt and scheme, the two dpd ones stepping in
-        # one set of work arrays: the bits of solve on the coarsened held path
-        base = replace(self.stochastic_config("direct", seed=3, stream=1), snapshot_stride=5)
-        configs = [replace(base, scheme=s, dt=dt) for s, dt in
-                   (("dpd", 0.02), ("direct", 0.01), ("dpd", 0.005))]
-        blocks = [[] for _ in configs]
-        assert dynamics.lockstep(configs, [1], [b.append for b in blocks]) == [[None]] * 3
+        # one set of work arrays: the bits of solve on the coarsened held path;
+        # at stride 1 a coarse level's blocks carry its summed rows, which
+        # blocks of three rows split
+        base = self.stochastic_config("direct", seed=3, stream=1)
+        monkeypatch.setattr(lattice, "BLOCK_BYTES", 3 * base.grid.total_points * 16)
         fine = noise.generate_noise_path(base.noise, 0.005, 20, 3, stream_id=1)
-        for cfg, got in zip(configs, blocks):
-            path = noise.coarsen_noise_path(fine, int(round(cfg.dt / 0.005)))
-            want = dynamics.solve(replace(cfg, prescribed_path=path))
-            assert np.concatenate([b.v[0] for b in got]).tobytes() == want.v.tobytes()
-            assert cfg.scheme == "direct" or (
-                np.concatenate([b.psi[0] for b in got]).tobytes() == want.psi.tobytes())
+        for stride in (5, 1):
+            configs = [replace(base, scheme=s, dt=dt, snapshot_stride=stride) for s, dt in
+                       (("dpd", 0.02), ("direct", 0.01), ("dpd", 0.005))]
+            blocks = [[] for _ in configs]
+            assert dynamics.lockstep(configs, [1], [b.append for b in blocks]) == [[None]] * 3
+            for cfg, got in zip(configs, blocks):
+                path = noise.coarsen_noise_path(fine, int(round(cfg.dt / 0.005)))
+                want = dynamics.solve(replace(cfg, prescribed_path=path))
+                assert np.concatenate([b.v[0] for b in got]).tobytes() == want.v.tobytes()
+                assert cfg.scheme == "direct" or (
+                    np.concatenate([b.psi[0] for b in got]).tobytes() == want.psi.tobytes())
+                if stride == 1:
+                    rows = np.concatenate([b.dw_hat[0] for b in got])
+                    assert rows.tobytes() == path.dw_hat.tobytes()
+                else:
+                    assert all(b.dw_hat is None for b in got)
+
+    def test_lockstep_releases_each_handed_over_block(self, monkeypatch):
+        # blocks of one row: once its sink has returned, no run holds a block,
+        # through a loop variable or otherwise, while the levels step on
+        base = self.stochastic_config("dpd", seed=3, stream=1)
+        monkeypatch.setattr(lattice, "BLOCK_BYTES", base.grid.total_points * 16)
+        configs = [replace(base, dt=dt) for dt in (0.02, 0.01, 0.005)]
+        bases = []
+
+        def sink(block):
+            assert [ref() for ref in bases] == [None] * len(bases)
+            bases.extend(weakref.ref(a.base) for a in (block.v, block.psi, block.dw_hat))
+
+        assert dynamics.lockstep(configs, [1], [sink] * 3) == [[None]] * 3
+        assert len(bases) == 3 * (6 + 11 + 21)  # a block per snapshot
 
     def test_lockstep_rejects_a_dt_off_the_finest_steps(self):
         base = self.stochastic_config("direct")  # t_final 0.1

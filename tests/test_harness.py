@@ -497,6 +497,8 @@ class TestCli:
         (["converge", "--levels", "1100"], "--levels 1100 takes dt = 0.005 out of the normal"),
         # t_final / inf = 0 is whole: a configuration error, exit 1
         (["converge", "--dts", "inf,0.01"], "dt = inf does not divide t_final = 0.05"),
+        (["converge", "--levels", "1"], "--levels must be >= 2, got 1"),
+        (["converge", "--levels", "0"], "--levels must be >= 2, got 0"),
     ])
     def test_bad_study_arguments_exit_two(self, tmp_path, capsys, argv, match):
         cfgfile = self.write_config(tmp_path, BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/out\n")

@@ -223,6 +223,29 @@ def test_blow_ups_print_no_numpy_warnings(tmp_path):
     assert (code, err) == (0, "") and "n_failed = 3\n" in out
 
 
+def test_a_run_whose_members_all_fail_draws_no_more_rows(tmp_path, monkeypatch):
+    # test_blow_ups_print_no_numpy_warnings' config over 10 steps: every
+    # member has blown up by step 4, and rows 4 .. 9 are never drawn
+    cfgfile = write_config(tmp_path, scheme="dpd", t_final=0.16)
+    with open(cfgfile) as fh:
+        doc = (fh.read().replace("amplitude = 0.3\nsigma = 3.5", "amplitude = 14\nsigma = 0.0")
+               .replace("dt = 0.004", "dt = 0.016").replace("[ensemble]\n", "[ensemble]\nsize = 3\n"))
+    with open(cfgfile, "w") as fh:
+        fh.write(doc)
+    calls = count_draws(monkeypatch)
+    named = "runtime failure: non-finite field value detected at step 4 (t = 0.064)\n"
+    assert run_cli(["simulate", "--config", cfgfile]) == (2, "", named)
+    assert sorted(calls) == [(0, 0, j) for j in range(4)]
+    calls.clear()
+    code, out, err = run_cli(["ensemble", "--config", cfgfile])
+    assert (code, err) == (0, "") and "n_failed = 3\n" in out
+    assert sorted(calls) == [(0, m, j) for m in range(3) for j in range(4)]
+    with open(os.path.join(tmp_path, "out", "ensemble_report.txt")) as fh:
+        report = fh.read()
+    for m, step in enumerate((4, 3, 4)):
+        assert f"member={m} failed=True blow_up_step={step}\n" in report
+
+
 def test_memory_does_not_grow_with_steps(tmp_path):
     # a stride-1 run once held every snapshot and its whole noise path: at
     # 32^2 and 400 steps, 12.8 MB of snapshots and path, 6.6 MB read back
