@@ -331,8 +331,9 @@ def member_bytes(config: SolverConfig) -> int:
     the step's temporaries (4 fields for the Strang step; for dpd the held
     work arrays of dpd_work, four complex and one real, 5 rounded up), and
     its share of one snapshot block with the norm pass's temporaries over it
-    (about ten rows).  It keeps no snapshots and no path."""
-    rows = (2 + 5 if config.scheme == "dpd" else 1 + 4) + 10
+    (about ten rows), and for a stochastic scheme its row of the normals
+    noise.member_rows holds.  It keeps no snapshots and no path."""
+    rows = (2 + 5 if config.scheme == "dpd" else 1 + 4) + 10 + (1 if config.stochastic else 0)
     return rows * config.grid.total_points * 16
 
 
@@ -359,32 +360,20 @@ class SnapshotBlock:
         return np.fft.ifftn(self.dw_hat, axes=self.grid.axes)
 
 
-def _drawn_rows(config: SolverConfig, stream_ids: Sequence[int], dt: float, n_steps: int):
-    """Rows 0 .. n_steps - 1 of the members' paths at step dt, one
-    (M, *grid.shape) array per step, drawn from increment_rows as their
-    step comes; None per step without noise."""
-    if not config.stochastic:
-        return itertools.repeat(None, n_steps)
-    draws = [noise_mod.increment_rows(config.noise, dt, config.master_seed, s, n_steps)
-             for s in stream_ids]
-    return map(lambda *rows: np.stack(rows), *draws)
-
-
 def _store(stores: list, i: int, state: tuple) -> None:
     """Snapshot i of a block: each array of state into its store."""
     for store, a_hat in zip(stores, state):
         store[:, i] = a_hat
 
 
-def _open_block(config: SolverConfig, state: tuple, first: int, n: int, n_steps: int):
+def _open_block(config: SolverConfig, state: tuple, first: int, n: int, n_steps: int,
+                keep: bool):
     """The arrays of a block of n snapshots from first, holding snapshot
-    first, and of its n_steps noise rows when the run keeps them (else
-    None)."""
+    first, and of its n_steps noise rows when keep (else None)."""
     shape = (len(state[0]), n) + config.grid.shape
     stores = [np.empty(shape, dtype=np.complex128) for _ in state]
     # row 0 of the run is initial_v as given, not transformed, and Psi = 0
     _store(stores, 0, state if first else (config.initial_v.mesh, 0.0))
-    keep = config.snapshot_stride == 1 and (config.prescribed_path is not None or config.stochastic)
     rows = np.empty((shape[0], n_steps) + shape[2:], dtype=np.complex128) if keep else None
     return stores, rows
 
@@ -403,11 +392,12 @@ def _zero_failed(state: tuple, failures: list, j: int, dt: float) -> bool:
     return None not in failures
 
 
-def _run(config: SolverConfig, m_count: int, factor: int, sink, work: Optional[tuple]):
+def _run(config: SolverConfig, m_count: int, factor: int, takes_rows: bool, sink,
+         work: Optional[tuple]):
     """One run of M members stepped as one (M, *grid.shape) state, as a
     generator: lockstep primes it, then sends it every row at a dt factor
     times finer ((M, *grid.shape), or lattice-shaped for every member
-    alike; None without noise), and it returns the members' failures.  A
+    alike; None when not takes_rows), and it returns the members' failures.  A
     step sums its factor rows in order into a copy of the first, the bits
     coarsen_noise_path gives.  work: for dpd, the dpd_work arrays of the
     state's shape, which hold nothing from one step to the next, so runs
@@ -415,7 +405,7 @@ def _run(config: SolverConfig, m_count: int, factor: int, sink, work: Optional[t
 
     The snapshots go to sink in SnapshotBlocks of consecutive snapshots, at
     most lattice.BLOCK_BYTES of v rows over all members and at least one
-    snapshot; at stride 1 a run with noise keeps its steps' rows in them.
+    snapshot; at stride 1 a run that takes rows keeps its steps' rows in them.
     A block's arrays are made at its first step, once its rows are in (a
     last block of one snapshot takes none), so the sink is done with the
     block before.  At a yield the generator holds no other block and no
@@ -444,7 +434,7 @@ def _run(config: SolverConfig, m_count: int, factor: int, sink, work: Optional[t
     if dpd:
         state += (np.zeros(shape, dtype=np.complex128),)
     size = max(1, lattice.BLOCK_BYTES // (m_count * g.total_points * 16))
-    failures = [None] * m_count
+    failures, keep = [None] * m_count, takes_rows and stride == 1
     for first in range(0, n_snap, size):  # the block of snapshots first .. stop - 1
         stop = min(first + size, n_snap)
         steps = range(first * stride, min(stop, n_snap - 1) * stride)
@@ -459,7 +449,7 @@ def _run(config: SolverConfig, m_count: int, factor: int, sink, work: Optional[t
                 for _ in range(factor - 1):
                     yield
             if stores is None:
-                stores, dw_hat = _open_block(config, state, first, stop - first, len(steps))
+                stores, dw_hat = _open_block(config, state, first, stop - first, len(steps), keep)
             with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is named by its BlowUpError
                 if dw_hat is not None:
                     dw_hat[:, j - steps.start] = row
@@ -472,11 +462,12 @@ def _run(config: SolverConfig, m_count: int, factor: int, sink, work: Optional[t
                     _store(stores, held, state)
                     held += 1
         if stores is None:
-            stores, dw_hat = _open_block(config, state, first, stop - first, len(steps))
+            stores, dw_hat = _open_block(config, state, first, stop - first, len(steps), keep)
         with np.errstate(over="ignore", invalid="ignore"):
             back = slice(0 if first else 1, held)  # to physical space in place, with no temporary
             for k in range(len(stores)):
-                np.fft.ifftn(stores[k][:, back], axes=g.axes, out=stores[k][:, back])
+                if back.start < held:  # snapshot 0 alone is physical already: no empty transform
+                    np.fft.ifftn(stores[k][:, back], axes=g.axes, out=stores[k][:, back])
             if not dpd:
                 stores[0][:, back] -= 1.0
             sink(SnapshotBlock(
@@ -497,11 +488,13 @@ def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) 
 
     The rows are the finest level's prescribed_path when it has one, the
     same for every member; else, for a stochastic scheme, they are drawn
-    once, as their step comes (_drawn_rows).  A level steps on them when
-    it is stochastic or the path is prescribed, else with None.  The
-    levels must share the grid, t_final, noise and seed, and the other
-    levels' prescribed paths are not read; dpd levels step in one set of
-    work arrays.  No row is drawn once every level has returned.  Returns
+    once, as their step comes, all members' rows of a step by one
+    noise.member_rows generator.  A level steps on them, and at stride 1
+    keeps them in its blocks, when it is stochastic or the path is
+    prescribed; else it steps with None and keeps none.  The levels must
+    share the grid, t_final, noise and seed, and the other levels'
+    prescribed paths are not read; dpd levels step in one set of work
+    arrays.  No row is drawn once every level has returned.  Returns
     per level the members' failures: BlowUpError, naming the level's own
     step, or None."""
     dt_fine = min(c.dt for c in configs)
@@ -526,14 +519,16 @@ def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) 
             raise ConfigurationError(f"prescribed path has dt = {path.dt}, solver dt = {fine.dt}")
         rows = iter(path.dw_hat)  # lattice-shaped rows, broadcast over the members
     else:
-        noisy = next((c for c in configs if c.stochastic), fine)  # draws the rows, if any
-        rows = _drawn_rows(noisy, stream_ids, dt_fine, n_fine)
+        noisy = next((c for c in configs if c.stochastic), None)  # draws the rows, if any
+        rows = (itertools.repeat(None, n_fine) if noisy is None else noise_mod.member_rows(
+            noisy.noise, dt_fine, noisy.master_seed, stream_ids, n_fine))
     work = (dpd_work((len(stream_ids),) + fine.grid.shape)
             if any(c.scheme == "dpd" for c in configs) else None)
-    runs = [_run(c, len(stream_ids), f, sink, work) for c, f, sink in zip(configs, factors, sinks)]
+    takes_rows = [c.stochastic or path is not None for c in configs]
+    runs = [_run(c, len(stream_ids), f, t, sink, work)
+            for c, f, t, sink in zip(configs, factors, takes_rows, sinks)]
     for run in runs:
         next(run)  # to its first yield
-    takes_rows = [c.stochastic or path is not None for c in configs]
     failures, live = [None] * len(runs), list(range(len(runs)))
     for row in rows:
         for k in list(live):

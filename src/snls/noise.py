@@ -80,12 +80,21 @@ def hs_norm(spec: NoiseSpec, s: float, homogeneous: bool = False) -> float:
 
 
 @cache
-def _generator() -> np.random.Generator:
-    """The one Philox generator of this process, which every step_rng call
-    resets: a reset takes about 5 us, a new Philox and Generator about 14 us
-    (2-CPU x86 VM, numpy 2.4.6).  Made on first use, so importing snls does
-    not import numpy.random."""
-    return np.random.Generator(np.random.Philox(key=0))
+def _generator() -> tuple:
+    """The one Philox generator of this process and the one state dict that
+    every step_rng call rewrites (counter and key in place) and sets: a
+    reset takes about 2 us, one that builds a new dict about 5 us, and a new
+    Philox and Generator about 14 us (2-CPU x86 VM, numpy 2.4.6).  Made on
+    first use, so importing snls does not import numpy.random."""
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.zeros(2, dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # the buffer is empty: the next draw makes a new block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(np.random.Philox(key=0)), state
 
 
 def step_rng(master_seed: int, stream_id: int, step: int) -> np.random.Generator:
@@ -96,41 +105,41 @@ def step_rng(master_seed: int, stream_id: int, step: int) -> np.random.Generator
     The generator is the process's one generator with its state reset to the
     one np.random.Philox(counter=[0, 0, step, 0], key=[seed, stream]) starts
     in, so it draws the same numbers.  It is valid until the next step_rng
-    call in the process, from any thread, which resets it again.
+    call in the process, which resets it again.  Not thread-safe: the
+    generator and the state dict it is reset from are shared by every
+    thread.
     """
-    rng = _generator()
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([0, 0, step & _MASK64, 0], dtype=np.uint64),
-            "key": np.array([master_seed & _MASK64, stream_id & _MASK64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,  # the buffer is empty: the next draw makes a new block
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    rng, state = _generator()
+    state["state"]["counter"][2] = step & _MASK64
+    key = state["state"]["key"]
+    key[0] = master_seed & _MASK64
+    key[1] = stream_id & _MASK64
+    rng.bit_generator.state = state
     return rng
 
 
-def _complex_normals(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
-    """Complex Gaussians with i.i.d. parts of variance variance/2, the real parts drawn first."""
-    scale = np.sqrt(variance / 2.0)
-    z = np.empty(shape, dtype=np.complex128)
-    np.multiply(rng.standard_normal(shape), scale, out=z.real)
-    np.multiply(rng.standard_normal(shape), scale, out=z.imag)
-    return z
+def _phihat_z(profile, normals: np.ndarray, dt: float) -> np.ndarray:
+    """phihat(k) z_k from standard normals (2, ...): z has the real parts
+    sqrt(dt/2) normals[0] and the imaginary parts sqrt(dt/2) normals[1], so
+    its parts are i.i.d. with variance dt/2.  The one formula of the draw:
+    each operation runs once over whatever stack of rows normals holds."""
+    scale = np.sqrt(dt / 2.0)
+    z = np.empty(normals.shape[1:], dtype=np.complex128)
+    np.multiply(normals[0], scale, out=z.real)
+    np.multiply(normals[1], scale, out=z.imag)
+    return np.multiply(profile, z, out=z)
 
 
 def spectral_increment(spec: NoiseSpec, dt: float, rng_state: np.random.Generator) -> np.ndarray:
     """Spectral coefficients phihat(k) z_k of one increment phi*DeltaW over a
-    step of length dt, lattice shape (zero noise draws nothing)."""
+    step of length dt, lattice shape, the real parts of z drawn first (zero
+    noise draws nothing)."""
     if dt <= 0:
         raise UsageError(f"dt must be positive, got {dt}")
     g = spec.grid
     if spec.kind == "zero":
         return np.zeros(g.shape, dtype=np.complex128)
-    return spec.multiplier_profile() * _complex_normals(rng_state, g.shape, dt)
+    return _phihat_z(spec.multiplier_profile(), rng_state.standard_normal((2,) + g.shape), dt)
 
 
 def sample_wiener_increment(
@@ -186,16 +195,38 @@ class NoisePath:
         return np.fft.ifftn(self.dw_hat[start:stop], axes=self.grid.axes)
 
 
+def member_rows(spec: NoiseSpec, dt: float, master_seed: int, stream_ids: Sequence[int],
+                n_steps: int):
+    """Fourier rows 0 .. n_steps - 1 of the paths keyed by (master_seed, s)
+    for each s in stream_ids: one new (M, *grid.shape) array per step, drawn
+    when asked for; a row's draw depends only on its own key.  A step calls
+    step_rng once per member, in order, and draws its real parts, then its
+    imaginary ones, with one standard_normal call into a held
+    (M, 2, *grid.shape) array; _phihat_z and the scaling by N/sqrt(V) then
+    run once over the stack.  A row is the array field_from_spectral
+    transforms (zero noise draws nothing)."""
+    if dt <= 0:
+        raise UsageError(f"dt must be positive, got {dt}")
+    g = spec.grid
+    shape = (len(stream_ids),) + g.shape
+    scale = g.total_points / np.sqrt(g.volume)
+    normals = np.empty((len(stream_ids), 2) + g.shape)
+    for j in range(n_steps):
+        if spec.kind == "zero":
+            yield np.zeros(shape, dtype=np.complex128)
+            continue
+        for m, s in enumerate(stream_ids):
+            step_rng(master_seed, s, j).standard_normal(out=normals[m])
+        rows = _phihat_z(spec.multiplier_profile(), normals.swapaxes(0, 1), dt)
+        rows *= scale
+        yield rows
+
+
 def increment_rows(spec: NoiseSpec, dt: float, master_seed: int, stream_id: int, n_steps: int):
     """Fourier rows 0 .. n_steps - 1 of the path keyed by (master_seed,
-    stream_id), each drawn when asked for; a step's draw depends only on its
-    own key.  A row is the array field_from_spectral transforms, scaled in
-    place."""
-    scale = spec.grid.total_points / np.sqrt(spec.grid.volume)
-    for j in range(n_steps):
-        row = spectral_increment(spec, dt, step_rng(master_seed, stream_id, j))
-        row *= scale
-        yield row
+    stream_id): member_rows of the one stream, each row drawn when asked
+    for."""
+    return (rows[0] for rows in member_rows(spec, dt, master_seed, [stream_id], n_steps))
 
 
 def generate_noise_path(

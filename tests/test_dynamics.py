@@ -304,6 +304,22 @@ class TestSolveStochastic:
         assert dynamics.lockstep(configs, [1], [sink] * 3) == [[None]] * 3
         assert len(bases) == 3 * (6 + 11 + 21)  # a block per snapshot
 
+    def test_lockstep_keeps_rows_only_on_levels_it_sends_them(self):
+        # deterministic levels, a prescribed path on the coarse one only:
+        # lockstep reads the finest level's path (none), so neither level
+        # takes rows, and neither keeps any (the coarse one used to keep rows
+        # of NaN); each level's run is the solve without a path
+        g = grid2d(8)
+        v0 = random_v(g, 2)
+        path = noise.generate_noise_path(noise.multiplier_noise(g, 0.2, 3.0), 0.02, 5, master_seed=4)
+        configs = [det_config(g, v0, dt=0.02, prescribed_path=path), det_config(g, v0, dt=0.01)]
+        blocks = [[], []]
+        assert dynamics.lockstep(configs, [0], [b.append for b in blocks]) == [[None]] * 2
+        for cfg, got in zip(configs, blocks):
+            assert all(b.dw_hat is None for b in got)
+            want = dynamics.solve(replace(cfg, prescribed_path=None))
+            assert np.concatenate([b.v[0] for b in got]).tobytes() == want.v.tobytes()
+
     def test_lockstep_rejects_a_dt_off_the_finest_steps(self):
         base = self.stochastic_config("direct")  # t_final 0.1
         with pytest.raises(UsageError, match="whole multiple"):
@@ -602,6 +618,16 @@ class TestPhaseTableStepper:
                 cfg = replace(cfg, prescribed_path=path)
             counts.append(self.count_ffts(monkeypatch, cfg))
         assert (counts[1] - counts[0]) / 10 <= budget
+
+    @pytest.mark.parametrize("scheme, arrays", [("deterministic_gp", 1), ("dpd", 2)])
+    def test_blocks_of_one_snapshot_transform_each_once(self, monkeypatch, scheme, arrays):
+        # the first block holds snapshot 0 alone, which is initial_v as
+        # given: no inverse FFT for it; one per later block and array, two
+        # per step and the initial transform
+        g = grid2d(8)
+        monkeypatch.setattr(lattice, "BLOCK_BYTES", g.total_points * 16)
+        cfg = replace(stepper_config(scheme, g, n_steps=6), noise=noise.zero_noise(g))
+        assert self.count_ffts(monkeypatch, cfg) == 1 + 2 * 6 + arrays * 6
 
     def test_fft_budget_per_step_zero_noise_dpd(self, monkeypatch):
         # with no increments Psi stays zero, and the step still transforms

@@ -166,13 +166,16 @@ class TestWienerIncrement:
 class TestComplexNormals:
     @pytest.mark.parametrize("shape", [(8,), (5, 3), (16, 16), (8, 8, 8, 8)])
     def test_bytes_match_the_scaled_sum(self, shape):
-        # scaling each part before combining them rounds like scaling the sum
+        # scaling each part before combining them rounds like scaling the
+        # sum; one draw of both parts has the bits of two, real parts first;
+        # a profile of ones leaves z as it is
         for seed in range(10):
             for variance in (1e-3, 0.02, 1.0):
                 rng = noise.step_rng(seed, 1, seed)
                 re, im = rng.standard_normal(shape), rng.standard_normal(shape)
                 want = np.sqrt(variance / 2) * (re + 1j * im)
-                got = noise._complex_normals(noise.step_rng(seed, 1, seed), shape, variance)
+                normals = noise.step_rng(seed, 1, seed).standard_normal((2,) + shape)
+                got = noise._phihat_z(1.0, normals, variance)
                 assert got.tobytes() == want.tobytes()
 
 
@@ -242,6 +245,59 @@ class TestNoisePath:
         next(rows)
         next(rows)
         assert keys == [(9, 2, 0), (9, 2, 1)]
+
+    @staticmethod
+    def one_stream_row(spec, dt, seed, stream, step):
+        """Row step of one stream drawn apart: two standard_normal calls,
+        real parts first, each part scaled on its own, then phihat, then
+        N/sqrt(V)."""
+        g = spec.grid
+        rng = noise.step_rng(seed, stream, step)
+        z = np.empty(g.shape, dtype=np.complex128)
+        np.multiply(rng.standard_normal(g.shape), np.sqrt(dt / 2.0), out=z.real)
+        np.multiply(rng.standard_normal(g.shape), np.sqrt(dt / 2.0), out=z.imag)
+        row = spec.multiplier_profile() * z
+        row *= g.total_points / np.sqrt(g.volume)
+        return row
+
+    @pytest.mark.parametrize("dim, n", [(1, 8), (2, 16), (4, 8)])
+    @pytest.mark.parametrize("streams", [[4], [2, 0, 5]])
+    @pytest.mark.parametrize("dt", [0.01, 0.25])
+    def test_member_rows_are_the_one_stream_rows(self, dim, n, streams, dt):
+        # a cutoff profile, so some modes are multiplied by zero
+        spec = noise.multiplier_noise(make_grid(dim, n, TWO_PI), 0.7, 2.0, cutoff=2.0)
+        assert (spec.multiplier_profile() == 0.0).any()
+        rows = list(noise.member_rows(spec, dt, 9, streams, 3))
+        assert len(rows) == 3
+        for j, got in enumerate(rows):
+            assert got.shape == (len(streams),) + spec.grid.shape
+            want = [self.one_stream_row(spec, dt, 9, s, j) for s in streams]
+            assert got.tobytes() == np.array(want).tobytes()
+        assert not np.shares_memory(rows[0], rows[1])  # a new array per step
+
+    def test_member_rows_draw_on_demand_in_member_order(self, monkeypatch):
+        keys = []
+        step_rng = noise.step_rng
+
+        def counting(*key):
+            keys.append(key)
+            return step_rng(*key)
+        monkeypatch.setattr(noise, "step_rng", counting)
+        rows = noise.member_rows(noise.multiplier_noise(small_grid(), 0.2, 3.0), 0.01, 9, [3, 1, 2], 4)
+        assert keys == []
+        next(rows)
+        assert keys == [(9, 3, 0), (9, 1, 0), (9, 2, 0)]
+        next(rows)
+        assert keys[3:] == [(9, 3, 1), (9, 1, 1), (9, 2, 1)]  # one call per member and step
+
+    def test_member_rows_of_zero_noise_are_zero(self):
+        rows = list(noise.member_rows(noise.zero_noise(small_grid()), 0.01, 9, [0, 1], 2))
+        assert [r.shape for r in rows] == [(2, 16, 16)] * 2
+        assert not np.any(rows)
+
+    def test_member_rows_reject_nonpositive_dt(self):
+        with pytest.raises(UsageError):
+            next(noise.member_rows(noise.multiplier_noise(small_grid(), 0.2, 3.0), 0.0, 9, [0], 2))
 
     def test_coarsen_sums_increments(self):
         g = make_grid(1, 8, TWO_PI)
