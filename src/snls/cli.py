@@ -87,22 +87,24 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_noise_stats(args) -> int:
-    """Psi-only ensemble, member m a dpd solve from v = 0 on stream m with the nonlinearity
-    off: compares E||Psi(t)||_H1^2 against t * ||phi||_HS^2 (the exact Ito isometry)."""
+    """Psi-only ensemble, no solve: member m's Psi(T) is stochastic_convolution over stream m's
+    rows, run in batches of lattice.row_blocks; compares E||Psi(T)||_H1^2 against
+    T * ||phi||_HS^2 (the exact Ito isometry)."""
     rc = _load_config(args)
     out = harness.ensure_output_dir(rc)
     grid = harness.build_grid(rc)
     spec = harness.build_noise(rc, grid)
-    base = dynamics.SolverConfig(
-        grid=grid, t_final=rc.t_final, dt=rc.dt, scheme="dpd", noise=spec,
-        initial_v=lattice.zero_field(grid), snapshot_stride=int(round(rc.t_final / rc.dt)),
-        master_seed=rc.master_seed, disable_nonlinearity=True,
-    )
+    n_steps, full = int(round(rc.t_final / rc.dt)), lattice.schrodinger_phase(grid, rc.dt)
     h1_sq = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic is named below
-        for member in range(rc.ensemble_size):
-            psi_t = dynamics.solve(replace(base, stream_id=member)).psi_snapshots[-1]
-            h1_sq.append(lattice.sobolev_norm(psi_t, 1.0) ** 2)
+        for sl in lattice.row_blocks(rc.ensemble_size, grid.total_points * 16):
+            members = range(sl.start, sl.stop)
+            psi = dynamics.stochastic_convolution(
+                np.zeros((len(members),) + grid.shape, dtype=np.complex128),
+                noise_mod.member_rows(spec, rc.dt, rc.master_seed, members, n_steps), full)
+            np.fft.ifftn(psi, axes=grid.axes, out=psi)
+            h1_sq += [lattice.sobolev_norm(lattice.ComplexField(grid, p.ravel()), 1.0) ** 2
+                      for p in psi]
         est, se = noise_mod.mean_and_se(h1_sq)
         target = rc.t_final * noise_mod.hs_norm(spec, 1.0) ** 2
         stats = {

@@ -4,8 +4,9 @@ Two stochastic routes share the same noise realization:
     * direct -- Strang split-step on u = 1 + v with the additive increment
       applied after the splitting sandwich each step;
     * dpd    -- the decomposition u = 1 + v + Psi, where Psi is advanced by
-      the exact-in-law stochastic-convolution update and v solves the
-      remainder equation; both are carried as Fourier coefficients.
+      stochastic_convolution, the exact-in-law Fourier recursion that
+      noise-stats and duhamel_residual run on the rows alone, and v solves
+      the remainder equation; both are carried as Fourier coefficients.
 
 Deterministic schemes: deterministic_gp (same equation, zero noise) and
 deterministic_cubic (i u_t + Lap u = |u|^2 u, the gauge image of GP).
@@ -61,7 +62,6 @@ class SolverConfig:
     snapshot_stride: int = 1
     master_seed: int = 0
     stream_id: int = 0
-    disable_nonlinearity: bool = False  # linear flow only: noise-stats' Psi-only dpd run
     prescribed_path: Optional[NoisePath] = None
 
     def __post_init__(self):
@@ -237,6 +237,17 @@ def _add_increment(a_hat: np.ndarray, dw_hat: Optional[np.ndarray]) -> np.ndarra
     return a_hat
 
 
+def stochastic_convolution(psi_hat: np.ndarray, rows, full: np.ndarray) -> np.ndarray:
+    """Psi_hat <- full * Psi_hat - i * row in place for each row in order
+    (None without noise), full = schrodinger_phase(grid, dt); returns psi_hat.
+    _dpd_step advances Psi by it, so from zero it gives each member of a
+    stack of rows the Psi_hat of a dpd run on them, bit for bit."""
+    for dw_hat in rows:
+        psi_hat *= full
+        _add_increment(psi_hat, dw_hat)
+    return psi_hat
+
+
 def dpd_work(shape: tuple) -> tuple:
     """The held work arrays of strang_step_dpd for a state of this shape:
     w, the stage argument, the stage and the running stage sum (complex),
@@ -311,16 +322,7 @@ def _dpd_step(state: tuple, dw_hat, half: np.ndarray, full: np.ndarray, dt: floa
     delta *= half
     v_hat *= full
     v_hat += delta
-    psi_hat *= full
-    return v_hat, _add_increment(psi_hat, dw_hat)
-
-
-def _linear_step(state: tuple, dw_hat, full: np.ndarray) -> tuple:
-    """The free flow of every array, then the increment into the last one:
-    u_hat, or psi_hat for dpd."""
-    for a_hat in state:
-        a_hat *= full
-    return state[:-1] + (_add_increment(state[-1], dw_hat),)
+    return v_hat, stochastic_convolution(psi_hat, (dw_hat,), full)
 
 
 # --- full solve -----------------------------------------------------------
@@ -421,9 +423,7 @@ def _run(config: SolverConfig, m_count: int, factor: int, takes_rows: bool, sink
     g, dt, stride, n_snap = config.grid, config.dt, config.snapshot_stride, config.n_snapshots
     dpd = config.scheme == "dpd"
     half, full = lattice.schrodinger_phase(g, dt / 2.0), lattice.schrodinger_phase(g, dt)
-    if config.disable_nonlinearity:
-        step = partial(_linear_step, full=full)
-    elif dpd:
+    if dpd:
         step = partial(_dpd_step, half=half, full=full, dt=dt, work=work)
     else:
         offset = 0.0 if config.scheme == "deterministic_cubic" else 1.0
@@ -433,10 +433,9 @@ def _run(config: SolverConfig, m_count: int, factor: int, takes_rows: bool, sink
     state = (np.broadcast_to(np.fft.fftn(v0 if dpd else 1.0 + v0, axes=g.axes), shape).copy(),)
     if dpd:
         state += (np.zeros(shape, dtype=np.complex128),)
-    size = max(1, lattice.BLOCK_BYTES // (m_count * g.total_points * 16))
     failures, keep = [None] * m_count, takes_rows and stride == 1
-    for first in range(0, n_snap, size):  # the block of snapshots first .. stop - 1
-        stop = min(first + size, n_snap)
+    for sl in lattice.row_blocks(n_snap, m_count * g.total_points * 16):
+        first, stop = sl.start, sl.stop  # the block of snapshots first .. stop - 1
         steps = range(first * stride, min(stop, n_snap - 1) * stride)
         stores, held, end = None, 1, steps.stop
         for j in steps:
@@ -589,8 +588,8 @@ def duhamel_residual(traj: Trajectory, time_index: int) -> float:
     u(t) - S(t) u0 + i int_0^t S(t-t') (|u|^2-1)u dt' + i * (noise convolution),
     with trapezoid quadrature for the drift term and the increments for the
     convolution: the Fourier rows of the trajectory's path, else the rows its
-    (seed, stream) keys draw, summed by Horner's rule in S(dt) and transformed
-    back once.  Expected O(dt), not zero.
+    (seed, stream) keys draw, run through stochastic_convolution and
+    transformed back once.  Expected O(dt), not zero.
     """
     if time_index < 0 or time_index >= traj.n_snapshots:
         raise UsageError("time_index out of range")
@@ -608,18 +607,15 @@ def duhamel_residual(traj: Trajectory, time_index: int) -> float:
     ])
     drift = lattice.trapezoid_steps(integrands, ts).sum(axis=0)
 
-    conv = np.zeros(g.total_points, dtype=np.complex128)
+    conv = 0.0
     if cfg.stochastic:
-        # sum_j S(t - (j+1) dt) dW_j over the n_used steps up to t
+        # -i sum_j S(t - (j+1) dt) dW_j over the n_used steps up to t
         n_used = time_index * cfg.snapshot_stride
         rows = (traj.noise_path.dw_hat[:n_used] if traj.noise_path is not None else
                 noise_mod.increment_rows(cfg.noise, cfg.dt, cfg.master_seed, cfg.stream_id, n_used))
-        full = lattice.schrodinger_phase(g, cfg.dt)
-        acc = np.zeros(g.shape, dtype=np.complex128)
-        for dw_hat in rows:
-            acc *= full
-            acc += dw_hat
-        conv = -1j * np.fft.ifftn(acc).ravel()
+        psi_hat = stochastic_convolution(np.zeros(g.shape, dtype=np.complex128), rows,
+                                         lattice.schrodinger_phase(g, cfg.dt))
+        conv = np.fft.ifftn(psi_hat).ravel()
 
     defect = u_t - free + 1j * drift - conv
     return lattice.lebesgue_norm(ComplexField(g, defect), 2.0)

@@ -130,23 +130,20 @@ def _phihat_z(profile, normals: np.ndarray, dt: float) -> np.ndarray:
     return np.multiply(profile, z, out=z)
 
 
-def spectral_increment(spec: NoiseSpec, dt: float, rng_state: np.random.Generator) -> np.ndarray:
-    """Spectral coefficients phihat(k) z_k of one increment phi*DeltaW over a
-    step of length dt, lattice shape, the real parts of z drawn first (zero
-    noise draws nothing)."""
+def sample_wiener_increment(
+    spec: NoiseSpec, dt: float, rng_state: np.random.Generator
+) -> ComplexField:
+    """One increment phi*DeltaW over a step of length dt (physical space):
+    the spectral coefficients phihat(k) z_k, the real parts of z drawn
+    first (zero noise draws nothing), through field_from_spectral."""
     if dt <= 0:
         raise UsageError(f"dt must be positive, got {dt}")
     g = spec.grid
     if spec.kind == "zero":
-        return np.zeros(g.shape, dtype=np.complex128)
-    return _phihat_z(spec.multiplier_profile(), rng_state.standard_normal((2,) + g.shape), dt)
-
-
-def sample_wiener_increment(
-    spec: NoiseSpec, dt: float, rng_state: np.random.Generator
-) -> ComplexField:
-    """One increment phi*DeltaW over a step of length dt (physical space)."""
-    return lattice.field_from_spectral(spec.grid, spectral_increment(spec, dt, rng_state))
+        coeffs = np.zeros(g.shape, dtype=np.complex128)
+    else:
+        coeffs = _phihat_z(spec.multiplier_profile(), rng_state.standard_normal((2,) + g.shape), dt)
+    return lattice.field_from_spectral(g, coeffs)
 
 
 def step_stochastic_convolution(
@@ -160,8 +157,9 @@ def step_stochastic_convolution(
 
     Exact in law because |e^{-i|k|^2 tau}| = 1 makes the Ito-integral variance
     of each mode exactly dt * phihat(k)^2.  Returns (psi_next, increment).
-    This is the physical-space reference for the Fourier-space Psi update in
-    dynamics.solve, which is the one production code path advancing Psi.
+    This is the physical-space reference for dynamics.stochastic_convolution,
+    the Fourier recursion that a dpd step, noise-stats and duhamel_residual
+    run: the one production code advancing Psi.
     """
     if increment is None:
         if rng_state is None:

@@ -133,15 +133,6 @@ class TestSolveDeterministic:
         assert traj.n_snapshots == 3
         assert np.allclose(traj.times, [0.0, 0.05, 0.1])
 
-    def test_disable_nonlinearity_is_free_flow(self):
-        g = grid2d()
-        v0 = random_v(g, 5, scale=0.1)
-        cfg = det_config(g, v0, t_final=0.2, dt=0.01, disable_nonlinearity=True)
-        traj = dynamics.solve(cfg)
-        u_free = lattice.apply_schrodinger_group(traj.u_snapshot(0), 0.2)
-        diff = traj.u_snapshot(-1).values - u_free.values
-        assert np.max(np.abs(diff)) < 1e-11
-
     def test_blow_up_raises_with_step_info(self):
         # |u|^2 overflows in the phase substep and the non-finite guard fires
         g = grid2d(8)
@@ -598,21 +589,20 @@ class TestPhaseTableStepper:
         monkeypatch.undo()
         return len(calls)
 
-    BUDGETS = [  # scheme, prescribed path, FFTs per step, linear flow
-        ("dpd", True, 2, False), ("dpd", False, 2, False), ("direct", False, 2, False),
-        ("direct", True, 2, False), ("deterministic_gp", False, 2, False),
-        ("deterministic_cubic", False, 2, False), ("direct", False, 0, True), ("dpd", False, 0, True),
+    BUDGETS = [  # scheme, prescribed path, FFTs per step
+        ("dpd", True, 2), ("dpd", False, 2), ("direct", False, 2), ("direct", True, 2),
+        ("deterministic_gp", False, 2), ("deterministic_cubic", False, 2),
     ]
 
-    @pytest.mark.parametrize("scheme, prescribed, budget, linear", BUDGETS, ids=[
-        f"{s}-{p}-{b}" + ("-linear" if lin else "") for s, p, b, lin in BUDGETS])
-    def test_fft_budget_per_step(self, monkeypatch, scheme, prescribed, budget, linear):
+    @pytest.mark.parametrize("scheme, prescribed, budget", BUDGETS,
+                             ids=[f"{s}-{p}-{b}" for s, p, b in BUDGETS])
+    def test_fft_budget_per_step(self, monkeypatch, scheme, prescribed, budget):
         # the difference of two run lengths, each storing only its final
         # snapshot, leaves the per-step count
         g = grid2d()
         counts = []
         for n in (10, 20):
-            cfg = stepper_config(scheme, g, n_steps=n, stride=n, disable_nonlinearity=linear)
+            cfg = stepper_config(scheme, g, n_steps=n, stride=n)
             if prescribed:
                 path = noise.generate_noise_path(cfg.noise, cfg.dt, n, master_seed=3)
                 cfg = replace(cfg, prescribed_path=path)

@@ -400,22 +400,55 @@ class TestCli:
         assert got > 0
         assert got == pytest.approx(np.mean(h1_sq), rel=1e-12)
 
-    def test_noise_stats_member_is_one_solve(self, tmp_path, monkeypatch, capsys):
-        calls = {"solve": 0, "step_stochastic_convolution": 0}
+    @pytest.mark.parametrize("points, dim", [(16, 2), (8, 4)])
+    def test_noise_stats_member_is_the_psi_of_a_dpd_solve(self, points, dim):
+        # noise-stats runs the recursion over a batch of members' rows; member
+        # m's Psi(T) is that of a nonlinear dpd solve on stream m, byte for byte
+        g = lattice.make_grid(dim, points, 2.0 * np.pi)
+        spec = noise.multiplier_noise(g, 0.3, 3.5)
+        n_steps, members = 6, range(4)
+        psi = dynamics.stochastic_convolution(
+            np.zeros((len(members),) + g.shape, dtype=np.complex128),
+            noise.member_rows(spec, 0.01, 5, members, n_steps), lattice.schrodinger_phase(g, 0.01))
+        np.fft.ifftn(psi, axes=g.axes, out=psi)
+        for m in members:
+            cfg = dynamics.SolverConfig(
+                grid=g, t_final=n_steps * 0.01, dt=0.01, scheme="dpd", noise=spec,
+                initial_v=dynamics.initial_gaussian_bump(g, 0.3, 0.8), snapshot_stride=n_steps,
+                master_seed=5, stream_id=m)
+            traj = dynamics.solve(cfg)
+            assert np.abs(traj.v[-1]).max() > 1e-3  # the solve is nonlinear
+            assert psi[m].tobytes() == traj.psi[-1].tobytes()
 
-        def counting(module, name):
-            fn = getattr(module, name)
+    def test_noise_stats_does_not_depend_on_the_batch_size(self, tmp_path, monkeypatch, capsys):
+        doc = BASE_CONFIG.replace("size = 3", "size = 7") + f"\n[output]\ndir = {tmp_path}/out\n"
+        cfgfile = self.write_config(tmp_path, doc)
+        texts = []
+        for block_bytes in (lattice.BLOCK_BYTES, 16 * 16**2):  # all 7 members at once, then one a batch
+            monkeypatch.setattr(lattice, "BLOCK_BYTES", block_bytes)
+            assert cli.main(["noise-stats", "--config", cfgfile]) == 0
+            texts.append(open(os.path.join(tmp_path, "out", "noise_stats.txt"), "rb").read())
+        assert texts[0] == texts[1]
+        assert b"E_psi_H1_sq = 0.0\n" not in texts[0]
 
-            def wrapper(*a, **kw):
-                calls[name] += 1
-                return fn(*a, **kw)
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting(dynamics, "solve")
-        counting(noise, "step_stochastic_convolution")
-        doc = BASE_CONFIG.replace("size = 3", "size = 4") + f"\n[output]\ndir = {tmp_path}/out\n"
-        assert cli.main(["noise-stats", "--config", self.write_config(tmp_path, doc)]) == 0
-        assert calls == {"solve": 4, "step_stochastic_convolution": 0}
+    def test_noise_stats_ffts_do_not_grow_with_steps(self, tmp_path, monkeypatch, capsys):
+        # Psi stays in Fourier space over the steps: one inverse FFT a batch
+        # and one forward FFT a member (sobolev_norm), at n and 2n steps alike
+        calls = []
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _real=getattr(np.fft, name), **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        counts = []
+        for t_final in ("0.05", "0.1"):  # 10 and 20 steps
+            doc = (BASE_CONFIG.replace("t_final = 0.05", f"t_final = {t_final}")
+                   + f"\n[output]\ndir = {tmp_path}/out\n")
+            calls.clear()
+            assert cli.main(["noise-stats", "--config", self.write_config(tmp_path, doc)]) == 0
+            counts.append(len(calls))
+        assert counts[0] == 1 + 3
+        assert counts[1] - counts[0] == 0
 
     def test_noise_stats_memory_does_not_grow_with_steps(self, tmp_path, capsys):
         # a member once held its whole path: 400 fields of 16 KB here
