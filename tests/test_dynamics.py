@@ -575,7 +575,7 @@ def stepper_config(scheme, g, n_steps=40, stride=1, v0=None, amplitude=0.5, **kw
 
 
 class TestPhaseTableStepper:
-    def count_ffts(self, monkeypatch, cfg):
+    def count_ffts(self, monkeypatch, cfg, run=dynamics.solve):
         calls = []
         for name in ("fftn", "ifftn"):
             real = getattr(np.fft, name)
@@ -585,18 +585,34 @@ class TestPhaseTableStepper:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        dynamics.solve(cfg)
+        run(cfg)
         monkeypatch.undo()
         return len(calls)
 
-    BUDGETS = [  # scheme, prescribed path, FFTs per step
-        ("dpd", True, 2), ("dpd", False, 2), ("direct", False, 2), ("direct", True, 2),
-        ("deterministic_gp", False, 2), ("deterministic_cubic", False, 2),
+    @staticmethod
+    def linear_flow(cfg):
+        """The scheme's flow without its nonlinearity, the route that has it
+        now: stochastic_convolution over the stream's rows in Fourier space,
+        u_hat for direct, v_hat (no noise) and Psi_hat (from zero) for dpd,
+        one transform each way."""
+        full = lattice.schrodinger_phase(cfg.grid, cfg.dt)
+        rows = noise.increment_rows(cfg.noise, cfg.dt, cfg.master_seed, 0, cfg.n_steps)
+        field = cfg.initial_v.values.reshape(cfg.grid.shape) + (1.0 if cfg.scheme == "direct" else 0.0)
+        a_hat = dynamics.stochastic_convolution(
+            np.fft.fftn(field), (None,) * cfg.n_steps if cfg.scheme == "dpd" else rows, full)
+        if cfg.scheme == "dpd":
+            a_hat += dynamics.stochastic_convolution(np.zeros(cfg.grid.shape, dtype=complex), rows, full)
+        return np.fft.ifftn(a_hat)
+
+    BUDGETS = [  # scheme, prescribed path, FFTs per step, linear flow
+        ("dpd", True, 2, False), ("dpd", False, 2, False), ("direct", False, 2, False),
+        ("direct", True, 2, False), ("deterministic_gp", False, 2, False),
+        ("deterministic_cubic", False, 2, False), ("direct", False, 0, True), ("dpd", False, 0, True),
     ]
 
-    @pytest.mark.parametrize("scheme, prescribed, budget", BUDGETS,
-                             ids=[f"{s}-{p}-{b}" for s, p, b in BUDGETS])
-    def test_fft_budget_per_step(self, monkeypatch, scheme, prescribed, budget):
+    @pytest.mark.parametrize("scheme, prescribed, budget, linear", BUDGETS, ids=[
+        f"{s}-{p}-{b}" + ("-linear" if lin else "") for s, p, b, lin in BUDGETS])
+    def test_fft_budget_per_step(self, monkeypatch, scheme, prescribed, budget, linear):
         # the difference of two run lengths, each storing only its final
         # snapshot, leaves the per-step count
         g = grid2d()
@@ -606,7 +622,7 @@ class TestPhaseTableStepper:
             if prescribed:
                 path = noise.generate_noise_path(cfg.noise, cfg.dt, n, master_seed=3)
                 cfg = replace(cfg, prescribed_path=path)
-            counts.append(self.count_ffts(monkeypatch, cfg))
+            counts.append(self.count_ffts(monkeypatch, cfg, self.linear_flow if linear else dynamics.solve))
         assert (counts[1] - counts[0]) / 10 <= budget
 
     @pytest.mark.parametrize("scheme, arrays", [("deterministic_gp", 1), ("dpd", 2)])
