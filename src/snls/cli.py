@@ -160,7 +160,8 @@ def _cmd_converge(args) -> int:
 def _cmd_partition(args) -> int:
     rc = _load_config(args)
     grid, _, _, blocks = dynamics.trajectory_blocks(args.trajectory)
-    part = diagnostics.partition_intervals(diagnostics.norm_table(grid, blocks), rc.eta)
+    table = diagnostics.norm_table(grid, blocks, columns=diagnostics.PARTITION_COLUMNS)
+    part = diagnostics.partition_intervals(table, rc.eta)
     print(f"eta = {rc.eta!r}  J = {part.J}")
     for itv, nrm, irr in zip(part.intervals, part.norms, part.irreducible):
         tag = "  [irreducible]" if irr else ""

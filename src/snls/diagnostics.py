@@ -65,6 +65,13 @@ class EnergyLedger:
 
 
 _SIXTH_POWERED = ("grad_l12o5", "l6", "v_grad_l12o5", "psi_grad_l12o5")
+# the norm table's columns, in the order _checked looks for a non-finite one
+COLUMNS = ("grad_l4", "grad_l12o5", "grad_l2", "l6", "energy", "qv", "qv_balanced", "ham3_steps",
+           "v_grad_l12o5", "psi_grad_l12o5")
+LEDGER_COLUMNS = ("grad_l12o5", "l6", "energy", "qv", "qv_balanced", "ham3_steps")  # ito_ledger's
+PARTITION_COLUMNS = ("v_grad_l12o5", "psi_grad_l12o5")  # partition_intervals'
+_GRADIENT = {"grad_l4", "grad_l12o5", "grad_l2", "energy"} | set(PARTITION_COLUMNS)
+_PHYSICAL = {"l6", "energy", "qv", "qv_balanced", "ham3_steps"}
 
 
 @dataclass
@@ -81,88 +88,128 @@ class NormTable:
 
 
 class NormAccumulator:
-    """The one pass over snapshot fields, fed SnapshotBlocks in order: every
-    per-snapshot quantity the diagnostics read, for v* = u - 1 = v + Psi:
+    """The one pass over snapshot fields, fed SnapshotBlocks in order: the
+    per-snapshot quantities the diagnostics read, for v* = u - 1 = v + Psi:
     ||grad v*|| in L^4, L^12/5, L^2, ||v*||_{L^6}, E(1 + v*), ham2's
     integrals of |v*|^2 + (Im v*)^2 + 4 Re v* (qv) and |v*|^2 + 2 Re v*
     (qv_balanced), ||grad v|| and ||grad Psi|| in L^12/5, and, for blocks
     that carry noise rows, each step's ham3 term (ham3_steps).
 
-    One forward transform per block of v* (and of v and Psi for dpd) over
-    every member's rows at once, into a work array kept from block to
-    block; ham3 reads the block's physical and Fourier noise rows and takes
-    no transform of its own.  A non-finite snapshot raises UsageError naming
-    it.  Columns are kept per member, and tables() checks each member's on
-    its own."""
+    Columns on demand: it makes only the given columns (COLUMNS, all of
+    them, by default; LEDGER_COLUMNS for the ledger, PARTITION_COLUMNS for
+    the partition), and each column it makes has one formula whatever the
+    others are, so its bits do not depend on them.
 
-    def __init__(self, grid: GridSpec):
+    It reads the block's Fourier rows, v_hat and psi_hat, and takes no
+    transform of its own but the gradient's, one inverse FFT per axis and
+    gradient field, over every member's rows at once.  The gradient fields
+    are v* (v*_hat = v_hat + psi_hat) and, when the partition's columns are
+    made for dpd, Psi; grad v = grad v* - grad Psi axis by axis.  Powers of
+    |grad| are taken of its square: |grad|^{12/5} = (|grad|^2)^1.2.  ham3
+    reads the block's physical and Fourier noise rows.  Every block-sized
+    array is held memory (lattice.held), so no block allocates one.  A
+    non-finite snapshot raises UsageError naming it.  Columns are kept per
+    member, and tables() checks each member's on its own."""
+
+    def __init__(self, grid: GridSpec, columns: Sequence[str] = COLUMNS):
         self.grid = grid
+        self.columns = [key for key in COLUMNS if key in columns]
         self.blocks = []  # per block: key -> (members, rows) column
         self.times = []
-        self._work = np.empty(0, dtype=np.complex128)  # a block's forward transforms
 
     @np.errstate(over="ignore", invalid="ignore")  # the columns are checked in tables()
     def add(self, block) -> None:
-        g, cell = self.grid, self.grid.cell_measure
+        g, cell, want, held = self.grid, self.grid.cell_measure, set(self.columns), lattice.held
         m_count, b = block.v.shape[:2]
-        v = block.v.reshape((m_count * b,) + g.shape)
-        psi = None if block.psi is None else block.psi.reshape(v.shape)
-        w = v if psi is None else v + psi  # v* rows
-        flat = w.reshape(len(w), -1)
-        finite = np.isfinite(flat.view(np.float64)).all(axis=1)
+        n, size = m_count * b, g.total_points
+        rows = (n, size)
+        dpd = block.psi is not None
+        w = block.v.reshape(rows)  # v* rows
+        if dpd:
+            w = np.add(w, block.psi.reshape(rows), out=held("norms.w", rows))
+        finite = np.isfinite(w.view(np.float64), out=held("norms.finite", (n, 2 * size), bool))
+        finite = finite.all(axis=1)
         if not finite.all():
             raise UsageError(f"snapshot {block.start + int(np.argmin(finite)) % b} "
                              "holds a non-finite value")
-        if self._work.shape != w.shape:  # the same for every block but the last
-            self._work = np.empty(w.shape, dtype=np.complex128)
-        w_hat = np.fft.fftn(w, s=g.shape, axes=g.axes, out=self._work)
-        grad = lattice.gradient_magnitude(g, w_hat)  # non-negative: no abs
-        l12o5 = lattice._lp_of_powers(grad ** 2.4, 2.4, cell)
-        l2 = lattice._lp_of_powers(np.square(grad, out=grad), 2.0, cell)
-        l4 = lattice._lp_of_powers(np.square(grad, out=grad), 4.0, cell)
-        # in this order, _checked names the first non-finite column
-        cols = {"grad_l4": l4, "grad_l12o5": l12o5, "grad_l2": l2}
-        abs2 = np.abs(flat) ** 2
-        cube = np.square(abs2, out=grad)  # grad's buffer, no longer read
-        cube *= abs2
-        cols["l6"] = lattice._lp_of_powers(cube, 6.0, cell)
-        del grad, cube
-        q = 2.0 * flat.real
-        q += abs2  # |u|^2 - 1
-        cols["energy"] = 0.5 * cols["grad_l2"] ** 2 + 0.25 * np.sum(np.square(q), axis=1) * cell
-        qv_balanced = np.sum(q, axis=1) * cell
-        abs2 += np.square(flat.imag)
-        abs2 += 4.0 * flat.real
-        cols["qv"] = np.sum(abs2, axis=1) * cell
-        cols["qv_balanced"] = qv_balanced
-        del abs2
-        steps = 0 if block.dw_hat is None else block.dw_hat.shape[1]
-        if steps:
-            # Im int G(v*) phi dW dx paired with each left-point snapshot, for
-            # G(v*) = (|u|^2 - 1) conj(u) - Lap conj(v*) and u = 1 + v*.  The
-            # first term is real arithmetic on the physical rows; the second
-            # is, by Parseval, (1/N) sum_k |k|^2 Im(conj(w_hat) dw_hat)
-            # on the Fourier rows, with no transform.
-            rows = (m_count, b, -1)
-            w_s, q_s, w_hat_s = (a.reshape(rows)[:, :steps] for a in (flat, q, w_hat))
-            dw, dw_hat = (a.reshape(m_count, steps, -1) for a in (block.dw, block.dw_hat))
-            term = 1.0 + w_s.real
-            term *= dw.imag
-            term -= w_s.imag * dw.real
-            term *= q_s
-            lap_term = w_hat_s.real * dw_hat.imag
-            lap_term -= w_hat_s.imag * dw_hat.real
-            lap_term *= g.ksq().reshape(-1)
-            ham3 = np.sum(term, axis=-1) + np.sum(lap_term, axis=-1) / g.total_points
-            cols["ham3_steps"] = ham3 * cell
-            del term, lap_term, w_s, q_s, w_hat_s
-        del w_hat, q, flat, w
-        if psi is not None:
-            for key, part in (("v_grad_l12o5", v), ("psi_grad_l12o5", psi)):
-                part_hat = np.fft.fftn(part, s=g.shape, axes=g.axes, out=self._work)
-                part_grad = lattice.gradient_magnitude(g, part_hat)
-                cols[key] = lattice._lp_of_powers(part_grad ** 2.4, 2.4, cell)
-        self.blocks.append({key: col.reshape(m_count, -1) for key, col in cols.items()})
+        cols, r = {}, held("norms.r", rows, np.float64)  # r: a real scratch row per field
+
+        def l12o5(squares):
+            return lattice._lp_of_powers(np.power(squares, 1.2, out=r), 2.4, cell)
+
+        parts = dpd and bool(want & set(PARTITION_COLUMNS))
+        if dpd:  # the gradient's stack: v*_hat, then psi_hat for the partition
+            stack = held("norms.stack", (2 if parts else 1,) + block.v_hat.shape)
+            w_hat = np.add(block.v_hat, block.psi_hat, out=stack[0])
+            if parts:
+                np.copyto(stack[1], block.psi_hat)
+        else:
+            stack = w_hat = block.v_hat
+        if want & _GRADIENT:
+            stack = stack.reshape((-1,) + g.shape)
+            # its magnitudes go unread: the pass reads the squares and fields it holds
+            lattice.gradient_magnitude(g, stack)
+            fields, squares = lattice.gradient_work(g, stack.shape)
+            sq = squares[:n]  # |grad v*|^2
+            if want & {"grad_l2", "energy"}:
+                cols["grad_l2"] = lattice._lp_of_powers(sq, 2.0, cell)
+            if want & {"grad_l12o5", "v_grad_l12o5"}:
+                cols["grad_l12o5"] = l12o5(sq)
+            if "grad_l4" in want:
+                cols["grad_l4"] = lattice._lp_of_powers(np.square(sq, out=r), 4.0, cell)
+            if parts:
+                cols["psi_grad_l12o5"] = l12o5(squares[n:])
+                sq_v = held("norms.sq_v", rows, np.float64)  # |grad v|^2, summed as gradient sums
+                sq_v.fill(0.0)
+                for d in fields:
+                    d[:n] -= d[n:]
+                    flat = d[:n].reshape(rows)
+                    sq_v += np.square(flat.real, out=r)
+                    sq_v += np.square(flat.imag, out=r)
+                cols["v_grad_l12o5"] = l12o5(sq_v)
+            elif not dpd:  # Psi = 0
+                cols["v_grad_l12o5"], cols["psi_grad_l12o5"] = cols["grad_l12o5"], np.zeros(n)
+        if want & _PHYSICAL:
+            abs2 = np.abs(w, out=held("norms.abs2", rows, np.float64))
+            np.square(abs2, out=abs2)
+            if "l6" in want:
+                cube = np.square(abs2, out=r)
+                cube *= abs2
+                cols["l6"] = lattice._lp_of_powers(cube, 6.0, cell)
+            q = np.multiply(w.real, 2.0, out=held("norms.q", rows, np.float64))
+            q += abs2  # |u|^2 - 1
+            if "energy" in want:
+                cols["energy"] = (0.5 * cols["grad_l2"] ** 2
+                                  + 0.25 * np.sum(np.square(q, out=r), axis=1) * cell)
+            cols["qv_balanced"] = np.sum(q, axis=1) * cell
+            abs2 += np.square(w.imag, out=r)
+            abs2 += np.multiply(w.real, 4.0, out=r)
+            cols["qv"] = np.sum(abs2, axis=1) * cell
+            steps = 0 if block.dw_hat is None else block.dw_hat.shape[1]
+            if steps and "ham3_steps" in want:
+                # Im int G(v*) phi dW dx paired with each left-point snapshot,
+                # for G(v*) = (|u|^2 - 1) conj(u) - Lap conj(v*) and u = 1 + v*.
+                # The first term is real arithmetic on the physical rows; the
+                # second is, by Parseval, (1/N) sum_k |k|^2 Im(conj(w_hat)
+                # dw_hat) on the Fourier rows, with no transform (and no
+                # weight on the zero mode).
+                shape = (m_count, steps, size)
+                w_s, q_s = (a.reshape(m_count, b, size)[:, :steps] for a in (w, q))
+                w_hat_s = w_hat.reshape(m_count, b, size)[:, :steps]
+                dw, dw_hat = (a.reshape(shape) for a in (block.dw, block.dw_hat))
+                r_s = held("norms.r", shape, np.float64)
+                # term and lap take the memory of abs2, read no more, and of q
+                term = np.add(w_s.real, 1.0, out=held("norms.abs2", shape, np.float64))
+                term *= dw.imag
+                term -= np.multiply(w_s.imag, dw.real, out=r_s)
+                term *= q_s
+                lap = np.multiply(w_hat_s.real, dw_hat.imag, out=held("norms.q", shape, np.float64))
+                lap -= np.multiply(w_hat_s.imag, dw_hat.real, out=r_s)
+                lap *= g.ksq().reshape(-1)
+                ham3 = np.sum(term, axis=-1) + np.sum(lap, axis=-1) / size
+                cols["ham3_steps"] = ham3 * cell
+        self.blocks.append({key: cols[key].reshape(m_count, -1)
+                            for key in self.columns if key in cols})
         self.times.append(block.times)
 
     def tables(self, configs: Sequence[Optional[SolverConfig]]) -> list:
@@ -176,8 +223,6 @@ class NormAccumulator:
         for m, cfg in enumerate(configs):
             table = {key: np.concatenate([b[key][m] for b in self.blocks if key in b])
                      for key in keys}
-            if "grad_l12o5" in table and "psi_grad_l12o5" not in table:  # Psi = 0
-                table["v_grad_l12o5"], table["psi_grad_l12o5"] = table["grad_l12o5"], np.zeros(len(times))
             out.append(_checked(table, times, cfg) or NormTable(self.grid, times, table, cfg))
         return out
 
@@ -211,25 +256,30 @@ def snapshot_norms(traj) -> dict:
     return traj.norms
 
 
-def norm_table(grid: GridSpec, blocks, config: Optional[SolverConfig] = None) -> NormTable:
-    """One member's SnapshotBlocks fed through a NormAccumulator: its
-    checked NormTable.  Raises the table's BlowUpError."""
-    acc = NormAccumulator(grid)
-    for block in blocks:
-        acc.add(block)
+def norm_table(grid: GridSpec, blocks, config: Optional[SolverConfig] = None,
+               columns: Sequence[str] = COLUMNS) -> NormTable:
+    """One member's SnapshotBlocks fed through a NormAccumulator making
+    columns: its checked NormTable.  Raises the table's BlowUpError."""
+    acc = NormAccumulator(grid, columns)
+    try:
+        for block in blocks:
+            acc.add(block)
+    finally:
+        lattice.release_held()
     (table,) = acc.tables([config])
     if isinstance(table, BlowUpError):
         raise table
     return table
 
 
-def solve_tables(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks=()) -> list:
+def solve_tables(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks=(),
+                 columns: Sequence[str] = COLUMNS) -> list:
     """Stream the members' snapshot blocks at every level of configs (one
     dynamics.lockstep) into each of sinks, called with every block in
-    order, and then into the level's own NormAccumulator.  Returns per
-    level, per stream id, its NormTable or its BlowUpError: the solve's,
-    else the table's.  No snapshot is kept."""
-    accs = [NormAccumulator(config.grid) for config in configs]
+    order, and then into the level's own NormAccumulator making columns.
+    Returns per level, per stream id, its NormTable or its BlowUpError: the
+    solve's, else the table's.  No snapshot is kept."""
+    accs = [NormAccumulator(config.grid, columns) for config in configs]
 
     def feed(acc):
         def sink(block):
@@ -363,9 +413,13 @@ def partition_intervals(traj, eta: float) -> IntervalPartition:
 def strichartz_report(traj, interval: SpacetimeInterval) -> dict:
     """Named space-time norms over the interval: the three shipped admissible
     pairs applied to grad u, the L^6_{t,x} norm of u - 1, and the X^1 norm.
-    The s1_proxy entry is the max over the three computed pairs, not the full
-    supremum over all admissible pairs.  Since grad u = grad v*, every entry
-    is read off the norm table's columns for v* = u - 1."""
+    The s1_proxy entry, the max over the three computed pairs, is the
+    supremum of ||grad u||_{L^q_t L^r_x} over every 4-d admissible pair,
+    2/q + 4/r = 2 with 2 <= q <= inf: by Hoelder the mixed norm is
+    log-convex in (1/q, 1/r) along that segment, for the trapezoid sums too
+    (their weights are positive and do not depend on q), so its supremum
+    is at an endpoint, (2, 4) or (inf, 2).  Since grad u = grad v*, every
+    entry is read off the norm table's columns for v* = u - 1."""
     interval.validate(len(traj.times))
     sl = slice(interval.start_index, interval.end_index + 1)
     table = snapshot_norms(traj)

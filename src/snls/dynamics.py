@@ -97,7 +97,9 @@ class SolverConfig:
 class Trajectory:
     """Snapshots of one run, one per row of v (lattice shape), and of Psi in
     psi for dpd (None otherwise: Psi = 0), with the noise path solve kept, if
-    any.  A trajectory read from a file has no solver config and no path."""
+    any, and the Fourier rows solve's blocks carried (v_hat, psi_hat; None
+    for any other trajectory).  A trajectory read from a file has no solver
+    config and no path."""
 
     grid: GridSpec
     scheme: str
@@ -107,6 +109,8 @@ class Trajectory:
     config: Optional[SolverConfig] = None
     noise_path: Optional[NoisePath] = None
     frame: str = "gp"  # "gp" or "cubic" (gauge-transformed)
+    v_hat: Optional[np.ndarray] = None  # Fourier rows as solve's run held them (SnapshotBlock)
+    psi_hat: Optional[np.ndarray] = None
     norms: Optional[dict] = field(default=None, init=False, repr=False, compare=False)  # snapshot_norms
 
     @property
@@ -128,14 +132,20 @@ class Trajectory:
     def blocks(self):
         """The snapshots as SnapshotBlocks of one member, about
         lattice.BLOCK_BYTES of v rows each, with the rows of the noise path
-        when it has one per step."""
+        when it has one per step, and the Fourier rows when it has them."""
         path = self.noise_path
         steps = path.n_steps if path is not None and path.n_steps == self.n_snapshots - 1 else 0
+
+        def rows(a, sl):
+            return None if a is None else a[np.newaxis, sl]
+
         for sl in lattice.row_blocks(self.n_snapshots, self.grid.total_points * 16):
             yield SnapshotBlock(
-                grid=self.grid, start=sl.start, times=self.times[sl], v=self.v[np.newaxis, sl],
-                psi=None if self.psi is None else self.psi[np.newaxis, sl],
+                grid=self.grid, start=sl.start, times=self.times[sl], v=rows(self.v, sl),
+                psi=rows(self.psi, sl),
                 dw_hat=path.dw_hat[np.newaxis, sl.start:min(sl.stop, steps)] if sl.start < steps else None,
+                coefficients=None if self.v_hat is None else (
+                    rows(self.v_hat, sl), rows(self.psi_hat, sl)),
             )
 
     def solver_config(self, caller: str) -> SolverConfig:
@@ -329,13 +339,18 @@ def _dpd_step(state: tuple, dw_hat, half: np.ndarray, full: np.ndarray, dt: floa
 
 
 def member_bytes(config: SolverConfig) -> int:
-    """Bytes one member of a streamed batch holds, about: its state arrays,
-    the step's temporaries (4 fields for the Strang step; for dpd the held
-    work arrays of dpd_work, four complex and one real, 5 rounded up), and
-    its share of one snapshot block with the norm pass's temporaries over it
-    (about ten rows), and for a stochastic scheme its row of the normals
-    noise.member_rows holds.  It keeps no snapshots and no path."""
-    rows = (2 + 5 if config.scheme == "dpd" else 1 + 4) + 10 + (1 if config.stochastic else 0)
+    """Bytes one member of a streamed batch holds, about, in fields: its
+    state arrays and the step's temporaries (4 fields for the Strang step;
+    for dpd the held work arrays of dpd_work, four complex and one real, 5
+    rounded up); its share of a one-snapshot block (its coefficient rows
+    and their physical copy, a noise row and its physical dw); the norm
+    pass's held work over it (the derivative fields of every axis and their
+    squares for each gradient field, a Fourier stack and about four
+    half-size real arrays); and for a stochastic scheme its row of the
+    normals noise.member_rows holds.  It keeps no snapshots and no path."""
+    arrays = 2 if config.scheme == "dpd" else 1  # v, and Psi for dpd
+    rows = (arrays + (5 if arrays == 2 else 4) + 2 * arrays + 2
+            + arrays * (config.grid.dim + 2) + 3 + (1 if config.stochastic else 0))
     return rows * config.grid.total_points * 16
 
 
@@ -346,7 +361,22 @@ class SnapshotBlock:
     the run's noise rows are kept (stride 1), the Fourier rows dw_hat
     (M, r, *grid.shape) of steps start .. start + r - 1, each paired with its
     left-point snapshot (r = b, one fewer in the block holding the last
-    snapshot).  A failed member's rows after its blow-up are zero."""
+    snapshot).  A failed member's rows after its blow-up are those of a
+    zeroed state.
+
+    v_hat and psi_hat (None without Psi) are the Fourier rows of v and Psi:
+    the coefficients the stepper held, when given as coefficients (for
+    direct and the deterministic schemes its u_hat = fftn(1 + v) less the
+    constant's mode), else fftn of v and psi, made once when first read.
+    The norm pass never reads their zero mode.  dw is made once, when
+    first read, from dw_hat.
+
+    How long the arrays are valid: a block made by _run holds its physical
+    rows and dw in held memory (lattice.held) and its coefficient rows in
+    its run's own arrays, so a sink must be done with a block when it
+    returns; the next block overwrites them.  A made v_hat, psi_hat or dw
+    lasts until the next block makes its own.  A block of a kept Trajectory
+    holds views of its arrays."""
 
     grid: GridSpec
     start: int
@@ -354,30 +384,35 @@ class SnapshotBlock:
     v: np.ndarray
     psi: Optional[np.ndarray] = None
     dw_hat: Optional[np.ndarray] = None
+    coefficients: Optional[tuple] = None  # (v_hat, psi_hat) as the stepper held them
+
+    def _forward(self, k: int, rows: Optional[np.ndarray], name: str) -> Optional[np.ndarray]:
+        if self.coefficients is not None:
+            return self.coefficients[k]
+        if rows is None:
+            return None
+        return np.fft.fftn(rows, axes=self.grid.axes, out=lattice.held(name, rows.shape))
+
+    @cached_property
+    def v_hat(self) -> np.ndarray:
+        return self._forward(0, self.v, "block.v_hat")
+
+    @cached_property
+    def psi_hat(self) -> Optional[np.ndarray]:
+        return self._forward(1, self.psi, "block.psi_hat")
 
     @cached_property
     def dw(self) -> np.ndarray:
-        """The physical noise rows, made once per block: the bits
-        sample_wiener_increment gives for a drawn row."""
-        return np.fft.ifftn(self.dw_hat, axes=self.grid.axes)
+        """The physical noise rows: the bits sample_wiener_increment gives
+        for a drawn row."""
+        return np.fft.ifftn(self.dw_hat, axes=self.grid.axes,
+                            out=lattice.held("block.dw", self.dw_hat.shape))
 
 
 def _store(stores: list, i: int, state: tuple) -> None:
     """Snapshot i of a block: each array of state into its store."""
     for store, a_hat in zip(stores, state):
         store[:, i] = a_hat
-
-
-def _open_block(config: SolverConfig, state: tuple, first: int, n: int, n_steps: int,
-                keep: bool):
-    """The arrays of a block of n snapshots from first, holding snapshot
-    first, and of its n_steps noise rows when keep (else None)."""
-    shape = (len(state[0]), n) + config.grid.shape
-    stores = [np.empty(shape, dtype=np.complex128) for _ in state]
-    # row 0 of the run is initial_v as given, not transformed, and Psi = 0
-    _store(stores, 0, state if first else (config.initial_v.mesh, 0.0))
-    rows = np.empty((shape[0], n_steps) + shape[2:], dtype=np.complex128) if keep else None
-    return stores, rows
 
 
 def _zero_failed(state: tuple, failures: list, j: int, dt: float) -> bool:
@@ -408,12 +443,15 @@ def _run(config: SolverConfig, m_count: int, factor: int, takes_rows: bool, sink
     The snapshots go to sink in SnapshotBlocks of consecutive snapshots, at
     most lattice.BLOCK_BYTES of v rows over all members and at least one
     snapshot; at stride 1 a run that takes rows keeps its steps' rows in them.
-    A block's arrays are made at its first step, once its rows are in (a
-    last block of one snapshot takes none), so the sink is done with the
-    block before.  At a yield the generator holds no other block and no
-    row but a coarse step's partial sum.  Every scheme carries Fourier
-    coefficients (u_hat = fftn(1 + v), or for dpd those of v and Psi),
-    which a block transforms back in place, one inverse FFT per array.
+    Every scheme carries Fourier coefficients (u_hat = fftn(1 + v), or for
+    dpd those of v and Psi); a block stores each snapshot's coefficients as
+    they come, in arrays the run holds from block to block, and when it is
+    full hands them to sink as the block's coefficients with their
+    physical copy, one inverse FFT per array into held memory.  u_hat less
+    the constant's mode N^d is v_hat, so v = ifftn(v_hat) rounds to the
+    size of v, not of 1 + v, as the coefficients the norm pass reads do.
+    Snapshot 0's rows are the initial state: initial_v as given (Psi = 0)
+    and its transform, so they take no transform of their own.
 
     A member whose state is not finite after step j (from 0) gets
     BlowUpError(j + 1) in failures and its rows are zeroed, so later steps
@@ -434,10 +472,22 @@ def _run(config: SolverConfig, m_count: int, factor: int, takes_rows: bool, sink
     if dpd:
         state += (np.zeros(shape, dtype=np.complex128),)
     failures, keep = [None] * m_count, takes_rows and stride == 1
-    for sl in lattice.row_blocks(n_snap, m_count * g.total_points * 16):
+    blocks = list(lattice.row_blocks(n_snap, m_count * g.total_points * 16))
+    size = m_count * (blocks[0].stop - blocks[0].start) * g.total_points  # the largest block
+    # a block's coefficient rows and noise rows, held from block to block
+    store_bufs = [np.empty(size, dtype=np.complex128) for _ in state]
+    row_buf = np.empty(size, dtype=np.complex128) if keep else None
+
+    def shaped(buf, n):
+        return buf[:m_count * n * g.total_points].reshape((m_count, n) + g.shape)
+
+    for sl in blocks:
         first, stop = sl.start, sl.stop  # the block of snapshots first .. stop - 1
         steps = range(first * stride, min(stop, n_snap - 1) * stride)
-        stores, held, end = None, 1, steps.stop
+        stores = [shaped(buf, stop - first) for buf in store_bufs]
+        dw_hat = shaped(row_buf, len(steps)) if keep else None
+        _store(stores, 0, state)
+        held, end = 1, steps.stop
         for j in steps:
             row = yield
             if factor > 1 and row is not None:
@@ -447,8 +497,6 @@ def _run(config: SolverConfig, m_count: int, factor: int, takes_rows: bool, sink
             else:
                 for _ in range(factor - 1):
                     yield
-            if stores is None:
-                stores, dw_hat = _open_block(config, state, first, stop - first, len(steps), keep)
             with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is named by its BlowUpError
                 if dw_hat is not None:
                     dw_hat[:, j - steps.start] = row
@@ -460,20 +508,24 @@ def _run(config: SolverConfig, m_count: int, factor: int, takes_rows: bool, sink
                 if (j + 1) % stride == 0 and held < stop - first:
                     _store(stores, held, state)
                     held += 1
-        if stores is None:
-            stores, dw_hat = _open_block(config, state, first, stop - first, len(steps), keep)
+        hats = [a[:, :held] for a in stores]
+        if not dpd:  # v_hat = u_hat less the constant's mode
+            hats[0][(Ellipsis,) + (0,) * g.dim] -= g.total_points
+        physical = [lattice.held(name, (m_count, held) + g.shape)
+                    for name in ("block.v", "block.psi")[:len(state)]]
+        back = slice(0 if first else 1, held)  # snapshot 0 is physical already: no transform
         with np.errstate(over="ignore", invalid="ignore"):
-            back = slice(0 if first else 1, held)  # to physical space in place, with no temporary
-            for k in range(len(stores)):
-                if back.start < held:  # snapshot 0 alone is physical already: no empty transform
-                    np.fft.ifftn(stores[k][:, back], axes=g.axes, out=stores[k][:, back])
-            if not dpd:
-                stores[0][:, back] -= 1.0
-            sink(SnapshotBlock(
-                grid=g, start=first, times=config.snapshot_times[first:first + held],
-                v=stores[0][:, :held], psi=stores[1][:, :held] if dpd else None,
-                dw_hat=None if dw_hat is None else dw_hat[:, :end - steps.start]))
-        stores = dw_hat = None  # the block's arrays are the sink's alone
+            for a_hat, a in zip(hats, physical):
+                if back.start < held:  # no empty transform for a block of snapshot 0 alone
+                    np.fft.ifftn(a_hat[:, back], axes=g.axes, out=a[:, back])
+        if first == 0:
+            for a, a0 in zip(physical, (v0, 0.0)):
+                a[:, 0] = a0
+        sink(SnapshotBlock(
+            grid=g, start=first, times=config.snapshot_times[first:first + held],
+            v=physical[0], psi=physical[1] if dpd else None,
+            dw_hat=None if dw_hat is None else dw_hat[:, :end - steps.start],
+            coefficients=(hats[0], hats[1] if dpd else None)))
         if None not in failures:
             break
     return failures
@@ -529,26 +581,32 @@ def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) 
     for run in runs:
         next(run)  # to its first yield
     failures, live = [None] * len(runs), list(range(len(runs)))
-    for row in rows:
-        for k in list(live):
-            try:
-                runs[k].send(row if takes_rows[k] else None)
-            except StopIteration as returned:
-                failures[k] = returned.value
-                live.remove(k)
-        if not live:  # every level has returned: draw no more rows
-            break
+    try:
+        for row in rows:
+            for k in list(live):
+                try:
+                    runs[k].send(row if takes_rows[k] else None)
+                except StopIteration as returned:
+                    failures[k] = returned.value
+                    live.remove(k)
+            if not live:  # every level has returned: draw no more rows
+                break
+    finally:
+        lattice.release_held()  # the blocks' held memory, and their sinks'
     return failures
 
 
 class _Collector:
     """A sink that copies one member's SnapshotBlocks into whole arrays:
-    v, Psi for dpd (psi, else None) and, given n_steps, the blocks' noise
-    rows (dw_hat, None while no block has carried any)."""
+    v, Psi for dpd (psi, else None), the coefficient rows of blocks that
+    carry them (v_hat and psi_hat, None while no block has) and, given
+    n_steps, the blocks' noise rows (dw_hat, None while no block has
+    carried any)."""
 
     def __init__(self, grid: GridSpec, n_snapshots: int, dpd: bool, n_steps: Optional[int] = None):
         self.v = np.empty((n_snapshots,) + grid.shape, dtype=np.complex128)
         self.psi = np.empty_like(self.v) if dpd else None
+        self.v_hat = self.psi_hat = None
         self.n_steps, self.dw_hat = n_steps, None
 
     def __call__(self, block: SnapshotBlock) -> None:
@@ -556,6 +614,13 @@ class _Collector:
         self.v[sl] = block.v[0]
         if self.psi is not None:
             self.psi[sl] = block.psi[0]
+        if block.coefficients is not None:
+            if self.v_hat is None:
+                self.v_hat = np.empty_like(self.v)
+                self.psi_hat = None if self.psi is None else np.empty_like(self.v)
+            self.v_hat[sl] = block.v_hat[0]
+            if self.psi_hat is not None:
+                self.psi_hat[sl] = block.psi_hat[0]
         if block.dw_hat is not None and self.n_steps is not None:
             if self.dw_hat is None:
                 self.dw_hat = np.empty((self.n_steps,) + self.v.shape[1:], dtype=np.complex128)
@@ -564,9 +629,10 @@ class _Collector:
 
 def solve(config: SolverConfig) -> Trajectory:
     """Integrate one trajectory on config.stream_id: a one-level lockstep
-    with its blocks collected.  It keeps every snapshot, and the noise path
-    at snapshot_stride 1 (the prescribed one itself, if given).  Raises
-    BlowUpError at the first step whose state is not finite."""
+    with its blocks collected.  It keeps every snapshot with its Fourier
+    rows, and the noise path at snapshot_stride 1 (the prescribed one
+    itself, if given).  Raises BlowUpError at the first step whose state is
+    not finite."""
     g, path = config.grid, config.prescribed_path
     rows = _Collector(g, config.n_snapshots, config.scheme == "dpd",
                       config.n_steps if path is None else None)
@@ -576,6 +642,7 @@ def solve(config: SolverConfig) -> Trajectory:
     return Trajectory(
         grid=g, scheme=config.scheme, times=config.snapshot_times, v=rows.v, psi=rows.psi,
         config=config, noise_path=path if rows.dw_hat is None else NoisePath(g, config.dt, rows.dw_hat),
+        v_hat=rows.v_hat, psi_hat=rows.psi_hat,
     )
 
 
@@ -740,20 +807,23 @@ def _file_blocks(filename: str, start: int, grid: GridSpec, dpd: bool, times: np
     rows, checked as they are read."""
     snaps, field_bytes = len(times), grid.total_points * lattice.FIELD_DTYPE.itemsize
     blocks = list(lattice.row_blocks(snaps, field_bytes))
+
+    def read(name, first, count):  # into held memory: a block is valid until the next is read
+        fh.seek(start + first * field_bytes)
+        return lattice.read_rows(fh, grid, count, first,
+                                 lattice.held(name, (count,) + grid.shape, lattice.FIELD_DTYPE))
+
     with open(filename, "rb") as fh:
         for k, sl in enumerate(blocks):
-            fh.seek(start + sl.start * field_bytes)
-            v = lattice.read_rows(fh, grid, sl.stop - sl.start, sl.start)
+            v = read("file.v", sl.start, sl.stop - sl.start)
             psi = None
             if dpd:
-                fh.seek(start + (snaps + sl.start) * field_bytes)
                 try:
-                    psi = lattice.read_rows(fh, grid, sl.stop - sl.start, snaps + sl.start)
+                    psi = read("file.psi", snaps + sl.start, sl.stop - sl.start)
                 except FormatError:
                     # a non-finite v field in a later block comes first in the file
                     for later in blocks[k + 1:]:
-                        fh.seek(start + later.start * field_bytes)
-                        lattice.read_rows(fh, grid, later.stop - later.start, later.start)
+                        read("file.v", later.start, later.stop - later.start)
                     raise
             yield SnapshotBlock(grid=grid, start=sl.start, times=times[sl], v=v[np.newaxis],
                                 psi=None if psi is None else psi[np.newaxis])

@@ -405,7 +405,8 @@ def residual_refinement_study(rc: RunConfig, n_halvings: int = 3) -> dict:
     base = build_solver_config(rc)
     configs = [replace(base, dt=dt, snapshot_stride=1) for dt in dts]
     literal, balanced = [], []
-    for (table,) in diagnostics.solve_tables(configs, [base.stream_id]):
+    levels = diagnostics.solve_tables(configs, [base.stream_id], columns=diagnostics.LEDGER_COLUMNS)
+    for (table,) in levels:
         if isinstance(table, BlowUpError):
             raise table
         ledger = diagnostics.ito_ledger(table)

@@ -11,6 +11,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -179,12 +180,42 @@ def field_from_spectral(grid: GridSpec, coeffs: np.ndarray) -> ComplexField:
 
 
 # Bytes of rows per block when snapshots are streamed or a stack is walked
-# block by block.  The norm table holds about ten block-sized temporaries at
-# once, so the block sets the peak memory of a run on large grids.  At
-# 512 KiB, blocks of two 128^2 rows made the heap grow and shrink every
-# block: 26,720 page faults per simulate-128sq simulate against 7,974 at
-# 256 KiB, and about 15% fewer steps/s (2-CPU x86 VM, glibc malloc).
+# block by block.  Per block a run holds its snapshots' Fourier rows, their
+# physical copy, its noise rows and their physical copy dw, and the norm
+# pass holds a stack of Fourier rows, the gradient's derivative fields (a
+# block per axis and gradient field) with their squares, and about four
+# real half-size arrays: all made once and held from block to block
+# (held), so the block sets the peak memory of a run on large grids.  When
+# each block's arrays were allocated afresh, blocks of two 128^2 rows
+# (512 KiB) made the heap grow and shrink every block: 26,720 page faults
+# per simulate-128sq simulate against 7,974 at 256 KiB, and about 15% fewer
+# steps/s.  Held, a simulate repeated in one interpreter takes about 600
+# minor page faults, against about 10,100 allocated per block (2-CPU x86
+# VM, glibc malloc).
 BLOCK_BYTES = 1 << 18
+
+_HELD: dict = {}  # name -> buffer
+
+
+def held(name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+    """The module's scratch array `name` in this shape: a contiguous view of
+    one buffer per name, made at first use and made again only when a
+    larger one is asked for, so a caller that asks block after block
+    allocates nothing once its largest block has come.  Its values last
+    until the next call that asks for `name`, and no longer, and
+    release_held() lets every buffer go."""
+    size = math.prod(shape)
+    buf = _HELD.get(name)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        _HELD.pop(name, None)  # the old buffer goes before the new one is made
+        buf = _HELD[name] = np.empty(size, dtype=dtype)
+    return buf[:size].reshape(shape)
+
+
+def release_held() -> None:
+    """Let every held buffer go: the drivers call this once a run's blocks
+    are done, so no run's scratch outlives it."""
+    _HELD.clear()
 
 
 def row_blocks(count: int, row_bytes: int):
@@ -207,22 +238,43 @@ def apply_schrodinger_group(field: ComplexField, t: float) -> ComplexField:
     return ComplexField(field.grid, np.fft.ifftn(uhat).ravel())
 
 
+def gradient_work(grid: GridSpec, shape: tuple) -> tuple:
+    """The held work of gradient_magnitude over a stack of fields whose
+    forward transform has this shape: the derivative fields d_j u of every
+    axis j, (dim, *shape), and |grad u|^2 = sum_j |d_j u|^2, flat per field.
+    A call over a stack leaves its values there until the next such call."""
+    lead = shape[: len(shape) - grid.dim]
+    return (held("gradient.fields", (grid.dim,) + tuple(shape)),
+            held("gradient.squares", lead + (grid.total_points,), np.float64))
+
+
 def gradient_magnitude(field, uhat=None) -> np.ndarray:
     """|grad u|(x) = (sum_axes |d_j u|^2)^{1/2} by spectral derivatives, flat
     per field, for one ComplexField or for a stack of fields given as their
     GridSpec and their forward transform uhat over the trailing grid axes.
+    The zero mode of uhat is not read.
 
-    Each derivative is made and transformed in one scratch array, and its
-    squared parts summed in place: no other array of the stack's size."""
-    grid, uhat = (field.grid, np.fft.fftn(field.mesh)) if uhat is None else (field, uhat)
-    d = np.empty(uhat.shape, dtype=np.complex128)
-    acc = np.zeros(uhat.shape)
-    for km in grid.wavenumber_mesh():
+    Each derivative is made and transformed in place in its own field, and
+    its squared parts are summed.  For a stack every array is held: the
+    derivative fields and the squares (gradient_work) and the result, which
+    last until the next call over a stack; one field gets new arrays."""
+    if uhat is None:
+        grid, uhat = field.grid, np.fft.fftn(field.mesh)
+        fields = np.empty((grid.dim,) + uhat.shape, dtype=np.complex128)
+        squares = np.empty(grid.total_points)
+        part = np.empty_like(squares)
+    else:
+        grid = field
+        fields, squares = gradient_work(grid, uhat.shape)
+        part = held("gradient.part", squares.shape, np.float64)
+    squares.fill(0.0)
+    for km, d in zip(grid.wavenumber_mesh(), fields):
         np.multiply(1j * km, uhat, out=d)
         np.fft.ifftn(d, s=grid.shape, axes=grid.axes, out=d)
-        acc += np.square(d.real, out=d.real)
-        acc += np.square(d.imag, out=d.imag)
-    return np.sqrt(acc, out=acc).reshape(uhat.shape[: uhat.ndim - grid.dim] + (-1,))
+        flat = d.reshape(squares.shape)
+        squares += np.square(flat.real, out=part)
+        squares += np.square(flat.imag, out=part)
+    return np.sqrt(squares, out=part)
 
 
 def laplacian(field: ComplexField) -> ComplexField:
@@ -392,12 +444,12 @@ def check_payload(fh, grid: GridSpec, count: int) -> None:
         )
 
 
-def read_rows(fh, grid: GridSpec, count: int, first: int = 0) -> np.ndarray:
+def read_rows(fh, grid: GridSpec, count: int, first: int = 0, out=None) -> np.ndarray:
     """Read `count` fields from an open binary file's position into one
-    writable (count, *grid.shape) array.  Every value must be finite: a
-    FormatError names the first field that is not, counting the fields
-    read as the file's fields first, first + 1, ..."""
-    values = np.empty((count,) + grid.shape, dtype=FIELD_DTYPE)
+    writable (count, *grid.shape) array, out if given.  Every value must be
+    finite: a FormatError names the first field that is not, counting the
+    fields read as the file's fields first, first + 1, ..."""
+    values = np.empty((count,) + grid.shape, dtype=FIELD_DTYPE) if out is None else out
     if fh.readinto(values) != values.nbytes:
         raise FormatError(f"{fh.name}: payload is truncated")
     finite = np.isfinite(values.view(np.float64)).reshape(count, 2 * grid.total_points).all(axis=1)

@@ -1,8 +1,11 @@
+import functools
+import os
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snls import diagnostics, dynamics, lattice, noise
 from snls.errors import UsageError
@@ -199,6 +202,13 @@ class TestPartition:
         assert not part.irreducible[0]
 
 
+@functools.lru_cache(maxsize=None)
+def traj_and_u():
+    """A dpd trajectory and its u snapshots, made once."""
+    traj = stochastic_traj("dpd", seed=3, amp=0.4)
+    return traj, [traj.u_snapshot(i) for i in range(traj.n_snapshots)]
+
+
 class TestStrichartzReport:
     def test_free_flow_pair_constancy(self):
         # for the free group on v with no nonlinearity the Linf_t L2_x entry
@@ -222,6 +232,18 @@ class TestStrichartzReport:
         assert rep["s1_proxy"] == max(
             rep["grad_L2t_L4x"], rep["grad_L6t_L12/5x"], rep["grad_Linft_L2x"]
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.floats(0.0, 0.5), ends=st.tuples(st.integers(0, 20), st.integers(0, 20)))
+    def test_s1_proxy_is_the_admissible_supremum(self, s, ends):
+        # 1/q = s and 1/r = 1/2 - s/2 lie on the 4-d admissible segment
+        # 2/q + 4/r = 2, from (inf, 2) at s = 0 to (2, 4) at s = 1/2
+        traj, u = traj_and_u()
+        itv = SpacetimeInterval(min(ends), max(ends))
+        q = lattice.INF if s == 0.0 else 1.0 / s
+        mixed = lattice.spacetime_norm(u, traj.times, itv, q, 2.0 / (1.0 - s), derivative_order=1)
+        rep = diagnostics.strichartz_report(traj, itv)
+        assert mixed <= rep["s1_proxy"] * (1 + 1e-12)
 
     def test_subinterval_smaller(self):
         traj = stochastic_traj()
@@ -337,10 +359,11 @@ class TestSnapshotNormTable:
         diagnostics.partition_intervals(traj, 0.1)
         diagnostics.strichartz_report(traj, SpacetimeInterval(0, traj.n_snapshots - 1))
 
-    @pytest.mark.parametrize("scheme, per_snapshot", [("direct", 1), ("dpd", 3)])
+    @pytest.mark.parametrize("scheme, per_snapshot", [("direct", 1), ("dpd", 2)])
     def test_one_gradient_per_snapshot_field(self, monkeypatch, scheme, per_snapshot):
         # the three diagnostics share one gradient pass: of v* (= v unless
-        # dpd), and for dpd also of v and Psi; a second call takes none
+        # dpd), and for dpd also of Psi, grad v being grad v* - grad Psi;
+        # a second call takes none
         traj = stochastic_traj(scheme)
         calls = []  # one entry per gradient field: a stacked call adds its leading-axis length
         real = lattice.gradient_magnitude
@@ -503,3 +526,36 @@ def test_4d_pass_matches_per_snapshot_reference(monkeypatch, scheme):
     for key, want in ledger.items():
         atol = 1e-13 * scale if key.startswith("residual") else 0.0  # a small difference
         np.testing.assert_allclose(got[key], want, rtol=1e-13, atol=atol, err_msg=key)
+
+
+@pytest.mark.parametrize("scheme", ["direct", "dpd", "deterministic_gp"])
+def test_streamed_blocks_take_no_forward_transform(tmp_path, monkeypatch, scheme):
+    # the pass reads the Fourier rows the stepper hands it; a file's blocks
+    # carry none, and each is transformed forward once per array
+    g = grid2d()
+    monkeypatch.setattr(lattice, "BLOCK_BYTES", 7 * g.total_points * 16)
+    cfg = dynamics.SolverConfig(
+        grid=g, t_final=0.1, dt=0.005, scheme=scheme, noise=noise.multiplier_noise(g, 0.2, 3.0),
+        initial_v=dynamics.initial_gaussian_bump(g, 0.2, 0.8), master_seed=4)
+    forward, real = [], np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: forward.append(1) or real(*a, **k))
+
+    def counted(acc, counts):
+        def add(block):
+            before = len(forward)
+            acc.add(block)
+            counts.append(len(forward) - before)
+        return add
+
+    streamed = []
+    dynamics.lockstep([cfg], [0], [counted(diagnostics.NormAccumulator(g), streamed)])
+    assert streamed == [0, 0, 0]
+    fname = os.path.join(tmp_path, "t.bin")
+    dynamics.write_trajectory(dynamics.solve(cfg), fname)
+    grid, _, _, blocks = dynamics.trajectory_blocks(fname)
+    from_file, add = [], counted(diagnostics.NormAccumulator(grid), [])
+    for block in blocks:
+        before = len(forward)
+        add(block)
+        from_file.append(len(forward) - before)
+    assert from_file == [2 if scheme == "dpd" else 1] * 3

@@ -1,5 +1,5 @@
+import copy
 import os
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -267,7 +267,7 @@ class TestSolveStochastic:
             configs = [replace(base, scheme=s, dt=dt, snapshot_stride=stride) for s, dt in
                        (("dpd", 0.02), ("direct", 0.01), ("dpd", 0.005))]
             blocks = [[] for _ in configs]
-            assert dynamics.lockstep(configs, [1], [b.append for b in blocks]) == [[None]] * 3
+            assert dynamics.lockstep(configs, [1], [kept(b) for b in blocks]) == [[None]] * 3
             for cfg, got in zip(configs, blocks):
                 path = noise.coarsen_noise_path(fine, int(round(cfg.dt / 0.005)))
                 want = dynamics.solve(replace(cfg, prescribed_path=path))
@@ -280,20 +280,29 @@ class TestSolveStochastic:
                 else:
                     assert all(b.dw_hat is None for b in got)
 
-    def test_lockstep_releases_each_handed_over_block(self, monkeypatch):
-        # blocks of one row: once its sink has returned, no run holds a block,
-        # through a loop variable or otherwise, while the levels step on
+    def test_lockstep_hands_blocks_in_held_arrays(self, monkeypatch):
+        # blocks of one row: every level hands each of its blocks in the same
+        # arrays, allocating none per block; the physical rows and dw are
+        # held memory that all the levels share
         base = self.stochastic_config("dpd", seed=3, stream=1)
         monkeypatch.setattr(lattice, "BLOCK_BYTES", base.grid.total_points * 16)
         configs = [replace(base, dt=dt) for dt in (0.02, 0.01, 0.005)]
-        bases = []
+        bases = [set() for _ in configs]
 
-        def sink(block):
-            assert [ref() for ref in bases] == [None] * len(bases)
-            bases.extend(weakref.ref(a.base) for a in (block.v, block.psi, block.dw_hat))
+        def sink(k):
+            def take(block):
+                bases[k].add(("v", id(block.v.base)))
+                bases[k].add(("dw", id(block.dw.base)))
+                bases[k].update((name, id(a.base)) for name, a in (
+                    ("v_hat", block.v_hat), ("psi_hat", block.psi_hat), ("dw_hat", block.dw_hat)))
+            return take
 
-        assert dynamics.lockstep(configs, [1], [sink] * 3) == [[None]] * 3
-        assert len(bases) == 3 * (6 + 11 + 21)  # a block per snapshot
+        assert dynamics.lockstep(configs, [1], [sink(k) for k in range(3)]) == [[None]] * 3
+        assert all(len(b) == 5 for b in bases)  # one array each, block after block
+        shared = [{a for name, a in b if name in ("v", "dw")} for b in bases]
+        assert shared[0] == shared[1] == shared[2]
+        own = [{a for name, a in b if name not in ("v", "dw")} for b in bases]
+        assert not (own[0] & own[1] or own[1] & own[2] or own[0] & own[2])
 
     def test_lockstep_keeps_rows_only_on_levels_it_sends_them(self):
         # deterministic levels, a prescribed path on the coarse one only:
@@ -305,7 +314,7 @@ class TestSolveStochastic:
         path = noise.generate_noise_path(noise.multiplier_noise(g, 0.2, 3.0), 0.02, 5, master_seed=4)
         configs = [det_config(g, v0, dt=0.02, prescribed_path=path), det_config(g, v0, dt=0.01)]
         blocks = [[], []]
-        assert dynamics.lockstep(configs, [0], [b.append for b in blocks]) == [[None]] * 2
+        assert dynamics.lockstep(configs, [0], [kept(b) for b in blocks]) == [[None]] * 2
         for cfg, got in zip(configs, blocks):
             assert all(b.dw_hat is None for b in got)
             want = dynamics.solve(replace(cfg, prescribed_path=None))
@@ -572,6 +581,12 @@ def stepper_config(scheme, g, n_steps=40, stride=1, v0=None, amplitude=0.5, **kw
         master_seed=11,
         **kw,
     )
+
+
+def kept(blocks: list):
+    """A sink that keeps a copy of each block: a block's arrays are valid
+    only until its sink returns."""
+    return lambda block: blocks.append(copy.deepcopy(block))
 
 
 class TestPhaseTableStepper:

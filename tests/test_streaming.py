@@ -318,3 +318,24 @@ def test_partition_names_the_first_non_finite_field_in_file_order(
     with pytest.raises(FormatError) as exc:
         dynamics.read_trajectory(fname)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("scheme", ["direct", "dpd"])
+@pytest.mark.parametrize("dim, n, t_final", [(2, 16, 0.08), (4, 8, 0.024)], ids=["16sq", "8e4"])
+def test_columns_on_demand_print_the_full_tables_bytes(tmp_path, monkeypatch, scheme, dim, n,
+                                                       t_final):
+    # partition makes only the partition's columns and verify-energy only the
+    # ledger's; each column has one formula whatever else is made, so their
+    # output is the bytes a full table gives
+    cfgfile = write_config(tmp_path, dim=dim, n=n, scheme=scheme, t_final=t_final)
+    assert run_cli(["simulate", "--config", cfgfile])[0] == 0
+    traj = os.path.join(tmp_path, "out", "trajectory.bin")
+    runs = {}
+    for columns in ("on demand", "full"):
+        if columns == "full":
+            monkeypatch.setattr(diagnostics, "PARTITION_COLUMNS", diagnostics.COLUMNS)
+            monkeypatch.setattr(diagnostics, "LEDGER_COLUMNS", diagnostics.COLUMNS)
+        runs[columns] = (run_cli(["partition", "--config", cfgfile, "--trajectory", traj]),
+                         run_cli(["verify-energy", "--config", cfgfile, "--halvings", "2"]))
+    assert runs["on demand"] == runs["full"]
+    assert runs["full"][0][0] == runs["full"][1][0] == 0
