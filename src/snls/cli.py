@@ -146,8 +146,6 @@ def _cmd_converge(args) -> int:
             dts = [float(s) for s in args.dts.split(",")]
         except ValueError:
             raise UsageError(f"--dts must be comma-separated numbers, got {args.dts!r}") from None
-    elif args.levels < 2:
-        raise UsageError(f"--levels must be >= 2, got {args.levels}")
     else:
         dts = harness.dt_levels(rc.dt, range(args.levels - 1, -1, -1), f"--levels {args.levels}")
     study = harness.convergence_study(rc, dts)

@@ -100,16 +100,20 @@ class NormAccumulator:
     the partition), and each column it makes has one formula whatever the
     others are, so its bits do not depend on them.
 
-    It reads the block's Fourier rows, v_hat and psi_hat, and takes no
-    transform of its own but the gradient's, one inverse FFT per axis and
-    gradient field, over every member's rows at once.  The gradient fields
-    are v* (v*_hat = v_hat + psi_hat) and, when the partition's columns are
-    made for dpd, Psi; grad v = grad v* - grad Psi axis by axis.  Powers of
-    |grad| are taken of its square: |grad|^{12/5} = (|grad|^2)^1.2.  ham3
-    reads the block's physical and Fourier noise rows.  Every block-sized
-    array is held memory (lattice.held), so no block allocates one.  A
-    non-finite snapshot raises UsageError naming it.  Columns are kept per
-    member, and tables() checks each member's on its own."""
+    It reads the block's Fourier rows, v_hat and psi_hat, and for a block
+    without them (a file's) transforms v and psi forward itself, one fftn
+    each.  Its gradient takes one inverse FFT per axis
+    (lattice.spectral_derivatives) over a stack of every member's rows:
+    v*_hat = v_hat + psi_hat and, when the partition's columns are made for
+    dpd, psi_hat.  As each axis's derivative arrives, its squares are added
+    to |grad v*|^2 (and |grad Psi|^2), and for the partition those of
+    d_j v = d_j v* - d_j Psi to |grad v|^2, so the pass holds one
+    derivative buffer.  Powers of |grad| are taken of its square, with no
+    root: |grad|^{12/5} = (|grad|^2)^1.2.  ham3 reads the block's physical
+    and Fourier noise rows.  Every block-sized array is held memory
+    (lattice.held), so no block allocates one.  A non-finite snapshot
+    raises UsageError naming it.  Columns are kept per member, and
+    tables() checks each member's on its own."""
 
     def __init__(self, grid: GridSpec, columns: Sequence[str] = COLUMNS):
         self.grid = grid
@@ -137,20 +141,38 @@ class NormAccumulator:
         def l12o5(squares):
             return lattice._lp_of_powers(np.power(squares, 1.2, out=r), 2.4, cell)
 
+        def add_squares(total, f):  # total += |f|^2, flat per field
+            f = f.reshape(rows)
+            total += np.square(f.real, out=r)
+            total += np.square(f.imag, out=r)
+
+        def forward(given, a, name):  # the stepper's rows, else fftn of the physical ones
+            if given is not None or a is None:
+                return given
+            return np.fft.fftn(a, axes=g.axes, out=held(name, a.shape))
+
+        v_hat = forward(block.v_hat, block.v, "norms.v_hat")
+        psi_hat = forward(block.psi_hat, block.psi, "norms.psi_hat")
         parts = dpd and bool(want & set(PARTITION_COLUMNS))
         if dpd:  # the gradient's stack: v*_hat, then psi_hat for the partition
-            stack = held("norms.stack", (2 if parts else 1,) + block.v_hat.shape)
-            w_hat = np.add(block.v_hat, block.psi_hat, out=stack[0])
+            stack = held("norms.stack", (2 if parts else 1,) + v_hat.shape)
+            w_hat = np.add(v_hat, psi_hat, out=stack[0])
             if parts:
-                np.copyto(stack[1], block.psi_hat)
+                np.copyto(stack[1], psi_hat)
         else:
-            stack = w_hat = block.v_hat
+            w_hat, stack = v_hat, v_hat[np.newaxis]
         if want & _GRADIENT:
-            stack = stack.reshape((-1,) + g.shape)
-            # its magnitudes go unread: the pass reads the squares and fields it holds
-            lattice.gradient_magnitude(g, stack)
-            fields, squares = lattice.gradient_work(g, stack.shape)
-            sq = squares[:n]  # |grad v*|^2
+            # |grad v*|^2 and, for the partition, |grad Psi|^2 and |grad v|^2,
+            # summed axis by axis as each derivative of the stack arrives
+            squares = held("norms.squares", (3 if parts else 1,) + rows, np.float64)
+            squares.fill(0.0)
+            for d in lattice.spectral_derivatives(g, stack, held("norms.d", stack.shape)):
+                for total, f in zip(squares, d):
+                    add_squares(total, f)
+                if parts:
+                    d[0] -= d[1]  # grad v = grad v* - grad Psi
+                    add_squares(squares[2], d[0])
+            sq = squares[0]
             if want & {"grad_l2", "energy"}:
                 cols["grad_l2"] = lattice._lp_of_powers(sq, 2.0, cell)
             if want & {"grad_l12o5", "v_grad_l12o5"}:
@@ -158,15 +180,8 @@ class NormAccumulator:
             if "grad_l4" in want:
                 cols["grad_l4"] = lattice._lp_of_powers(np.square(sq, out=r), 4.0, cell)
             if parts:
-                cols["psi_grad_l12o5"] = l12o5(squares[n:])
-                sq_v = held("norms.sq_v", rows, np.float64)  # |grad v|^2, summed as gradient sums
-                sq_v.fill(0.0)
-                for d in fields:
-                    d[:n] -= d[n:]
-                    flat = d[:n].reshape(rows)
-                    sq_v += np.square(flat.real, out=r)
-                    sq_v += np.square(flat.imag, out=r)
-                cols["v_grad_l12o5"] = l12o5(sq_v)
+                cols["psi_grad_l12o5"] = l12o5(squares[1])
+                cols["v_grad_l12o5"] = l12o5(squares[2])
             elif not dpd:  # Psi = 0
                 cols["v_grad_l12o5"], cols["psi_grad_l12o5"] = cols["grad_l12o5"], np.zeros(n)
         if want & _PHYSICAL:

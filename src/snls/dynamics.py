@@ -144,8 +144,7 @@ class Trajectory:
                 grid=self.grid, start=sl.start, times=self.times[sl], v=rows(self.v, sl),
                 psi=rows(self.psi, sl),
                 dw_hat=path.dw_hat[np.newaxis, sl.start:min(sl.stop, steps)] if sl.start < steps else None,
-                coefficients=None if self.v_hat is None else (
-                    rows(self.v_hat, sl), rows(self.psi_hat, sl)),
+                v_hat=rows(self.v_hat, sl), psi_hat=rows(self.psi_hat, sl),
             )
 
     def solver_config(self, caller: str) -> SolverConfig:
@@ -344,13 +343,16 @@ def member_bytes(config: SolverConfig) -> int:
     for dpd the held work arrays of dpd_work, four complex and one real, 5
     rounded up); its share of a one-snapshot block (its coefficient rows
     and their physical copy, a noise row and its physical dw); the norm
-    pass's held work over it (the derivative fields of every axis and their
-    squares for each gradient field, a Fourier stack and about four
-    half-size real arrays); and for a stochastic scheme its row of the
-    normals noise.member_rows holds.  It keeps no snapshots and no path."""
-    arrays = 2 if config.scheme == "dpd" else 1  # v, and Psi for dpd
-    rows = (arrays + (5 if arrays == 2 else 4) + 2 * arrays + 2
-            + arrays * (config.grid.dim + 2) + 3 + (1 if config.stochastic else 0))
+    pass's held work over it (one derivative row per gradient field, for
+    dpd the v* rows and a stack of v*_hat and psi_hat, and half-size real
+    arrays: the squares of each gradient field, for dpd those of grad v,
+    and three more); and for a stochastic scheme its row of the normals
+    noise.member_rows holds.  It keeps no snapshots and no path."""
+    dpd = config.scheme == "dpd"
+    arrays = 2 if dpd else 1  # v and Psi for dpd; so too the gradient fields, v* and Psi
+    norm_pass = arrays + (3 if dpd else 0) + (arrays + 1)
+    rows = (arrays + (5 if dpd else 4) + 2 * arrays + 2 + norm_pass
+            + (1 if config.stochastic else 0))
     return rows * config.grid.total_points * 16
 
 
@@ -364,19 +366,19 @@ class SnapshotBlock:
     snapshot).  A failed member's rows after its blow-up are those of a
     zeroed state.
 
-    v_hat and psi_hat (None without Psi) are the Fourier rows of v and Psi:
-    the coefficients the stepper held, when given as coefficients (for
-    direct and the deterministic schemes its u_hat = fftn(1 + v) less the
-    constant's mode), else fftn of v and psi, made once when first read.
-    The norm pass never reads their zero mode.  dw is made once, when
-    first read, from dw_hat.
+    v_hat and psi_hat (None without Psi) are the Fourier rows of v and Psi
+    as the stepper held them (for direct and the deterministic schemes its
+    u_hat = fftn(1 + v) less the constant's mode).  They are None for any
+    other block, a file's or that of a trajectory without Fourier rows,
+    and the norm pass then transforms v and psi itself.  The pass never
+    reads their zero mode.  dw is made once, when first read, from dw_hat.
 
     How long the arrays are valid: a block made by _run holds its physical
-    rows and dw in held memory (lattice.held) and its coefficient rows in
-    its run's own arrays, so a sink must be done with a block when it
-    returns; the next block overwrites them.  A made v_hat, psi_hat or dw
-    lasts until the next block makes its own.  A block of a kept Trajectory
-    holds views of its arrays."""
+    rows and dw in held memory (lattice.held) and its Fourier rows in its
+    run's own arrays, so a sink must be done with a block when it returns;
+    the next block overwrites them.  A made dw lasts until the next block
+    makes its own.  A block of a kept Trajectory holds views of its
+    arrays."""
 
     grid: GridSpec
     start: int
@@ -384,22 +386,8 @@ class SnapshotBlock:
     v: np.ndarray
     psi: Optional[np.ndarray] = None
     dw_hat: Optional[np.ndarray] = None
-    coefficients: Optional[tuple] = None  # (v_hat, psi_hat) as the stepper held them
-
-    def _forward(self, k: int, rows: Optional[np.ndarray], name: str) -> Optional[np.ndarray]:
-        if self.coefficients is not None:
-            return self.coefficients[k]
-        if rows is None:
-            return None
-        return np.fft.fftn(rows, axes=self.grid.axes, out=lattice.held(name, rows.shape))
-
-    @cached_property
-    def v_hat(self) -> np.ndarray:
-        return self._forward(0, self.v, "block.v_hat")
-
-    @cached_property
-    def psi_hat(self) -> Optional[np.ndarray]:
-        return self._forward(1, self.psi, "block.psi_hat")
+    v_hat: Optional[np.ndarray] = None
+    psi_hat: Optional[np.ndarray] = None
 
     @cached_property
     def dw(self) -> np.ndarray:
@@ -525,7 +513,7 @@ def _run(config: SolverConfig, m_count: int, factor: int, takes_rows: bool, sink
             grid=g, start=first, times=config.snapshot_times[first:first + held],
             v=physical[0], psi=physical[1] if dpd else None,
             dw_hat=None if dw_hat is None else dw_hat[:, :end - steps.start],
-            coefficients=(hats[0], hats[1] if dpd else None)))
+            v_hat=hats[0], psi_hat=hats[1] if dpd else None))
         if None not in failures:
             break
     return failures
@@ -614,7 +602,7 @@ class _Collector:
         self.v[sl] = block.v[0]
         if self.psi is not None:
             self.psi[sl] = block.psi[0]
-        if block.coefficients is not None:
+        if block.v_hat is not None:
             if self.v_hat is None:
                 self.v_hat = np.empty_like(self.v)
                 self.psi_hat = None if self.psi is None else np.empty_like(self.v)

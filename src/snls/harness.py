@@ -251,8 +251,8 @@ class EnsembleReport:
 
 
 # Bytes one batch of ensemble members may hold while it streams
-# (dynamics.member_bytes each).  A 16^2 direct member holds about 60 KiB,
-# so a batch there is about 270 members.
+# (dynamics.member_bytes each).  A stochastic 16^2 direct member holds
+# about 52 KiB, so a batch there is 315 members.
 BATCH_BYTES = 16 << 20
 
 
@@ -345,7 +345,9 @@ def convergence_study(rc: RunConfig, dt_list: Sequence[float]) -> dict:
     lockstep raises UsageError for a dt that is not a whole multiple of
     the finest."""
     dts = list(dt_list)
-    if len(dts) < 2 or any(b >= a for a, b in zip(dts, dts[1:])) or not dts[-1] > 0:
+    if len(dts) < 3:  # two levels give one error, and a slope needs two
+        raise UsageError(f"an observed order needs at least 3 dt levels, got {len(dts)}")
+    if any(b >= a for a, b in zip(dts, dts[1:])) or not dts[-1] > 0:
         raise UsageError("dt_list must be positive and strictly decreasing with >= 2 entries")
     for dt in dts:
         if not (dt <= rc.t_final and dynamics.is_whole(rc.t_final / dt)):  # t_final / inf is whole

@@ -182,16 +182,16 @@ def field_from_spectral(grid: GridSpec, coeffs: np.ndarray) -> ComplexField:
 # Bytes of rows per block when snapshots are streamed or a stack is walked
 # block by block.  Per block a run holds its snapshots' Fourier rows, their
 # physical copy, its noise rows and their physical copy dw, and the norm
-# pass holds a stack of Fourier rows, the gradient's derivative fields (a
-# block per axis and gradient field) with their squares, and about four
-# real half-size arrays: all made once and held from block to block
-# (held), so the block sets the peak memory of a run on large grids.  When
-# each block's arrays were allocated afresh, blocks of two 128^2 rows
-# (512 KiB) made the heap grow and shrink every block: 26,720 page faults
-# per simulate-128sq simulate against 7,974 at 256 KiB, and about 15% fewer
-# steps/s.  Held, a simulate repeated in one interpreter takes about 600
-# minor page faults, against about 10,100 allocated per block (2-CPU x86
-# VM, glibc malloc).
+# pass holds a stack of Fourier rows, one derivative block of the stack's
+# shape that takes each axis in turn, the squares of each gradient field
+# and three more real half-size arrays: all made once and held from block
+# to block (held), so the block sets the peak memory of a run on large
+# grids.  When each block's arrays were allocated afresh, blocks of two
+# 128^2 rows (512 KiB) made the heap grow and shrink every block: 26,720
+# page faults per simulate-128sq simulate against 7,974 at 256 KiB, and
+# about 15% fewer steps/s.  Held, a simulate repeated in one interpreter
+# takes about 600 minor page faults, against about 10,100 allocated per
+# block (2-CPU x86 VM, glibc malloc).
 BLOCK_BYTES = 1 << 18
 
 _HELD: dict = {}  # name -> buffer
@@ -238,39 +238,25 @@ def apply_schrodinger_group(field: ComplexField, t: float) -> ComplexField:
     return ComplexField(field.grid, np.fft.ifftn(uhat).ravel())
 
 
-def gradient_work(grid: GridSpec, shape: tuple) -> tuple:
-    """The held work of gradient_magnitude over a stack of fields whose
-    forward transform has this shape: the derivative fields d_j u of every
-    axis j, (dim, *shape), and |grad u|^2 = sum_j |d_j u|^2, flat per field.
-    A call over a stack leaves its values there until the next such call."""
-    lead = shape[: len(shape) - grid.dim]
-    return (held("gradient.fields", (grid.dim,) + tuple(shape)),
-            held("gradient.squares", lead + (grid.total_points,), np.float64))
+def spectral_derivatives(grid: GridSpec, uhat: np.ndarray, out: np.ndarray):
+    """Yield d_j u = ifftn(i k_j uhat) for each axis j in turn, of one field
+    or of a stack of fields given as their forward transform uhat over the
+    trailing grid axes.  Each derivative is made and transformed in place in
+    out, uhat's shape, and lasts until the next is yielded.  The zero mode
+    of uhat is not read."""
+    for km in grid.wavenumber_mesh():
+        np.multiply(1j * km, uhat, out=out)
+        np.fft.ifftn(out, s=grid.shape, axes=grid.axes, out=out)
+        yield out
 
 
-def gradient_magnitude(field, uhat=None) -> np.ndarray:
-    """|grad u|(x) = (sum_axes |d_j u|^2)^{1/2} by spectral derivatives, flat
-    per field, for one ComplexField or for a stack of fields given as their
-    GridSpec and their forward transform uhat over the trailing grid axes.
-    The zero mode of uhat is not read.
-
-    Each derivative is made and transformed in place in its own field, and
-    its squared parts are summed.  For a stack every array is held: the
-    derivative fields and the squares (gradient_work) and the result, which
-    last until the next call over a stack; one field gets new arrays."""
-    if uhat is None:
-        grid, uhat = field.grid, np.fft.fftn(field.mesh)
-        fields = np.empty((grid.dim,) + uhat.shape, dtype=np.complex128)
-        squares = np.empty(grid.total_points)
-        part = np.empty_like(squares)
-    else:
-        grid = field
-        fields, squares = gradient_work(grid, uhat.shape)
-        part = held("gradient.part", squares.shape, np.float64)
-    squares.fill(0.0)
-    for km, d in zip(grid.wavenumber_mesh(), fields):
-        np.multiply(1j * km, uhat, out=d)
-        np.fft.ifftn(d, s=grid.shape, axes=grid.axes, out=d)
+def gradient_magnitude(field: ComplexField) -> np.ndarray:
+    """|grad u|(x) = (sum_axes |d_j u|^2)^{1/2} by spectral derivatives, flat:
+    the squares of each derivative's real and imaginary parts, summed."""
+    grid, uhat = field.grid, np.fft.fftn(field.mesh)
+    squares = np.zeros(grid.total_points)
+    part = np.empty_like(squares)
+    for d in spectral_derivatives(grid, uhat, np.empty_like(uhat)):
         flat = d.reshape(squares.shape)
         squares += np.square(flat.real, out=part)
         squares += np.square(flat.imag, out=part)

@@ -365,18 +365,18 @@ class TestSnapshotNormTable:
         # dpd), and for dpd also of Psi, grad v being grad v* - grad Psi;
         # a second call takes none
         traj = stochastic_traj(scheme)
-        calls = []  # one entry per gradient field: a stacked call adds its leading-axis length
-        real = lattice.gradient_magnitude
+        fields = []  # one entry per gradient field: a stack adds one per field it holds
+        real = lattice.spectral_derivatives
 
-        def counted(field, uhat=None):
-            calls.extend([1] * (1 if uhat is None else len(uhat)))
-            return real(field, uhat)
+        def counted(grid, uhat, out):
+            fields.extend([1] * (uhat.size // grid.total_points))
+            return real(grid, uhat, out)
 
-        monkeypatch.setattr(lattice, "gradient_magnitude", counted)
+        monkeypatch.setattr(lattice, "spectral_derivatives", counted)
         self.run_all(traj)
-        assert len(calls) == per_snapshot * traj.n_snapshots
+        assert len(fields) == per_snapshot * traj.n_snapshots
         self.run_all(traj)
-        assert len(calls) == per_snapshot * traj.n_snapshots
+        assert len(fields) == per_snapshot * traj.n_snapshots
 
     def test_nan_snapshot_outside_strichartz_interval(self):
         # the table covers every snapshot, not only the interval's
@@ -503,6 +503,29 @@ class TestBlockedNormPass:
         finally:
             tracemalloc.stop()
         assert peak < traj.v.nbytes
+
+
+@pytest.mark.parametrize("g", [make_grid(4, 8, TWO_PI), grid2d(32)], ids=["8^4", "32^2"])
+@pytest.mark.parametrize("scheme, fields", [("direct", 5), ("dpd", 12)])
+def test_norm_pass_peak_memory(monkeypatch, g, scheme, fields):
+    # one add over a one-snapshot block, every column and its held arrays
+    # made afresh: the gradient holds one derivative buffer per gradient
+    # field, not one per axis, and takes no square root
+    traj = dynamics.solve(dynamics.SolverConfig(
+        grid=g, t_final=0.01, dt=0.005, scheme=scheme, noise=noise.multiplier_noise(g, 0.2, 3.0),
+        initial_v=dynamics.initial_gaussian_bump(g, 0.2, 0.8), master_seed=4))
+    monkeypatch.setattr(lattice, "BLOCK_BYTES", g.total_points * 16)
+    block = next(traj.blocks())
+    assert len(block.times) == 1 and block.dw_hat.shape[1] == 1
+    lattice.release_held()
+    tracemalloc.start()
+    try:
+        diagnostics.NormAccumulator(g).add(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        lattice.release_held()
+    assert peak <= fields * g.total_points * 16
 
 
 @pytest.mark.parametrize("scheme", ["direct", "dpd"])

@@ -505,7 +505,7 @@ class TestCli:
         doc = (BASE_CONFIG.replace("dt = 0.005", "dt = 0.1")
                .replace("t_final = 0.05", "t_final = 0.6") + f"\n[output]\ndir = {tmp_path}/out\n")
         cfgfile = self.write_config(tmp_path, doc)
-        assert cli.main(["converge", "--config", cfgfile, "--dts", "0.3,0.1"]) == 0
+        assert cli.main(["converge", "--config", cfgfile, "--dts", "0.6,0.3,0.1"]) == 0
         assert "dt = 0.3  error = " in capsys.readouterr().out
 
     def test_converge_command(self, tmp_path, capsys):
@@ -524,14 +524,17 @@ class TestCli:
         (["verify-energy", "--halvings", "-1"], "halvings must be >= 0"),
         (["converge", "--dts", "abc"], "--dts must be comma-separated numbers"),
         (["converge", "--dts", "0.01,0.005,0"], "must be positive"),
-        (["converge", "--dts", "0.01,0.00625"], "multiple of the finest dt"),
+        (["converge", "--dts", "0.025,0.01,0.00625"], "multiple of the finest dt"),
         # 2**1100 overflowed float conversion, a traceback
         (["verify-energy", "--halvings", "1100"], "--halvings 1100 takes dt = 0.005 out of the normal"),
         (["converge", "--levels", "1100"], "--levels 1100 takes dt = 0.005 out of the normal"),
         # t_final / inf = 0 is whole: a configuration error, exit 1
-        (["converge", "--dts", "inf,0.01"], "dt = inf does not divide t_final = 0.05"),
-        (["converge", "--levels", "1"], "--levels must be >= 2, got 1"),
-        (["converge", "--levels", "0"], "--levels must be >= 2, got 0"),
+        (["converge", "--dts", "inf,0.01,0.005"], "dt = inf does not divide t_final = 0.05"),
+        # one error has no slope: an order needs three levels, not a silent nan
+        (["converge", "--levels", "1"], "at least 3 dt levels, got 1"),
+        (["converge", "--levels", "0"], "at least 3 dt levels, got 0"),
+        (["converge", "--levels", "2"], "at least 3 dt levels, got 2"),
+        (["converge", "--dts", "0.01,0.005"], "at least 3 dt levels, got 2"),
     ])
     def test_bad_study_arguments_exit_two(self, tmp_path, capsys, argv, match):
         cfgfile = self.write_config(tmp_path, BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/out\n")

@@ -218,7 +218,7 @@ def test_blow_ups_print_no_numpy_warnings(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(["simulate", "--config", cfgfile]) == (2, "", named)
-        assert run_cli(["converge", "--config", cfgfile, "--dts", "0.016,0.008"]) == (2, "", named)
+        assert run_cli(["converge", "--config", cfgfile, "--dts", "0.016,0.008,0.004"]) == (2, "", named)
         code, out, err = run_cli(["ensemble", "--config", cfgfile])
     assert (code, err) == (0, "") and "n_failed = 3\n" in out
 
