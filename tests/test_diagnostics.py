@@ -510,7 +510,7 @@ class TestBlockedNormPass:
 def test_norm_pass_peak_memory(monkeypatch, g, scheme, fields):
     # one add over a one-snapshot block, every column and its held arrays
     # made afresh: the gradient holds one derivative buffer per gradient
-    # field, not one per axis, and takes no square root
+    # field, not one per axis
     traj = dynamics.solve(dynamics.SolverConfig(
         grid=g, t_final=0.01, dt=0.005, scheme=scheme, noise=noise.multiplier_noise(g, 0.2, 3.0),
         initial_v=dynamics.initial_gaussian_bump(g, 0.2, 0.8), master_seed=4))
