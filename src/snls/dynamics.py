@@ -53,6 +53,13 @@ def stride_divides(stride: int, steps: float) -> bool:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """One run and all it consumes.  The run steps on noise rows if and only
+    if it is stochastic (a direct or dpd scheme with noise that is not
+    zero): its prescribed_path when given, else the rows its (master_seed,
+    stream_id) keys draw.  Checked when made: the noise and initial_v live
+    on the run's grid, and a prescribed path is given only to a stochastic
+    run, on its grid, with its step count and its dt to a relative 1e-9."""
+
     grid: GridSpec
     t_final: float
     dt: float
@@ -74,6 +81,25 @@ class SolverConfig:
             raise ConfigurationError(f"t_final/dt = {steps} is not an integer")
         if not stride_divides(self.snapshot_stride, steps):
             raise ConfigurationError("snapshot_stride must divide the step count")
+        for name, on in (("noise", self.noise.grid), ("initial_v", self.initial_v.grid)):
+            if on != self.grid:
+                raise ConfigurationError(f"{name} is on {on}, solver on {self.grid}")
+        path = self.prescribed_path
+        if path is None:
+            return
+        if not self.stochastic:
+            raise ConfigurationError(f"scheme {self.scheme} with {self.noise.kind} noise "
+                                     "draws no noise, so it takes no prescribed path")
+        if path.n_steps != self.n_steps:
+            raise ConfigurationError(
+                f"prescribed path has {path.n_steps} steps, solver needs {self.n_steps}"
+            )
+        if path.grid != self.grid:
+            raise ConfigurationError(f"prescribed path is on {path.grid}, solver on {self.grid}")
+        # relative 1e-9, is_whole's slack: a coarsened path's dt carries
+        # rounding (3 * 0.1); also catches nan
+        if not abs(path.dt - self.dt) <= 1e-9 * self.dt:
+            raise ConfigurationError(f"prescribed path has dt = {path.dt}, solver dt = {self.dt}")
 
     @property
     def n_steps(self) -> int:
@@ -258,11 +284,13 @@ def stochastic_convolution(psi_hat: np.ndarray, rows, full: np.ndarray) -> np.nd
 
 
 def dpd_work(shape: tuple) -> tuple:
-    """The held work arrays of strang_step_dpd for a state of this shape:
-    w, the stage argument, the stage and the running stage sum (complex),
-    and |w|^2 - 1 (real)."""
-    return (tuple(np.empty(shape, dtype=np.complex128) for _ in range(4))
-            + (np.empty(shape, dtype=np.float64),))
+    """The work arrays of strang_step_dpd for a state of this shape, held
+    memory (lattice.held): w, the stage argument, the stage and the running
+    stage sum (complex), and |w|^2 - 1 (real).  They hold nothing from one
+    step to the next, so runs that ask for them in one shape, as the dpd
+    levels of a lockstep do, share one set."""
+    return (tuple(lattice.held(f"dpd.{name}", shape) for name in ("w", "s", "k", "acc"))
+            + (lattice.held("dpd.r", shape, np.float64),))
 
 
 def strang_step_dpd(dt: float, work: tuple) -> np.ndarray:
@@ -340,10 +368,10 @@ def _dpd_step(state: tuple, dw_hat, half: np.ndarray, full: np.ndarray, dt: floa
 def member_bytes(config: SolverConfig) -> int:
     """Bytes one member of a streamed batch holds, about, in fields: its
     state arrays and the step's temporaries (4 fields for the Strang step;
-    for dpd the held work arrays of dpd_work, four complex and one real, 5
-    rounded up); its share of a one-snapshot block (its coefficient rows
-    and their physical copy, a noise row and its physical dw); the norm
-    pass's held work over it (one derivative row per gradient field, for
+    for dpd the held dpd_work arrays, four complex and one real, 5 rounded
+    up, which a lockstep's dpd levels share); its share of a one-snapshot
+    block (its coefficient rows and their physical copy, a noise row and
+    its physical dw); the norm pass's held work over it (one derivative row per gradient field, for
     dpd the v* rows and a stack of v*_hat and psi_hat, and half-size real
     arrays: the squares of each gradient field, for dpd those of grad v,
     and three more); and for a stochastic scheme its row of the normals
@@ -417,20 +445,19 @@ def _zero_failed(state: tuple, failures: list, j: int, dt: float) -> bool:
     return None not in failures
 
 
-def _run(config: SolverConfig, m_count: int, factor: int, takes_rows: bool, sink,
-         work: Optional[tuple]):
+def _run(config: SolverConfig, m_count: int, factor: int, sink):
     """One run of M members stepped as one (M, *grid.shape) state, as a
     generator: lockstep primes it, then sends it every row at a dt factor
     times finer ((M, *grid.shape), or lattice-shaped for every member
-    alike; None when not takes_rows), and it returns the members' failures.  A
-    step sums its factor rows in order into a copy of the first, the bits
-    coarsen_noise_path gives.  work: for dpd, the dpd_work arrays of the
-    state's shape, which hold nothing from one step to the next, so runs
-    stepped one at a time share them.
+    alike; None when no level draws noise), and it returns the members'
+    failures.  A stochastic run steps on the rows, a step summing its
+    factor rows in order into a copy of the first, the bits
+    coarsen_noise_path gives; any other run steps without them.  A dpd
+    run fetches its dpd_work arrays when primed.
 
     The snapshots go to sink in SnapshotBlocks of consecutive snapshots, at
     most lattice.BLOCK_BYTES of v rows over all members and at least one
-    snapshot; at stride 1 a run that takes rows keeps its steps' rows in them.
+    snapshot; at stride 1 a stochastic run keeps its steps' rows in them.
     Every scheme carries Fourier coefficients (u_hat = fftn(1 + v), or for
     dpd those of v and Psi); a block stores each snapshot's coefficients as
     they come, in arrays the run holds from block to block, and when it is
@@ -447,19 +474,19 @@ def _run(config: SolverConfig, m_count: int, factor: int, takes_rows: bool, sink
     is the last.  Every operation acts on each member's rows alone, so a
     member's bits do not depend on the batch or on the block size."""
     g, dt, stride, n_snap = config.grid, config.dt, config.snapshot_stride, config.n_snapshots
-    dpd = config.scheme == "dpd"
+    dpd, noisy = config.scheme == "dpd", config.stochastic
+    shape, v0 = (m_count,) + g.shape, config.initial_v.mesh
     half, full = lattice.schrodinger_phase(g, dt / 2.0), lattice.schrodinger_phase(g, dt)
     if dpd:
-        step = partial(_dpd_step, half=half, full=full, dt=dt, work=work)
+        step = partial(_dpd_step, half=half, full=full, dt=dt, work=dpd_work(shape))
     else:
         offset = 0.0 if config.scheme == "deterministic_cubic" else 1.0
         step = partial(_strang_step, half=half, dt=dt, offset=offset)
     del half, full  # the step holds the tables it uses, and no other is kept
-    shape, v0 = (m_count,) + g.shape, config.initial_v.mesh
     state = (np.broadcast_to(np.fft.fftn(v0 if dpd else 1.0 + v0, axes=g.axes), shape).copy(),)
     if dpd:
         state += (np.zeros(shape, dtype=np.complex128),)
-    failures, keep = [None] * m_count, takes_rows and stride == 1
+    failures, keep = [None] * m_count, noisy and stride == 1
     blocks = list(lattice.row_blocks(n_snap, m_count * g.total_points * 16))
     size = m_count * (blocks[0].stop - blocks[0].start) * g.total_points  # the largest block
     # a block's coefficient rows and noise rows, held from block to block
@@ -478,6 +505,8 @@ def _run(config: SolverConfig, m_count: int, factor: int, takes_rows: bool, sink
         held, end = 1, steps.stop
         for j in steps:
             row = yield
+            if not noisy:
+                row = None  # the rows are another level's
             if factor > 1 and row is not None:
                 row = row.copy()  # the fine rows are every level's
                 for _ in range(factor - 1):
@@ -526,16 +555,14 @@ def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) 
     step for a level whose dt is f_k times the finest.
 
     The rows are the finest level's prescribed_path when it has one, the
-    same for every member; else, for a stochastic scheme, they are drawn
-    once, as their step comes, all members' rows of a step by one
-    noise.member_rows generator.  A level steps on them, and at stride 1
-    keeps them in its blocks, when it is stochastic or the path is
-    prescribed; else it steps with None and keeps none.  The levels must
-    share the grid, t_final, noise and seed, and the other levels'
-    prescribed paths are not read; dpd levels step in one set of work
-    arrays.  No row is drawn once every level has returned.  Returns
-    per level the members' failures: BlowUpError, naming the level's own
-    step, or None."""
+    same for every member; else, when some level is stochastic, they are
+    drawn once, as their step comes, all members' rows of a step by one
+    noise.member_rows generator for that level's noise and seed; else they
+    are None.  Each level steps on them when it is stochastic
+    (SolverConfig).  The levels must share the grid, t_final, noise and
+    seed, and the other levels' prescribed paths are not read.  No row is
+    drawn once every level has returned.  Returns per level the members'
+    failures: BlowUpError, naming the level's own step, or None."""
     dt_fine = min(c.dt for c in configs)
     n_fine = int(round(configs[0].t_final / dt_fine))
     factors = [int(round(c.dt / dt_fine)) for c in configs]
@@ -543,44 +570,29 @@ def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) 
         if c.n_steps * f != n_fine:
             raise UsageError(f"dt = {c.dt} is not a whole multiple of the finest dt "
                              f"{dt_fine} over t_final = {configs[0].t_final}")
-    fine = configs[factors.index(1)]
-    path = fine.prescribed_path
+    path = configs[factors.index(1)].prescribed_path
     if path is not None:
-        if path.n_steps != n_fine:
-            raise ConfigurationError(
-                f"prescribed path has {path.n_steps} steps, solver needs {n_fine}"
-            )
-        if path.grid != fine.grid:
-            raise ConfigurationError(f"prescribed path is on {path.grid}, solver on {fine.grid}")
-        # relative 1e-9, is_whole's slack: a coarsened path's dt carries
-        # rounding (3 * 0.1); also catches nan
-        if not abs(path.dt - fine.dt) <= 1e-9 * fine.dt:
-            raise ConfigurationError(f"prescribed path has dt = {path.dt}, solver dt = {fine.dt}")
         rows = iter(path.dw_hat)  # lattice-shaped rows, broadcast over the members
     else:
         noisy = next((c for c in configs if c.stochastic), None)  # draws the rows, if any
         rows = (itertools.repeat(None, n_fine) if noisy is None else noise_mod.member_rows(
             noisy.noise, dt_fine, noisy.master_seed, stream_ids, n_fine))
-    work = (dpd_work((len(stream_ids),) + fine.grid.shape)
-            if any(c.scheme == "dpd" for c in configs) else None)
-    takes_rows = [c.stochastic or path is not None for c in configs]
-    runs = [_run(c, len(stream_ids), f, t, sink, work)
-            for c, f, t, sink in zip(configs, factors, takes_rows, sinks)]
-    for run in runs:
-        next(run)  # to its first yield
+    runs = [_run(c, len(stream_ids), f, sink) for c, f, sink in zip(configs, factors, sinks)]
     failures, live = [None] * len(runs), list(range(len(runs)))
     try:
+        for run in runs:
+            next(run)  # to its first yield
         for row in rows:
             for k in list(live):
                 try:
-                    runs[k].send(row if takes_rows[k] else None)
+                    runs[k].send(row)
                 except StopIteration as returned:
                     failures[k] = returned.value
                     live.remove(k)
             if not live:  # every level has returned: draw no more rows
                 break
     finally:
-        lattice.release_held()  # the blocks' held memory, and their sinks'
+        lattice.release_held()  # the blocks' held memory, the dpd work, and the sinks'
     return failures
 
 

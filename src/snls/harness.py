@@ -348,7 +348,7 @@ def convergence_study(rc: RunConfig, dt_list: Sequence[float]) -> dict:
     if len(dts) < 3:  # two levels give one error, and a slope needs two
         raise UsageError(f"an observed order needs at least 3 dt levels, got {len(dts)}")
     if any(b >= a for a, b in zip(dts, dts[1:])) or not dts[-1] > 0:
-        raise UsageError("dt_list must be positive and strictly decreasing with >= 2 entries")
+        raise UsageError("dt_list must be positive and strictly decreasing")
     for dt in dts:
         if not (dt <= rc.t_final and dynamics.is_whole(rc.t_final / dt)):  # t_final / inf is whole
             raise UsageError(f"dt = {dt} does not divide t_final = {rc.t_final}")

@@ -55,6 +55,39 @@ class TestSolverConfig:
         cfg = det_config(g, lattice.zero_field(g), t_final=1.0, dt=0.001)
         assert cfg.n_steps == 1000
 
+    @staticmethod
+    def path_config(scheme, kind):
+        g = grid2d(8)
+        spec = noise.multiplier_noise(g, 0.2, 3.0)
+        path = noise.generate_noise_path(spec, 0.01, 10, master_seed=1)
+        return dynamics.SolverConfig(
+            grid=g, t_final=0.1, dt=0.01, scheme=scheme,
+            noise=spec if kind == "multiplier" else noise.zero_noise(g),
+            initial_v=lattice.zero_field(g), prescribed_path=path)
+
+    @pytest.mark.parametrize("scheme, kind", [
+        ("deterministic_gp", "multiplier"), ("deterministic_cubic", "multiplier"),
+        ("direct", "zero"), ("dpd", "zero")])
+    def test_refuses_a_path_on_a_run_that_draws_no_noise(self, scheme, kind):
+        # such a run steps without rows, so its path would go unused while
+        # the ledger and the Duhamel residual count no noise terms
+        with pytest.raises(ConfigurationError, match=f"scheme {scheme} with {kind} noise"):
+            self.path_config(scheme, kind)
+
+    @pytest.mark.parametrize("scheme", ["direct", "dpd"])
+    def test_accepts_a_path_on_a_run_that_draws_noise(self, scheme):
+        assert self.path_config(scheme, "multiplier").prescribed_path.n_steps == 10
+
+    @pytest.mark.parametrize("field", ["noise", "initial_v"])
+    def test_fields_on_another_grid_are_refused(self, field):
+        # once a bare numpy broadcast error inside solve
+        g, small = grid2d(16), grid2d(8)
+        makers = {"noise": noise.zero_noise, "initial_v": lattice.zero_field}
+        fields = {name: make(small if name == field else g) for name, make in makers.items()}
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} is on .*points_per_axis=8.*points_per_axis=16"):
+            dynamics.SolverConfig(grid=g, t_final=0.1, dt=0.01, scheme="direct", **fields)
+
 
 class TestNonlinearities:
     def test_gp_vanishes_on_unit_circle(self):
@@ -199,17 +232,16 @@ class TestSolveStochastic:
         cfg = self.stochastic_config("direct")
         g = cfg.grid
         short = noise.generate_noise_path(cfg.noise, cfg.dt, 3, master_seed=0)
-        bad = dynamics.SolverConfig(
-            grid=g,
-            t_final=cfg.t_final,
-            dt=cfg.dt,
-            scheme="direct",
-            noise=cfg.noise,
-            initial_v=cfg.initial_v,
-            prescribed_path=short,
-        )
         with pytest.raises(ConfigurationError):
-            dynamics.solve(bad)
+            dynamics.SolverConfig(
+                grid=g,
+                t_final=cfg.t_final,
+                dt=cfg.dt,
+                scheme="direct",
+                noise=cfg.noise,
+                initial_v=cfg.initial_v,
+                prescribed_path=short,
+            )
 
     @pytest.mark.parametrize("scheme", ["direct", "dpd"])
     def test_noise_path_is_the_generated_path(self, scheme):
@@ -304,21 +336,38 @@ class TestSolveStochastic:
         own = [{a for name, a in b if name not in ("v", "dw")} for b in bases]
         assert not (own[0] & own[1] or own[1] & own[2] or own[0] & own[2])
 
-    def test_lockstep_keeps_rows_only_on_levels_it_sends_them(self):
-        # deterministic levels, a prescribed path on the coarse one only:
-        # lockstep reads the finest level's path (none), so neither level
-        # takes rows, and neither keeps any (the coarse one used to keep rows
-        # of NaN); each level's run is the solve without a path
+    def test_lockstep_steps_a_deterministic_level_without_the_path(self):
+        # a coarse deterministic level beside a fine direct one with a path:
+        # lockstep sends the path's rows to both, and only the stochastic
+        # level steps on them and keeps them; the deterministic level keeps
+        # none, and its run is its own solve
         g = grid2d(8)
         v0 = random_v(g, 2)
-        path = noise.generate_noise_path(noise.multiplier_noise(g, 0.2, 3.0), 0.02, 5, master_seed=4)
-        configs = [det_config(g, v0, dt=0.02, prescribed_path=path), det_config(g, v0, dt=0.01)]
+        noisy = noise.multiplier_noise(g, 0.2, 3.0)
+        path = noise.generate_noise_path(noisy, 0.005, 20, master_seed=4)
+        configs = [det_config(g, v0, dt=0.01),
+                   dynamics.SolverConfig(grid=g, t_final=0.1, dt=0.005, scheme="direct", noise=noisy,
+                                         initial_v=v0, prescribed_path=path)]
         blocks = [[], []]
         assert dynamics.lockstep(configs, [0], [kept(b) for b in blocks]) == [[None]] * 2
+        assert all(b.dw_hat is None for b in blocks[0])
+        assert np.concatenate([b.dw_hat[0] for b in blocks[1]]).tobytes() == path.dw_hat.tobytes()
         for cfg, got in zip(configs, blocks):
-            assert all(b.dw_hat is None for b in got)
-            want = dynamics.solve(replace(cfg, prescribed_path=None))
+            want = dynamics.solve(cfg)
             assert np.concatenate([b.v[0] for b in got]).tobytes() == want.v.tobytes()
+
+    def test_lockstep_dpd_levels_share_one_set_of_work_arrays(self, monkeypatch):
+        base = self.stochastic_config("dpd", seed=3, stream=1)
+        configs = [replace(base, dt=dt) for dt in (0.02, 0.01, 0.005)]
+        pointers, step = [], dynamics.strang_step_dpd
+
+        def recording(dt, work):
+            pointers.append(work[0].ctypes.data)
+            return step(dt, work)
+
+        monkeypatch.setattr(dynamics, "strang_step_dpd", recording)
+        assert dynamics.lockstep(configs, [1], [lambda block: None] * 3) == [[None]] * 3
+        assert len(pointers) == 5 + 10 + 20 and len(set(pointers)) == 1
 
     def test_lockstep_rejects_a_dt_off_the_finest_steps(self):
         base = self.stochastic_config("direct")  # t_final 0.1
@@ -662,7 +711,8 @@ class TestPhaseTableStepper:
         # and the snapshots equal those of a run fed all-zero increments
         cfg = replace(cfg, snapshot_stride=1)
         zeros = noise.NoisePath(grid=g, dt=cfg.dt, dw_hat=np.zeros((20,) + g.shape, dtype=complex))
-        fed = dynamics.solve(replace(cfg, prescribed_path=zeros))
+        noisy = noise.multiplier_noise(g, 0.5, 3.0)  # a path is only given to a run that draws noise
+        fed = dynamics.solve(replace(cfg, noise=noisy, prescribed_path=zeros))
         for got, want in zip(dynamics.solve(cfg).v_snapshots, fed.v_snapshots):
             assert np.array_equal(got.values, want.values)
 

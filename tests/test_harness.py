@@ -535,6 +535,7 @@ class TestCli:
         (["converge", "--levels", "0"], "at least 3 dt levels, got 0"),
         (["converge", "--levels", "2"], "at least 3 dt levels, got 2"),
         (["converge", "--dts", "0.01,0.005"], "at least 3 dt levels, got 2"),
+        (["converge", "--dts", "0.01,0.02,0.005"], "strictly decreasing"),
     ])
     def test_bad_study_arguments_exit_two(self, tmp_path, capsys, argv, match):
         cfgfile = self.write_config(tmp_path, BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/out\n")
