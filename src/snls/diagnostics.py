@@ -12,13 +12,13 @@ EnergyLedger.residual vs EnergyLedger.residual_balanced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import dynamics, lattice, noise as noise_mod
-from .dynamics import SolverConfig, Trajectory
+from .dynamics import SolverConfig
 from .errors import BlowUpError, UsageError
 from .lattice import ComplexField, GridSpec, SpacetimeInterval
 
@@ -28,9 +28,12 @@ from .lattice import ComplexField, GridSpec, SpacetimeInterval
 
 def energy(v_star_field: ComplexField) -> float:
     """Ginzburg-Landau energy of u = 1 + v*:
-    0.5 * int |grad v*|^2 + 0.25 * int (|v*|^2 + 2 Re v*)^2."""
-    one = Trajectory(v_star_field.grid, "direct", np.zeros(1), v_star_field.mesh[np.newaxis])
-    return float(snapshot_norms(one)["energy"][0])
+    0.5 * int |grad v*|^2 + 0.25 * int (|v*|^2 + 2 Re v*)^2, the norm
+    table's energy column of a one-snapshot block."""
+    g = v_star_field.grid
+    block = dynamics.SnapshotBlock(grid=g, start=0, times=np.zeros(1),
+                                   v=v_star_field.mesh[np.newaxis, np.newaxis])
+    return float(norm_table(g, [block], columns=("energy",)).norms["energy"][0])
 
 
 # --- Ito ledger ---------------------------------------------------------------
@@ -95,10 +98,15 @@ class NormAccumulator:
     (qv_balanced), ||grad v|| and ||grad Psi|| in L^12/5, and, for blocks
     that carry noise rows, each step's ham3 term (ham3_steps).
 
-    Columns on demand: it makes only the given columns (COLUMNS, all of
-    them, by default; LEDGER_COLUMNS for the ledger, PARTITION_COLUMNS for
-    the partition), and each column it makes has one formula whatever the
-    others are, so its bits do not depend on them.
+    Columns on demand: it keeps only the given columns (any subset of
+    COLUMNS, all of them by default; LEDGER_COLUMNS for the ledger,
+    PARTITION_COLUMNS for the partition), and makes them by group.  Any
+    gradient column makes grad_l12o5, which v_grad_l12o5 is without Psi;
+    grad_l2, grad_l4 or energy makes grad_l2 and grad_l4; a partition
+    column makes dpd's split.  Any physical column makes l6, qv,
+    qv_balanced, ham3_steps for a block with noise rows, and energy when
+    it is asked for.  Each column has one formula whatever the others are,
+    so its bits do not depend on them.
 
     It reads the block's Fourier rows, v_hat and psi_hat, and for a block
     without them (a file's) transforms v and psi forward itself, one fftn
@@ -113,18 +121,24 @@ class NormAccumulator:
     and Fourier noise rows.  Every block-sized array is held memory
     (lattice.held), so no block allocates one.  A non-finite snapshot
     raises UsageError naming it.  Columns are kept per member, and
-    tables() checks each member's on its own."""
+    tables() checks each member's on its own.  A name not in COLUMNS
+    raises UsageError."""
 
     def __init__(self, grid: GridSpec, columns: Sequence[str] = COLUMNS):
+        unknown = [key for key in columns if key not in COLUMNS]
+        if unknown:
+            raise UsageError(f"unknown norm table column {unknown[0]!r}")
         self.grid = grid
         self.columns = [key for key in COLUMNS if key in columns]
         self.blocks = []  # per block: key -> (members, rows) column
         self.times = []
+        self.m_count = 1  # the blocks' members; one until a block comes
 
     @np.errstate(over="ignore", invalid="ignore")  # the columns are checked in tables()
     def add(self, block) -> None:
         g, cell, want, held = self.grid, self.grid.cell_measure, set(self.columns), lattice.held
         m_count, b = block.v.shape[:2]
+        self.m_count = m_count
         n, size = m_count * b, g.total_points
         rows = (n, size)
         dpd = block.psi is not None
@@ -161,7 +175,7 @@ class NormAccumulator:
                 np.copyto(stack[1], psi_hat)
         else:
             w_hat, stack = v_hat, v_hat[np.newaxis]
-        if want & _GRADIENT:
+        if want & _GRADIENT:  # every gradient column reads grad_l12o5 or its alias
             # |grad v*|^2 and, for the partition, |grad Psi|^2 and |grad v|^2,
             # summed axis by axis as each derivative of the stack arrives
             squares = held("norms.squares", (3 if parts else 1,) + rows, np.float64)
@@ -173,11 +187,9 @@ class NormAccumulator:
                     d[0] -= d[1]  # grad v = grad v* - grad Psi
                     add_squares(squares[2], d[0])
             sq = squares[0]
-            if want & {"grad_l2", "energy"}:
+            cols["grad_l12o5"] = l12o5(sq)
+            if want & {"grad_l2", "grad_l4", "energy"}:
                 cols["grad_l2"] = lattice._lp_of_powers(sq, 2.0, cell)
-            if want & {"grad_l12o5", "v_grad_l12o5"}:
-                cols["grad_l12o5"] = l12o5(sq)
-            if "grad_l4" in want:
                 cols["grad_l4"] = lattice._lp_of_powers(np.square(sq, out=r), 4.0, cell)
             if parts:
                 cols["psi_grad_l12o5"] = l12o5(squares[1])
@@ -187,10 +199,9 @@ class NormAccumulator:
         if want & _PHYSICAL:
             abs2 = np.abs(w, out=held("norms.abs2", rows, np.float64))
             np.square(abs2, out=abs2)
-            if "l6" in want:
-                cube = np.square(abs2, out=r)
-                cube *= abs2
-                cols["l6"] = lattice._lp_of_powers(cube, 6.0, cell)
+            cube = np.square(abs2, out=r)
+            cube *= abs2
+            cols["l6"] = lattice._lp_of_powers(cube, 6.0, cell)
             q = np.multiply(w.real, 2.0, out=held("norms.q", rows, np.float64))
             q += abs2  # |u|^2 - 1
             if "energy" in want:
@@ -201,7 +212,7 @@ class NormAccumulator:
             abs2 += np.multiply(w.real, 4.0, out=r)
             cols["qv"] = np.sum(abs2, axis=1) * cell
             steps = 0 if block.dw_hat is None else block.dw_hat.shape[1]
-            if steps and "ham3_steps" in want:
+            if steps:
                 # Im int G(v*) phi dW dx paired with each left-point snapshot,
                 # for G(v*) = (|u|^2 - 1) conj(u) - Lap conj(v*) and u = 1 + v*.
                 # The first term is real arithmetic on the physical rows; the
@@ -227,18 +238,19 @@ class NormAccumulator:
                             for key in self.columns if key in cols})
         self.times.append(block.times)
 
-    def tables(self, configs: Sequence[Optional[SolverConfig]]) -> list:
-        """Per member, in block order, its checked NormTable, or the
-        BlowUpError naming the first column that overflows float64 on its
-        finite snapshots, or a running sum of the sixth powers the
-        diagnostics integrate."""
+    def tables(self, config: Optional[SolverConfig]) -> list:
+        """Per member of the blocks fed (one when none was), in block order,
+        its checked NormTable under the run's config, or the BlowUpError
+        naming the first column that overflows float64 on its finite
+        snapshots, or a running sum of the sixth powers the diagnostics
+        integrate."""
         times = np.concatenate(self.times) if self.times else np.zeros(0)
         keys = list(dict.fromkeys(key for b in self.blocks for key in b))
         out = []
-        for m, cfg in enumerate(configs):
+        for m in range(self.m_count):
             table = {key: np.concatenate([b[key][m] for b in self.blocks if key in b])
                      for key in keys}
-            out.append(_checked(table, times, cfg) or NormTable(self.grid, times, table, cfg))
+            out.append(_checked(table, times, config) or NormTable(self.grid, times, table, config))
         return out
 
 
@@ -281,7 +293,7 @@ def norm_table(grid: GridSpec, blocks, config: Optional[SolverConfig] = None,
             acc.add(block)
     finally:
         lattice.release_held()
-    (table,) = acc.tables([config])
+    (table,) = acc.tables(config)
     if isinstance(table, BlowUpError):
         raise table
     return table
@@ -304,12 +316,9 @@ def solve_tables(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sin
         return sink
 
     levels = dynamics.lockstep(configs, stream_ids, [feed(acc) for acc in accs])
-    out = []
-    for config, acc, failures in zip(configs, accs, levels):
-        members = [replace(config, stream_id=s) for s in stream_ids]
-        out.append([table if failure is None else failure
-                    for failure, table in zip(failures, acc.tables(members))])
-    return out
+    return [[table if failure is None else failure
+             for failure, table in zip(failures, acc.tables(config))]
+            for config, acc, failures in zip(configs, accs, levels)]
 
 
 def _cumulative(y: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -559,10 +559,19 @@ def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) 
     drawn once, as their step comes, all members' rows of a step by one
     noise.member_rows generator for that level's noise and seed; else they
     are None.  Each level steps on them when it is stochastic
-    (SolverConfig).  The levels must share the grid, t_final, noise and
-    seed, and the other levels' prescribed paths are not read.  No row is
-    drawn once every level has returned.  Returns per level the members'
-    failures: BlowUpError, naming the level's own step, or None."""
+    (SolverConfig).  The levels must share the grid and t_final, the
+    stochastic ones their noise and master_seed, and only the finest level
+    may have a prescribed path; each of these, and a dt that is not a
+    whole multiple of the finest, raises UsageError naming the field.  No
+    row is drawn once every level has returned.  Returns per level the
+    members' failures: BlowUpError, naming the level's own step, or None."""
+    noisy = [c for c in configs if c.stochastic]
+    for name, levels in (("grid", configs), ("t_final", configs), ("noise", noisy),
+                         ("master_seed", noisy)):
+        for c in levels:
+            if getattr(c, name) != getattr(levels[0], name):
+                raise UsageError(f"lockstep levels differ in {name}: {getattr(levels[0], name)} "
+                                 f"and {getattr(c, name)}")
     dt_fine = min(c.dt for c in configs)
     n_fine = int(round(configs[0].t_final / dt_fine))
     factors = [int(round(c.dt / dt_fine)) for c in configs]
@@ -571,12 +580,15 @@ def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) 
             raise UsageError(f"dt = {c.dt} is not a whole multiple of the finest dt "
                              f"{dt_fine} over t_final = {configs[0].t_final}")
     path = configs[factors.index(1)].prescribed_path
+    for c in configs:
+        if c.prescribed_path is not None and c.prescribed_path is not path:
+            raise UsageError(f"the level at dt = {c.dt} has its own prescribed_path; "
+                             "lockstep reads the finest level's only")
     if path is not None:
         rows = iter(path.dw_hat)  # lattice-shaped rows, broadcast over the members
-    else:
-        noisy = next((c for c in configs if c.stochastic), None)  # draws the rows, if any
-        rows = (itertools.repeat(None, n_fine) if noisy is None else noise_mod.member_rows(
-            noisy.noise, dt_fine, noisy.master_seed, stream_ids, n_fine))
+    else:  # drawn for the stochastic levels' one noise and seed, if any
+        rows = (noise_mod.member_rows(noisy[0].noise, dt_fine, noisy[0].master_seed, stream_ids,
+                                      n_fine) if noisy else itertools.repeat(None, n_fine))
     runs = [_run(c, len(stream_ids), f, sink) for c, f, sink in zip(configs, factors, sinks)]
     failures, live = [None] * len(runs), list(range(len(runs)))
     try:

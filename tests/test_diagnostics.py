@@ -393,6 +393,44 @@ class TestSnapshotNormTable:
         assert dynamics.gauge_transform(traj).norms is None
 
 
+@pytest.mark.parametrize("source", ["streamed", "kept", "file"])
+@pytest.mark.parametrize("scheme", ["direct", "dpd", "deterministic_gp"])
+@pytest.mark.parametrize("column", diagnostics.COLUMNS)
+def test_a_column_asked_for_alone_is_the_full_pass_column(tmp_path, monkeypatch, source, scheme,
+                                                           column):
+    # any column set is valid: a column asked for alone is made by its
+    # group, with the full pass's bits; blocks of two snapshots, so several
+    g = grid2d()
+    monkeypatch.setattr(lattice, "BLOCK_BYTES", 2 * g.total_points * 16)
+    cfg = dynamics.SolverConfig(
+        grid=g, t_final=0.02, dt=0.005, scheme=scheme, noise=noise.multiplier_noise(g, 0.2, 3.0),
+        initial_v=dynamics.initial_gaussian_bump(g, 0.2, 0.8), master_seed=2)
+
+    def norms(columns):
+        if source == "streamed":
+            ((table,),) = diagnostics.solve_tables([cfg], [cfg.stream_id], columns=columns)
+            return table.norms
+        traj = dynamics.solve(cfg)
+        if source == "kept":
+            return diagnostics.norm_table(g, traj.blocks(), cfg, columns).norms
+        fname = os.path.join(tmp_path, "trajectory.bin")
+        dynamics.write_trajectory(traj, fname)
+        return diagnostics.norm_table(g, dynamics.trajectory_blocks(fname)[3],
+                                      columns=columns).norms
+
+    full, alone = norms(diagnostics.COLUMNS), norms((column,))
+    rows = source != "file" and scheme != "deterministic_gp"  # ham3_steps needs noise rows
+    assert alone.keys() == ({column} if rows or column != "ham3_steps" else set())
+    assert alone.keys() <= full.keys()
+    for key, col in alone.items():
+        assert col.tobytes() == full[key].tobytes()
+
+
+def test_an_unknown_column_is_named():
+    with pytest.raises(UsageError, match="unknown norm table column 'grad_l3'"):
+        diagnostics.NormAccumulator(grid2d(), ("grad_l2", "grad_l3"))
+
+
 def ham3_integrand(v_star):
     """|v*|^2 conj(v*) - Lap conj(v*) + |v*|^2 + 2 Re(v*) conj(v*) + 2 Re(v*)."""
     v = v_star.values

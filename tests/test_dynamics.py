@@ -50,6 +50,12 @@ class TestSolverConfig:
         with pytest.raises(ConfigurationError):
             det_config(g, lattice.zero_field(g), t_final=0.1, dt=0.01, snapshot_stride=3)
 
+    @pytest.mark.parametrize("t_final, dt", [(0.1, 0.2), (0.1, 0.0), (0.0, 0.01)])
+    def test_rejects_a_step_outside_the_span(self, t_final, dt):
+        g = grid2d()
+        with pytest.raises(ConfigurationError, match="need 0 < dt <= t_final"):
+            det_config(g, lattice.zero_field(g), t_final=t_final, dt=dt)
+
     def test_n_steps(self):
         g = grid2d()
         cfg = det_config(g, lattice.zero_field(g), t_final=1.0, dt=0.001)
@@ -109,6 +115,10 @@ class TestNonlinearities:
             lhs = dynamics.dpd_nonlinearity(v, p).values
             rhs = dynamics.gp_nonlinearity(u).values
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+    def test_dpd_on_two_grids_is_named(self):
+        with pytest.raises(UsageError, match="v and psi live on different grids"):
+            dynamics.dpd_nonlinearity(lattice.zero_field(grid2d(16)), lattice.zero_field(grid2d(8)))
 
     def test_dpd_zero_psi_reduces(self):
         g = grid2d(8)
@@ -374,6 +384,27 @@ class TestSolveStochastic:
         with pytest.raises(UsageError, match="whole multiple"):
             dynamics.lockstep([replace(base, dt=0.02), replace(base, dt=0.0125)], [0], [print, print])
 
+    @pytest.mark.parametrize("match, other", [
+        ("differ in noise", dict(amplitude=0.4)),  # once stepped on the 0.2 rows
+        ("differ in master_seed", dict(seed=2)),  # once stepped on seed 1's rows
+        # once ignored: the level stepped on the drawn rows, summed
+        ("dt = 0.02 has its own prescribed_path", dict(dt=0.02, path=True)),
+        ("differ in grid", dict(n=8)),  # once a bare numpy broadcast error
+        ("differ in t_final", dict(t_final=0.2)),  # once blamed on dt
+    ], ids=["noise", "master_seed", "prescribed_path", "grid", "t_final"])
+    def test_lockstep_refuses_levels_that_share_no_path(self, match, other):
+        def level(n=16, amplitude=0.2, seed=1, dt=0.01, t_final=0.1, path=False):
+            g = grid2d(n)
+            spec = noise.multiplier_noise(g, amplitude, 3.0)
+            own = noise.generate_noise_path(spec, dt, int(round(t_final / dt)), 7) if path else None
+            return dynamics.SolverConfig(
+                grid=g, t_final=t_final, dt=dt, scheme="direct", noise=spec,
+                initial_v=dynamics.initial_gaussian_bump(g, 0.2, 0.8), master_seed=seed,
+                prescribed_path=own)
+
+        with pytest.raises(UsageError, match=match):
+            dynamics.lockstep([level(**other), level()], [0], [print, print])
+
     def test_dpd_psi_matches_standalone_sampler(self):
         traj = dynamics.solve(self.stochastic_config("dpd", seed=6))
         g = traj.grid
@@ -490,6 +521,11 @@ class TestInitialData:
         v0 = dynamics.initial_gaussian_bump(g, 0.3, 0.5)
         assert np.max(v0.values.real) == pytest.approx(0.3, rel=1e-6)
         assert np.all(v0.values.imag == 0.0)
+
+    def test_random_band_without_a_mode_is_named(self):
+        # band_max 0.5 lies below the smallest nonzero |k|, 1 on a 2 pi box
+        with pytest.raises(ConfigurationError, match="band_max excludes every nonzero mode"):
+            dynamics.initial_random_band(grid2d(), h1_norm=1.0, band_max=0.5)
 
     def test_random_band_norm_and_support(self):
         g = grid2d()

@@ -97,6 +97,16 @@ class TestGoldenBytes:
         noise.write_noise_path(traj.noise_path, pname)
         assert noise.read_noise_path(pname, 3.0).dw_hat.flags.writeable
 
+    @pytest.mark.parametrize("caller", ["duhamel_residual", "write_trajectory"])
+    def test_file_trajectory_has_no_solver_config(self, tmp_path, caller):
+        fname = os.path.join(tmp_path, "t.bin")
+        dynamics.write_trajectory(solved("direct"), fname)
+        back = dynamics.read_trajectory(fname)
+        calls = {"duhamel_residual": lambda: dynamics.duhamel_residual(back, 1),
+                 "write_trajectory": lambda: dynamics.write_trajectory(back, fname + ".copy")}
+        with pytest.raises(UsageError, match=f"{caller} needs the solver config"):
+            calls[caller]()
+
     def test_ledger_rejects_file_trajectory(self, tmp_path):
         fname = os.path.join(tmp_path, "t.bin")
         dynamics.write_trajectory(solved("direct"), fname)

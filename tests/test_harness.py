@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from snls import cli, dynamics, harness, lattice, noise
-from snls.errors import ConfigurationError, WorkerError
+from snls.errors import ConfigurationError, UsageError, WorkerError
 
 BASE_CONFIG = """
 [grid]
@@ -80,6 +80,20 @@ class TestParseConfig:
             harness.parse_config(doc)
         msg = str(exc.value)
         assert "dt" in msg and "scheme" in msg and "[grid]" in msg
+
+    @pytest.mark.parametrize("doc, match", [
+        ("[output]\nemit_snapshots = maybe\n",
+         "line 2: cannot parse value for 'emit_snapshots': 'maybe'"),
+        ("[time]\ndt = 0.01\nt_final = 0.1\nsnapshot_stride = 3\n",
+         "field 'snapshot_stride': must divide the step count"),
+    ])
+    def test_bad_time_and_output_values_named(self, doc, match):
+        with pytest.raises(ConfigurationError, match=match):
+            harness.parse_config(doc)
+
+    @pytest.mark.parametrize("raw, value", [("true", True), ("false", False), ("Off", False)])
+    def test_emit_snapshots_parsed(self, raw, value):
+        assert harness.parse_config(f"[output]\nemit_snapshots = {raw}\n").emit_snapshots is value
 
     def test_non_divisible_dt_rejected(self):
         with pytest.raises(ConfigurationError) as exc:
@@ -333,6 +347,15 @@ class TestEmission:
         harness.emit_csv(rows, path)
         assert len(open(path).read().strip().splitlines()) == 2
 
+    @pytest.mark.parametrize("write, match", [
+        (lambda path: harness.emit_csv([{"time": 0.0}], path), "cannot write CSV to"),
+        (lambda path: harness.write_report(harness.EnsembleReport([], {}, {}), path),
+         "cannot write report to"),
+    ], ids=["emit_csv", "write_report"])
+    def test_writing_into_a_missing_directory_is_named(self, tmp_path, write, match):
+        with pytest.raises(UsageError, match=match):
+            write(os.path.join(tmp_path, "missing", "out.txt"))
+
     def test_write_report(self, tmp_path):
         rc = harness.parse_config(BASE_CONFIG.replace("size = 3", "size = 2"))
         rep = harness.run_ensemble(rc)
@@ -432,8 +455,8 @@ class TestCli:
         assert b"E_psi_H1_sq = 0.0\n" not in texts[0]
 
     def test_noise_stats_ffts_do_not_grow_with_steps(self, tmp_path, monkeypatch, capsys):
-        # Psi stays in Fourier space over the steps: one inverse FFT a batch
-        # and one forward FFT a member (sobolev_norm), at n and 2n steps alike
+        # Psi stays in Fourier space over the steps and its H^1 norm is read
+        # off the Fourier rows: no FFT, at n and 2n steps alike
         calls = []
         for name in ("fftn", "ifftn"):
             def counted(*args, _real=getattr(np.fft, name), **kwargs):
@@ -447,7 +470,7 @@ class TestCli:
             calls.clear()
             assert cli.main(["noise-stats", "--config", self.write_config(tmp_path, doc)]) == 0
             counts.append(len(calls))
-        assert counts[0] == 1 + 3
+        assert counts[0] == 0
         assert counts[1] - counts[0] == 0
 
     def test_noise_stats_memory_does_not_grow_with_steps(self, tmp_path, capsys):

@@ -200,6 +200,17 @@ class TestSpacetimeNorm:
         with pytest.raises(UsageError):
             spacetime_norm([lattice.zero_field(g)], [0.0], SpacetimeInterval(0, 3), 2.0, 2.0)
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda g: ComplexField(g, np.zeros(7, dtype=complex)),
+         "field length 7 does not match grid \\(8 points\\)"),
+        (lambda g: SpacetimeInterval(3, 2), "interval start_index exceeds end_index"),
+        (lambda g: spacetime_norm([lattice.zero_field(g)], [0.0], SpacetimeInterval(0, 0), 2.0,
+                                  2.0, derivative_order=2), "derivative_order must be 0 or 1"),
+    ], ids=["field-length", "reversed-interval", "derivative-order"])
+    def test_bad_arguments_are_named(self, make, match):
+        with pytest.raises(UsageError, match=match):
+            make(make_grid(1, 8, 1.0))
+
 
 class TestX1Norm:
     def test_zero(self):

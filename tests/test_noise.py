@@ -197,6 +197,17 @@ class TestStochasticConvolution:
         assert used is inc
         assert np.allclose(out.values, -1j * inc.values, atol=1e-14)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (lambda g: {}, "needs an rng_state or an increment"),
+        (lambda g: {"increment": lattice.zero_field(make_grid(2, 8, TWO_PI))},
+         "increment grid does not match psi grid"),
+    ], ids=["no-draw", "increment-grid"])
+    def test_bad_steps_are_named(self, kwargs, match):
+        g = small_grid()
+        with pytest.raises(UsageError, match=match):
+            noise.step_stochastic_convolution(lattice.zero_field(g), noise.zero_noise(g), 0.1,
+                                              **kwargs(g))
+
     def test_ito_isometry_multi_step(self):
         # after n steps from zero, E||Psi||_L2^2 = t * ||phi||_HS^2 exactly in
         # law; check the Monte Carlo z-score

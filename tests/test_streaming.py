@@ -320,6 +320,20 @@ def test_partition_names_the_first_non_finite_field_in_file_order(
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("snaps", [0, 1])
+def test_partition_of_fewer_than_two_snapshots_is_named(tmp_path, snaps):
+    # a file with no snapshot feeds the norm pass no block: its table is
+    # still one member's, empty, and the partition names the count
+    cfgfile = write_config(tmp_path, n=8)
+    g = lattice.make_grid(2, 8, 2.0 * np.pi)
+    fname = os.path.join(tmp_path, "trajectory.bin")
+    with dynamics.TrajectoryWriter(fname, g, "direct", snaps, 0.004) as writer:
+        if snaps:
+            writer.write(0, np.zeros((1,) + g.shape, dtype=np.complex128))
+    assert run_cli(["partition", "--config", cfgfile, "--trajectory", fname]) == (
+        2, "", "runtime failure: partitioning needs at least 2 snapshots\n")
+
+
 @pytest.mark.parametrize("scheme", ["direct", "dpd"])
 @pytest.mark.parametrize("dim, n, t_final", [(2, 16, 0.08), (4, 8, 0.024)], ids=["16sq", "8e4"])
 def test_columns_on_demand_print_the_full_tables_bytes(tmp_path, monkeypatch, scheme, dim, n,
