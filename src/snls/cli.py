@@ -141,7 +141,6 @@ def _cmd_verify_energy(args) -> int:
 
 def _cmd_converge(args) -> int:
     rc = _load_config(args)
-    harness.ensure_output_dir(rc)
     if args.dts:
         try:
             dts = [float(s) for s in args.dts.split(",")]

@@ -334,10 +334,7 @@ def ito_ledger(traj) -> EnergyLedger:
     snapshot_stride = 1 for stochastic trajectories so every consumed
     increment has a matching left-point state.
     """
-    cfg = traj.config
-    if cfg is None:
-        raise UsageError("ito_ledger needs the solver config, which a trajectory read "
-                         "from a file lacks")
+    cfg = dynamics.run_config(traj, "ito_ledger")
     if cfg.stochastic and cfg.snapshot_stride != 1:
         raise UsageError(f"ito_ledger requires snapshot_stride = 1, got {cfg.snapshot_stride}")
     table = snapshot_norms(traj)

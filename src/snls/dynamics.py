@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import List, Optional, Sequence
 
@@ -122,10 +122,11 @@ class SolverConfig:
 @dataclass
 class Trajectory:
     """Snapshots of one run, one per row of v (lattice shape), and of Psi in
-    psi for dpd (None otherwise: Psi = 0), with the noise path solve kept, if
-    any, and the Fourier rows solve's blocks carried (v_hat, psi_hat; None
-    for any other trajectory).  A trajectory read from a file has no solver
-    config and no path."""
+    psi for dpd (None otherwise: Psi = 0), with the run's config and the
+    noise path solve kept (see solve), and the Fourier rows solve's blocks
+    carried (v_hat, psi_hat).  Snapshots that are not a run's, those
+    read_trajectory reads from a file or gauge_transform makes, have no
+    config, no path and no Fourier rows."""
 
     grid: GridSpec
     scheme: str
@@ -134,7 +135,6 @@ class Trajectory:
     psi: Optional[np.ndarray] = None
     config: Optional[SolverConfig] = None
     noise_path: Optional[NoisePath] = None
-    frame: str = "gp"  # "gp" or "cubic" (gauge-transformed)
     v_hat: Optional[np.ndarray] = None  # Fourier rows as solve's run held them (SnapshotBlock)
     psi_hat: Optional[np.ndarray] = None
     norms: Optional[dict] = field(default=None, init=False, repr=False, compare=False)  # snapshot_norms
@@ -173,22 +173,24 @@ class Trajectory:
                 v_hat=rows(self.v_hat, sl), psi_hat=rows(self.psi_hat, sl),
             )
 
-    def solver_config(self, caller: str) -> SolverConfig:
-        if self.config is None:
-            raise UsageError(
-                f"{caller} needs the solver config, which a trajectory read from a file lacks"
-            )
-        return self.config
-
     def u_snapshot(self, i: int) -> ComplexField:
-        """Reconstruct u = 1 + v (+ Psi for the dpd scheme)."""
+        """Reconstruct u = 1 + v (+ Psi when psi is held)."""
         vals = 1.0 + self.v_snapshots[i].values + self.psi_snapshots[i].values
         return ComplexField(self.grid, vals)
 
     def v_star_snapshot(self, i: int) -> ComplexField:
-        """u - 1 = v + Psi (equals v for non-dpd schemes)."""
+        """u - 1 = v + Psi (equals v without psi)."""
         vals = self.v_snapshots[i].values + self.psi_snapshots[i].values
         return ComplexField(self.grid, vals)
+
+
+def run_config(run, caller: str) -> SolverConfig:
+    """The solver config of a run's Trajectory or NormTable; UsageError
+    naming caller when it has none, as snapshots that are not a run's."""
+    if run.config is None:
+        raise UsageError(f"{caller} needs the solver config, which only a solved run's "
+                         "snapshots carry")
+    return run.config
 
 
 # --- nonlinearities -------------------------------------------------------
@@ -610,16 +612,13 @@ def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) 
 
 class _Collector:
     """A sink that copies one member's SnapshotBlocks into whole arrays:
-    v, Psi for dpd (psi, else None), the coefficient rows of blocks that
-    carry them (v_hat and psi_hat, None while no block has) and, given
-    n_steps, the blocks' noise rows (dw_hat, None while no block has
-    carried any)."""
+    v, Psi for dpd (psi, else None), and the coefficient rows of blocks
+    that carry them (v_hat and psi_hat, None while no block has)."""
 
-    def __init__(self, grid: GridSpec, n_snapshots: int, dpd: bool, n_steps: Optional[int] = None):
+    def __init__(self, grid: GridSpec, n_snapshots: int, dpd: bool):
         self.v = np.empty((n_snapshots,) + grid.shape, dtype=np.complex128)
         self.psi = np.empty_like(self.v) if dpd else None
         self.v_hat = self.psi_hat = None
-        self.n_steps, self.dw_hat = n_steps, None
 
     def __call__(self, block: SnapshotBlock) -> None:
         sl = slice(block.start, block.start + len(block.times))
@@ -633,28 +632,28 @@ class _Collector:
             self.v_hat[sl] = block.v_hat[0]
             if self.psi_hat is not None:
                 self.psi_hat[sl] = block.psi_hat[0]
-        if block.dw_hat is not None and self.n_steps is not None:
-            if self.dw_hat is None:
-                self.dw_hat = np.empty((self.n_steps,) + self.v.shape[1:], dtype=np.complex128)
-            self.dw_hat[block.start:block.start + block.dw_hat.shape[1]] = block.dw_hat[0]
 
 
 def solve(config: SolverConfig) -> Trajectory:
     """Integrate one trajectory on config.stream_id: a one-level lockstep
     with its blocks collected.  It keeps every snapshot with its Fourier
-    rows, and the noise path at snapshot_stride 1 (the prescribed one
-    itself, if given).  Raises BlowUpError at the first step whose state is
-    not finite."""
-    g, path = config.grid, config.prescribed_path
-    rows = _Collector(g, config.n_snapshots, config.scheme == "dpd",
-                      config.n_steps if path is None else None)
-    ((failure,),) = lockstep([config], [config.stream_id], [rows])
+    rows, and a path by one rule: the prescribed path itself, if given;
+    else, for a stochastic run at snapshot_stride 1, generate_noise_path's
+    for its seed and stream, drawn whole before the first step and stepped
+    on as a prescribed path; else none (duhamel_residual then draws the
+    rows it needs by key).  Raises BlowUpError at the first step whose
+    state is not finite."""
+    path = config.prescribed_path
+    if path is None and config.stochastic and config.snapshot_stride == 1:
+        path = noise_mod.generate_noise_path(config.noise, config.dt, config.n_steps,
+                                             config.master_seed, config.stream_id)
+    rows = _Collector(config.grid, config.n_snapshots, config.scheme == "dpd")
+    ((failure,),) = lockstep([replace(config, prescribed_path=path)], [config.stream_id], [rows])
     if failure is not None:
         raise failure
     return Trajectory(
-        grid=g, scheme=config.scheme, times=config.snapshot_times, v=rows.v, psi=rows.psi,
-        config=config, noise_path=path if rows.dw_hat is None else NoisePath(g, config.dt, rows.dw_hat),
-        v_hat=rows.v_hat, psi_hat=rows.psi_hat,
+        grid=config.grid, scheme=config.scheme, times=config.snapshot_times, v=rows.v,
+        psi=rows.psi, config=config, noise_path=path, v_hat=rows.v_hat, psi_hat=rows.psi_hat,
     )
 
 
@@ -673,7 +672,7 @@ def duhamel_residual(traj: Trajectory, time_index: int) -> float:
     if time_index < 0 or time_index >= traj.n_snapshots:
         raise UsageError("time_index out of range")
     g = traj.grid
-    cfg = traj.solver_config("duhamel_residual")
+    cfg = run_config(traj, "duhamel_residual")
     t = float(traj.times[time_index])
     u_t = traj.u_snapshot(time_index).values
     free = lattice.apply_schrodinger_group(traj.u_snapshot(0), t).values
@@ -701,19 +700,14 @@ def duhamel_residual(traj: Trajectory, time_index: int) -> float:
 
 
 def gauge_transform(traj: Trajectory) -> Trajectory:
-    """Multiply every u-snapshot at time t by e^{-it} (cubic-NLS frame)."""
+    """The snapshots e^{-it} u(t) of a trajectory, in the cubic-NLS frame:
+    v is e^{-it} u - 1, Psi included, so psi is None.  They are not a run:
+    they have no config, no path and no Fourier rows, and ito_ledger,
+    duhamel_residual and write_trajectory refuse them (run_config)."""
     u = 1.0 + traj.v if traj.psi is None else 1.0 + traj.v + traj.psi
     phase = np.exp(-1j * traj.times).reshape((-1,) + (1,) * traj.grid.dim)
-    return Trajectory(
-        grid=traj.grid,
-        scheme=traj.scheme,
-        times=traj.times.copy(),
-        v=phase * u - 1.0,
-        psi=None if traj.psi is None else np.zeros_like(u),
-        config=traj.config,
-        noise_path=traj.noise_path,
-        frame="cubic",
-    )
+    return Trajectory(grid=traj.grid, scheme=traj.scheme, times=traj.times.copy(),
+                      v=phase * u - 1.0)
 
 
 # --- initial data ----------------------------------------------------------
@@ -788,7 +782,7 @@ class TrajectoryWriter(lattice.FieldWriter):
 
 def write_trajectory(traj: Trajectory, filename: str) -> None:
     """Binary export of a kept trajectory (TrajectoryWriter)."""
-    cfg = traj.solver_config("write_trajectory")
+    cfg = run_config(traj, "write_trajectory")
     with TrajectoryWriter(filename, traj.grid, traj.scheme, traj.n_snapshots,
                           cfg.dt * cfg.snapshot_stride) as writer:
         for block in traj.blocks():

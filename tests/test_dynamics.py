@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snls import dynamics, lattice, noise
+from snls import diagnostics, dynamics, lattice, noise
 from snls.errors import BlowUpError, ConfigurationError, UsageError
 from snls.lattice import ComplexField, make_grid
 
@@ -484,7 +484,6 @@ class TestGaugeTransform:
         g = grid2d()
         traj = dynamics.solve(det_config(g, dynamics.initial_gaussian_bump(g, 0.2, 1.0), t_final=0.2, dt=0.01))
         gt = dynamics.gauge_transform(traj)
-        assert gt.frame == "cubic"
         i = gt.n_snapshots - 1
         t = float(gt.times[i])
         expected = np.exp(-1j * t) * traj.u_snapshot(i).values
@@ -498,6 +497,30 @@ class TestGaugeTransform:
             assert np.allclose(
                 np.abs(gt.u_snapshot(i).values), np.abs(traj.u_snapshot(i).values), atol=1e-13
             )
+
+
+    @pytest.mark.parametrize("caller", ["ito_ledger", "duhamel_residual", "write_trajectory"])
+    def test_gauged_snapshots_are_not_a_run(self, tmp_path, caller):
+        # a gauged copy once kept its GP run's config and path: the ledger and the
+        # residual read e^{-it} u against the GP run's equation, and returned numbers
+        cfg = TestSolveStochastic().stochastic_config("direct", seed=1)
+        gt = dynamics.gauge_transform(dynamics.solve(cfg))
+        fname = os.path.join(tmp_path, "t.bin")
+        calls = {"ito_ledger": lambda: diagnostics.ito_ledger(gt),
+                 "duhamel_residual": lambda: dynamics.duhamel_residual(gt, gt.n_snapshots - 1),
+                 "write_trajectory": lambda: dynamics.write_trajectory(gt, fname)}
+        with pytest.raises(UsageError, match=f"{caller} needs the solver config"):
+            calls[caller]()
+        assert not os.path.exists(fname)
+
+    def test_gauged_dpd_holds_psi_in_v(self):
+        traj = dynamics.solve(TestSolveStochastic().stochastic_config("dpd", seed=1))
+        gt = dynamics.gauge_transform(traj)
+        assert gt.psi is None
+        assert all(a is None for a in (gt.config, gt.noise_path, gt.v_hat, gt.psi_hat))
+        i = gt.n_snapshots - 1
+        expected = np.exp(-1j * gt.times[i]) * traj.u_snapshot(i).values
+        assert np.allclose(gt.u_snapshot(i).values, expected, atol=1e-13)
 
 
 class TestInitialData:

@@ -3,6 +3,7 @@ spec, and malformed files rejected with a named error."""
 
 import hashlib
 import os
+import re
 import struct
 
 import numpy as np
@@ -173,3 +174,14 @@ class TestMalformedNoisePath:
                            + spec_payload([lattice.zero_field(g)]))
         with pytest.raises(FormatError):
             noise.read_noise_path(fname, box_length=1.0)
+
+
+def test_read_rows_names_a_truncated_file(tmp_path):
+    # check_payload refuses a short file before any read; read_rows checks its own reads
+    g = make_grid(1, 8, 1.0)
+    fname = os.path.join(tmp_path, "rows.bin")
+    with open(fname, "wb") as fh:
+        fh.write(spec_payload([lattice.zero_field(g)] * 2)[:-1])
+    with open(fname, "rb") as fh:
+        with pytest.raises(FormatError, match=f"^{re.escape(fname)}: payload is truncated$"):
+            lattice.read_rows(fh, g, 2)

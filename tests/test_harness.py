@@ -537,6 +537,15 @@ class TestCli:
         assert cli.main(["converge", "--config", cfgfile, "--dts", "0.01,0.005,0.00125"]) == 0
         assert "observed_order" in capsys.readouterr().out
 
+    def test_converge_makes_no_out_directory(self, tmp_path, capsys):
+        # converge writes no file, yet once left an empty --out directory behind
+        out = os.path.join(tmp_path, "out")
+        cfgfile = self.write_config(tmp_path, BASE_CONFIG)
+        assert cli.main(["converge", "--config", cfgfile, "--out", out,
+                         "--dts", "0.01,0.005,0.00125"]) == 0
+        assert "observed_order" in capsys.readouterr().out
+        assert not os.path.exists(out)
+
     def test_verify_energy_command(self, tmp_path, capsys):
         doc = BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/out\n"
         cfgfile = self.write_config(tmp_path, doc)
