@@ -57,8 +57,9 @@ class SolverConfig:
     if it is stochastic (a direct or dpd scheme with noise that is not
     zero): its prescribed_path when given, else the rows its (master_seed,
     stream_id) keys draw.  Checked when made: the noise and initial_v live
-    on the run's grid, and a prescribed path is given only to a stochastic
-    run, on its grid, with its step count and its dt to a relative 1e-9."""
+    on the run's grid, initial_v is finite, and a prescribed path is given
+    only to a stochastic run, on its grid, with its step count and its dt
+    to a relative 1e-9."""
 
     grid: GridSpec
     t_final: float
@@ -84,6 +85,8 @@ class SolverConfig:
         for name, on in (("noise", self.noise.grid), ("initial_v", self.initial_v.grid)):
             if on != self.grid:
                 raise ConfigurationError(f"{name} is on {on}, solver on {self.grid}")
+        if not lattice.all_finite(self.initial_v.values):
+            raise ConfigurationError("initial_v holds a non-finite value")
         path = self.prescribed_path
         if path is None:
             return

@@ -9,10 +9,8 @@ a comment.  Unknown sections or keys are rejected with line numbers.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import math
 import os
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
@@ -106,6 +104,8 @@ class RunConfig:
     emit_snapshots: bool
 
     def config_hash(self) -> str:
+        import hashlib  # loads OpenSSL; only runs that write a hash pay for it
+
         skip = ("output_dir", "workers")  # neither changes what is computed
         canon = repr(sorted((k, repr(v)) for k, v in vars(self).items() if k not in skip))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -207,6 +207,7 @@ def build_noise(rc: RunConfig, grid) -> noise_mod.NoiseSpec:
     return noise_mod.multiplier_noise(grid, rc.noise_amplitude, rc.noise_sigma, rc.noise_cutoff)
 
 
+@np.errstate(all="ignore")  # SolverConfig refuses a non-finite initial_v by name
 def build_initial(rc: RunConfig, grid) -> lattice.ComplexField:
     p = rc.initial_params
     if rc.initial_kind == "constant":
@@ -298,6 +299,9 @@ def run_ensemble(rc: RunConfig) -> EnsembleReport:
     batches = _batches(rc)
     workers = min(rc.workers, len(batches))  # fork starts every worker at the first submit
     if workers > 1:
+        # multiprocessing, socket, subprocess and more: a serial run never loads them
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 done = list(pool.map(_member_summary, [rc] * len(batches), batches))

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigurationError, FormatError, UsageError
 
 INF = float("inf")
+TINY = 2.0**-1022  # the least normal float
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,15 @@ def make_grid(dim: int, points_per_axis: int, box_length: float) -> GridSpec:
         raise ConfigurationError(f"points_per_axis must be a power of two >= 8, got {n}")
     if not 0 < box_length < INF:
         raise ConfigurationError(f"box_length must be positive and finite, got {box_length}")
-    return GridSpec(dim=dim, points_per_axis=points_per_axis, box_length=box_length)
+    grid = GridSpec(dim=dim, points_per_axis=points_per_axis, box_length=box_length)
+    try:  # float ** raises OverflowError, and underflows to 0.0 without a word
+        normal = all(TINY <= m < INF for m in (grid.volume, grid.cell_measure))
+    except OverflowError:
+        normal = False
+    if not normal:
+        raise ConfigurationError(f"box_length = {box_length!r} in {dim}-d puts the volume "
+                                 "or the cell measure outside the normal floats")
+    return grid
 
 
 def all_finite(values: np.ndarray) -> bool:

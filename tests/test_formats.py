@@ -148,6 +148,11 @@ class TestMalformedTrajectory:
         self.run_partition(tmp_path, capsys,
                            spec_trajectory(0, 8, 4, 3.0, 0.01, 0, self.good_payload()))
 
+    def test_overflowing_box_length(self, tmp_path, capsys):
+        # box_length**2 overflows: float ** once raised OverflowError, a traceback
+        self.run_partition(tmp_path, capsys,
+                           spec_trajectory(2, 8, 4, 1e300, 0.01, 0, self.good_payload()))
+
     def test_non_finite_payload(self, tmp_path, capsys):
         payload = struct.pack("<d", np.nan) * (2 * 64 * 4)
         self.run_partition(tmp_path, capsys, spec_trajectory(2, 8, 4, 3.0, 0.01, 0, payload))

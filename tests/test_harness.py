@@ -1,13 +1,19 @@
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import snls
 from snls import cli, dynamics, harness, lattice, noise
 from snls.errors import ConfigurationError, UsageError, WorkerError
+
+# for a fresh interpreter that imports this snls
+FRESH_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(snls.__file__)))
 
 BASE_CONFIG = """
 [grid]
@@ -208,7 +214,7 @@ class TestRunEnsemble:
 
         rc = replace(harness.parse_config(BASE_CONFIG), ensemble_size=2)
         serial = harness.run_ensemble(rc)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         assert harness.run_ensemble(replace(rc, workers=64)) == serial
         assert opened == [2]
 
@@ -661,6 +667,30 @@ class TestCli:
             "runtime failure: noise-stats: E_psi_H1_sq = inf is not finite\n")
         assert not os.path.exists(os.path.join(tmp_path, "out", "noise_stats.txt"))
 
+    # float ** once raised OverflowError from GridSpec.volume, a traceback, and
+    # a volume that underflowed to 0.0 failed at step 1 after a RuntimeWarning
+    @pytest.mark.parametrize("dim, box_length", [("2", "1e155"), ("4", "1e80"), ("2", "1e-300")])
+    def test_box_outside_the_normal_floats_exits_one(self, tmp_path, capsys, dim, box_length):
+        doc = BASE_CONFIG.replace("dim = 2", f"dim = {dim}\nbox_length = {box_length}").replace(
+            "points_per_axis = 16", "points_per_axis = 8")
+        cfgfile = self.write_config(tmp_path, doc + f"\n[output]\ndir = {tmp_path}/out\n")
+        for command in ("simulate", "ensemble", "noise-stats", "verify-energy"):
+            assert cli.main([command, "--config", cfgfile]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and f"box_length = {float(box_length)!r}" in err
+        assert not os.path.exists(os.path.join(tmp_path, "out"))
+
+    # width**2 underflows to 0.0, so the bump's centre is 0/0: numpy warned,
+    # and the run failed at snapshot 0 or step 1 with exit 2
+    @pytest.mark.parametrize("argv", [["simulate"], ["converge", "--dts", "0.01,0.005,0.00125"]])
+    def test_non_finite_initial_data_exits_one(self, tmp_path, argv):
+        doc = BASE_CONFIG.replace("width = 0.8", "width = 1e-200")
+        cfgfile = self.write_config(tmp_path, doc + f"\n[output]\ndir = {tmp_path}/out\n")
+        run = subprocess.run([sys.executable, "-m", "snls.cli", argv[0], "--config", cfgfile] + argv[1:],
+                             capture_output=True, text=True, env=FRESH_ENV)
+        assert run.returncode == 1
+        assert run.stderr == "configuration error:\ninitial_v holds a non-finite value\n"
+
     def test_seed_override(self, tmp_path, capsys):
         doc = BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/a\n"
         cfgfile = self.write_config(tmp_path, doc)
@@ -669,6 +699,29 @@ class TestCli:
         a = open(os.path.join(tmp_path, "s1", "diagnostics.csv")).read()
         b = open(os.path.join(tmp_path, "s2", "diagnostics.csv")).read()
         assert a != b
+
+
+# a fresh interpreter: what importing snls and setting up a stochastic run
+# loads beyond a bare `import numpy`
+SET_UP_PROBE = """
+import sys
+import numpy
+bare = set(sys.modules)
+import snls
+from snls import cli, harness
+harness.build_solver_config(harness.parse_config(sys.stdin.read()))
+print(" ".join(sorted(set(sys.modules) - bare)))
+"""
+
+
+def test_set_up_loads_no_pool_and_no_hash():
+    # the pool loads with --workers > 1 and hashlib with the first config_hash
+    run = subprocess.run([sys.executable, "-c", SET_UP_PROBE], input=BASE_CONFIG,
+                         capture_output=True, text=True, env=FRESH_ENV, check=True)
+    loaded = run.stdout.split()
+    assert "snls.harness" in loaded
+    for name in ("concurrent.futures", "multiprocessing", "hashlib", "numpy.random"):
+        assert not [m for m in loaded if m == name or m.startswith(name + ".")], name
 
 
 def _die_in_worker(rc, member):
