@@ -39,38 +39,38 @@ def _cmd_simulate(args) -> int:
     harness.check_ledger_stride(rc)
     out = harness.ensure_output_dir(rc)
     cfg = harness.build_solver_config(rc)
-    names = []
+    names = ["diagnostics.csv", "summary.txt"]
     if rc.emit_snapshots:
-        names = ["trajectory.bin", "noise_path.bin"] if cfg.stochastic else ["trajectory.bin"]
-    # the writers are closed before the files take their names
-    with harness.temporary_outputs(out, names) as tmp, contextlib.ExitStack() as files:
-        sinks = []
-        if rc.emit_snapshots:
-            sinks.append(files.enter_context(dynamics.TrajectoryWriter(
-                tmp["trajectory.bin"], cfg.grid, cfg.scheme, cfg.n_snapshots,
-                cfg.dt * cfg.snapshot_stride)))
-        if "noise_path.bin" in tmp:
-            sinks.append(files.enter_context(noise_mod.NoisePathWriter(
-                tmp["noise_path.bin"], cfg.grid, cfg.dt, cfg.n_steps)))
-        ((table,),) = diagnostics.solve_tables([cfg], [cfg.stream_id], sinks)
+        names[:0] = ["trajectory.bin", "noise_path.bin"] if cfg.stochastic else ["trajectory.bin"]
+    with harness.temporary_outputs(out, names) as tmp:
+        with contextlib.ExitStack() as files:  # the writers close before the files take their names
+            sinks = []
+            if rc.emit_snapshots:
+                sinks.append(files.enter_context(dynamics.TrajectoryWriter(
+                    tmp["trajectory.bin"], cfg.grid, cfg.scheme, cfg.n_snapshots,
+                    cfg.dt * cfg.snapshot_stride)))
+            if "noise_path.bin" in tmp:
+                sinks.append(files.enter_context(noise_mod.NoisePathWriter(
+                    tmp["noise_path.bin"], cfg.grid, cfg.dt, cfg.n_steps)))
+            ((table,),) = diagnostics.solve_tables([cfg], [cfg.stream_id], sinks)
         if isinstance(table, BlowUpError):
             raise table
-    ledger = diagnostics.ito_ledger(table)
-    harness.emit_csv(ledger, os.path.join(out, "diagnostics.csv"))
-    part = diagnostics.partition_intervals(table, rc.eta)
-    rep = diagnostics.strichartz_report(
-        table, lattice.SpacetimeInterval(0, len(table.times) - 1)
-    )
-    lines = [
-        "[simulate]",
-        f"config_hash = {rc.config_hash()}",
-        f"final_energy = {float(ledger.energy[-1])!r}",
-        f"final_residual = {float(ledger.residual[-1])!r}",
-        f"partition_J = {part.J}",
-    ]
-    lines += [f"{k} = {v!r}" for k, v in rep.items()]
-    with open(os.path.join(out, "summary.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        ledger = diagnostics.ito_ledger(table)
+        harness.emit_csv(ledger, tmp["diagnostics.csv"])
+        part = diagnostics.partition_intervals(table, rc.eta)
+        rep = diagnostics.strichartz_report(
+            table, lattice.SpacetimeInterval(0, len(table.times) - 1)
+        )
+        lines = [
+            "[simulate]",
+            f"config_hash = {rc.config_hash()}",
+            f"final_energy = {float(ledger.energy[-1])!r}",
+            f"final_residual = {float(ledger.residual[-1])!r}",
+            f"partition_J = {part.J}",
+        ]
+        lines += [f"{k} = {v!r}" for k, v in rep.items()]
+        with open(tmp["summary.txt"], "w") as fh:
+            fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 

@@ -67,6 +67,7 @@ class EnergyLedger:
         ]
 
 
+_TINY = np.finfo(np.float64).tiny  # the least normal float
 _SIXTH_POWERED = ("grad_l12o5", "l6", "v_grad_l12o5", "psi_grad_l12o5")
 # the norm table's columns, in the order _checked looks for a non-finite one
 COLUMNS = ("grad_l4", "grad_l12o5", "grad_l2", "l6", "energy", "qv", "qv_balanced", "ham3_steps",
@@ -131,6 +132,7 @@ class NormAccumulator:
         self.grid = grid
         self.columns = [key for key in COLUMNS if key in columns]
         self.blocks = []  # per block: key -> (members, rows) column
+        self.lows = []  # per block: key -> (members, rows) of add's low marks
         self.times = []
         self.m_count = 1  # the blocks' members; one until a block comes
 
@@ -150,10 +152,18 @@ class NormAccumulator:
         if not finite.all():
             raise UsageError(f"snapshot {block.start + int(np.argmin(finite)) % b} "
                              "holds a non-finite value")
-        cols, r = {}, held("norms.r", rows, np.float64)  # r: a real scratch row per field
+        cols, low, r = {}, {}, held("norms.r", rows, np.float64)  # r: a real scratch row per field
 
-        def l12o5(squares):
-            return lattice._lp_of_powers(np.power(squares, 1.2, out=r), 2.4, cell)
+        def lp(key, sums, p, base):
+            """cols[key], the L^p norms of fields from their sums of |f|^p;
+            low[key] marks those whose sum falls below the least normal float
+            while base, the field's sum of |f|^2, is not zero."""
+            scaled = sums * cell
+            low[key] = (np.minimum(sums, scaled) < _TINY) & (base > 0)
+            cols[key] = lattice.root(scaled, p)
+
+        def l12o5(key, squares):
+            lp(key, np.sum(np.power(squares, 1.2, out=r), axis=1), 2.4, np.sum(squares, axis=1))
 
         def add_squares(total, f):  # total += |f|^2, flat per field
             f = f.reshape(rows)
@@ -187,21 +197,23 @@ class NormAccumulator:
                     d[0] -= d[1]  # grad v = grad v* - grad Psi
                     add_squares(squares[2], d[0])
             sq = squares[0]
-            cols["grad_l12o5"] = l12o5(sq)
+            sq_sum = np.sum(sq, axis=1)
+            lp("grad_l12o5", np.sum(np.power(sq, 1.2, out=r), axis=1), 2.4, sq_sum)
             if want & {"grad_l2", "grad_l4", "energy"}:
-                cols["grad_l2"] = lattice._lp_of_powers(sq, 2.0, cell)
-                cols["grad_l4"] = lattice._lp_of_powers(np.square(sq, out=r), 4.0, cell)
+                lp("grad_l2", sq_sum, 2.0, sq_sum)
+                lp("grad_l4", np.sum(np.square(sq, out=r), axis=1), 4.0, sq_sum)
             if parts:
-                cols["psi_grad_l12o5"] = l12o5(squares[1])
-                cols["v_grad_l12o5"] = l12o5(squares[2])
+                l12o5("psi_grad_l12o5", squares[1])
+                l12o5("v_grad_l12o5", squares[2])
             elif not dpd:  # Psi = 0
                 cols["v_grad_l12o5"], cols["psi_grad_l12o5"] = cols["grad_l12o5"], np.zeros(n)
+                low["v_grad_l12o5"] = low["grad_l12o5"]
         if want & _PHYSICAL:
             abs2 = np.abs(w, out=held("norms.abs2", rows, np.float64))
             np.square(abs2, out=abs2)
             cube = np.square(abs2, out=r)
             cube *= abs2
-            cols["l6"] = lattice._lp_of_powers(cube, 6.0, cell)
+            lp("l6", np.sum(cube, axis=1), 6.0, np.sum(abs2, axis=1))
             q = np.multiply(w.real, 2.0, out=held("norms.q", rows, np.float64))
             q += abs2  # |u|^2 - 1
             if "energy" in want:
@@ -234,42 +246,54 @@ class NormAccumulator:
                 lap *= g.ksq().reshape(-1)
                 ham3 = np.sum(term, axis=-1) + np.sum(lap, axis=-1) / size
                 cols["ham3_steps"] = ham3 * cell
-        self.blocks.append({key: cols[key].reshape(m_count, -1)
-                            for key in self.columns if key in cols})
+        for parts, made in ((self.blocks, cols), (self.lows, low)):
+            parts.append({key: made[key].reshape(m_count, -1) for key in self.columns if key in made})
         self.times.append(block.times)
 
     def tables(self, config: Optional[SolverConfig]) -> list:
         """Per member of the blocks fed (one when none was), in block order,
         its checked NormTable under the run's config, or the BlowUpError
-        naming the first column that overflows float64 on its finite
-        snapshots, or a running sum of the sixth powers the diagnostics
-        integrate."""
+        naming the first column that overflows float64 or underflows on its
+        finite snapshots (_checked)."""
         times = np.concatenate(self.times) if self.times else np.zeros(0)
-        keys = list(dict.fromkeys(key for b in self.blocks for key in b))
+
+        def member(parts, m):
+            keys = dict.fromkeys(key for b in parts for key in b)
+            return {key: np.concatenate([b[key][m] for b in parts if key in b]) for key in keys}
+
         out = []
         for m in range(self.m_count):
-            table = {key: np.concatenate([b[key][m] for b in self.blocks if key in b])
-                     for key in keys}
-            out.append(_checked(table, times, config) or NormTable(self.grid, times, table, config))
+            table = member(self.blocks, m)
+            out.append(_checked(table, times, config, member(self.lows, m))
+                       or NormTable(self.grid, times, table, config))
         return out
 
 
-def _checked(table: dict, times: np.ndarray, cfg) -> Optional[BlowUpError]:
-    """The BlowUpError for the first non-finite entry of a column, or of the
-    running sums of the sixth powers the ledger, the partition and the
-    Strichartz report integrate; None when every one is finite."""
+def _checked(table: dict, times: np.ndarray, cfg, low: dict) -> Optional[BlowUpError]:
+    """The BlowUpError for the first entry that is not finite or underflows:
+    of a column (the entries low marks underflow), or of the running sums
+    of the sixth powers the ledger, the partition and the Strichartz report
+    integrate (one underflows when it is below the least normal float while
+    an entry summed is not zero); None when there is none."""
     with np.errstate(over="ignore", invalid="ignore"):
-        checked = list(table.items()) + [(f"{key}^6 (running sum)", np.cumsum(table[key] ** 6))
-                                         for key in _SIXTH_POWERED if key in table]
-        bad = [(int(np.argmin(np.isfinite(col))), key) for key, col in checked
-               if not np.isfinite(col).all()]
+        checked = []
+        for key, col in table.items():
+            checked.append((key, "is not finite", ~np.isfinite(col)))
+            if key in low:
+                checked.append((key, "underflows", low[key]))
+        for key in _SIXTH_POWERED:
+            if key in table:
+                run, name = np.cumsum(table[key] ** 6), f"{key}^6 (running sum)"
+                checked += [(name, "is not finite", ~np.isfinite(run)),
+                            (name, "underflows",
+                             (run < _TINY) & (np.maximum.accumulate(table[key]) > 0))]
+    bad = [(int(np.argmax(mask)), key, what) for key, what, mask in checked if mask.any()]
     if not bad:
         return None
-    i, key = min(bad, key=lambda b: b[0])
+    i, key, what = min(bad, key=lambda b: b[0])
     step = i * (cfg.snapshot_stride if cfg is not None else 1)
     t = float(times[i])
-    return BlowUpError(step, t, f"norm table column {key} is not finite at "
-                                f"snapshot {i} (t = {t:.6g})")
+    return BlowUpError(step, t, f"norm table column {key} {what} at snapshot {i} (t = {t:.6g})")
 
 
 def snapshot_norms(traj) -> dict:

@@ -56,10 +56,11 @@ class SolverConfig:
     """One run and all it consumes.  The run steps on noise rows if and only
     if it is stochastic (a direct or dpd scheme with noise that is not
     zero): its prescribed_path when given, else the rows its (master_seed,
-    stream_id) keys draw.  Checked when made: the noise and initial_v live
-    on the run's grid, initial_v is finite, and a prescribed path is given
-    only to a stochastic run, on its grid, with its step count and its dt
-    to a relative 1e-9."""
+    stream_id) keys draw, which solve keeps as its path at any stride.
+    Checked when made: the noise and initial_v live on the run's grid,
+    initial_v is finite, and a prescribed path is given only to a
+    stochastic run, on its grid, with its step count and its dt to a
+    relative 1e-9."""
 
     grid: GridSpec
     t_final: float
@@ -125,11 +126,11 @@ class SolverConfig:
 @dataclass
 class Trajectory:
     """Snapshots of one run, one per row of v (lattice shape), and of Psi in
-    psi for dpd (None otherwise: Psi = 0), with the run's config and the
-    noise path solve kept (see solve), and the Fourier rows solve's blocks
-    carried (v_hat, psi_hat).  Snapshots that are not a run's, those
-    read_trajectory reads from a file or gauge_transform makes, have no
-    config, no path and no Fourier rows."""
+    psi for dpd (None otherwise: Psi = 0), with the run's config, its noise
+    path (every row a stochastic run stepped on, at any stride: see solve),
+    and the Fourier rows solve's blocks carried (v_hat, psi_hat).
+    Snapshots that are not a run's, those read_trajectory reads from a file
+    or gauge_transform makes, have no config, no path and no Fourier rows."""
 
     grid: GridSpec
     scheme: str
@@ -641,13 +642,12 @@ def solve(config: SolverConfig) -> Trajectory:
     """Integrate one trajectory on config.stream_id: a one-level lockstep
     with its blocks collected.  It keeps every snapshot with its Fourier
     rows, and a path by one rule: the prescribed path itself, if given;
-    else, for a stochastic run at snapshot_stride 1, generate_noise_path's
+    else, for a stochastic run at any snapshot_stride, generate_noise_path's
     for its seed and stream, drawn whole before the first step and stepped
-    on as a prescribed path; else none (duhamel_residual then draws the
-    rows it needs by key).  Raises BlowUpError at the first step whose
-    state is not finite."""
+    on as a prescribed path; else none.  Raises BlowUpError at the first
+    step whose state is not finite."""
     path = config.prescribed_path
-    if path is None and config.stochastic and config.snapshot_stride == 1:
+    if path is None and config.stochastic:
         path = noise_mod.generate_noise_path(config.noise, config.dt, config.n_steps,
                                              config.master_seed, config.stream_id)
     rows = _Collector(config.grid, config.n_snapshots, config.scheme == "dpd")
@@ -668,14 +668,16 @@ def duhamel_residual(traj: Trajectory, time_index: int) -> float:
 
     u(t) - S(t) u0 + i int_0^t S(t-t') (|u|^2-1)u dt' + i * (noise convolution),
     with trapezoid quadrature for the drift term and the increments for the
-    convolution: the Fourier rows of the trajectory's path, else the rows its
-    (seed, stream) keys draw, run through stochastic_convolution and
-    transformed back once.  Expected O(dt), not zero.
+    convolution: the Fourier rows of the trajectory's path, run through
+    stochastic_convolution and transformed back once.  Expected O(dt), not
+    zero.  A stochastic trajectory without its path raises UsageError.
     """
+    cfg = run_config(traj, "duhamel_residual")
+    if cfg.stochastic and traj.noise_path is None:
+        raise UsageError("duhamel_residual needs the trajectory's noise path")
     if time_index < 0 or time_index >= traj.n_snapshots:
         raise UsageError("time_index out of range")
     g = traj.grid
-    cfg = run_config(traj, "duhamel_residual")
     t = float(traj.times[time_index])
     u_t = traj.u_snapshot(time_index).values
     free = lattice.apply_schrodinger_group(traj.u_snapshot(0), t).values
@@ -690,11 +692,9 @@ def duhamel_residual(traj: Trajectory, time_index: int) -> float:
 
     conv = 0.0
     if cfg.stochastic:
-        # -i sum_j S(t - (j+1) dt) dW_j over the n_used steps up to t
-        n_used = time_index * cfg.snapshot_stride
-        rows = (traj.noise_path.dw_hat[:n_used] if traj.noise_path is not None else
-                noise_mod.increment_rows(cfg.noise, cfg.dt, cfg.master_seed, cfg.stream_id, n_used))
-        psi_hat = stochastic_convolution(np.zeros(g.shape, dtype=np.complex128), rows,
+        # -i sum_j S(t - (j+1) dt) dW_j over the steps up to t
+        psi_hat = stochastic_convolution(np.zeros(g.shape, dtype=np.complex128),
+                                         traj.noise_path.dw_hat[:time_index * cfg.snapshot_stride],
                                          lattice.schrodinger_phase(g, cfg.dt))
         conv = np.fft.ifftn(psi_hat).ravel()
 

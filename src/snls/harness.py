@@ -499,18 +499,21 @@ def write_report(report: EnsembleReport, path: str) -> None:
 @contextlib.contextmanager
 def temporary_outputs(out_dir: str, names: Sequence[str]):
     """Temporary paths in out_dir, one per output file name, as a dict by
-    name: they take their names when the block ends and are removed when it
-    raises, so a failed run leaves no partial output."""
+    name: they take their names, in order, when the block ends.  When the
+    block raises, or a rename fails, every temporary file and every file
+    already renamed is removed, so a failed run leaves none of its outputs."""
     tmp = {name: os.path.join(out_dir, name + ".tmp") for name in names}
+    made = list(tmp.values())
     try:
         yield tmp
+        for name, path in tmp.items():
+            os.replace(path, os.path.join(out_dir, name))
+            made.append(os.path.join(out_dir, name))
     except BaseException:
-        for path in tmp.values():
+        for path in made:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
         raise
-    for name, path in tmp.items():
-        os.replace(path, os.path.join(out_dir, name))
 
 
 def ensure_output_dir(rc: RunConfig) -> str:

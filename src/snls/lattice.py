@@ -305,14 +305,12 @@ def _lp_of_values(values: np.ndarray, r: float, cell: float):
     mags = np.abs(values)
     if r == INF:
         return mags.max(axis=-1, initial=0.0)
-    return _lp_of_powers(mags**r, r, cell)
+    return root(np.sum(mags**r, axis=-1) * cell, r)
 
 
-def _lp_of_powers(powers: np.ndarray, r: float, cell: float):
-    """L^r norm from the values of |f|^r, flat per field or one per field of
-    a stack (leading axes); roots are taken in scalar arithmetic, so a
-    stacked field's norm is the one it has alone."""
-    sums = np.sum(powers, axis=-1) * cell
+def root(sums: np.ndarray, r: float):
+    """sums ** (1/r), one sum or an array of them, taken in scalar
+    arithmetic, so a stacked field's norm is the one it has alone."""
     return np.array([s ** (1.0 / r) for s in sums.tolist()]) if sums.ndim else sums ** (1.0 / r)
 
 

@@ -220,20 +220,14 @@ def member_rows(spec: NoiseSpec, dt: float, master_seed: int, stream_ids: Sequen
         yield rows
 
 
-def increment_rows(spec: NoiseSpec, dt: float, master_seed: int, stream_id: int, n_steps: int):
-    """Fourier rows 0 .. n_steps - 1 of the path keyed by (master_seed,
-    stream_id): member_rows of the one stream, each row drawn when asked
-    for."""
-    return (rows[0] for rows in member_rows(spec, dt, master_seed, [stream_id], n_steps))
-
-
 def generate_noise_path(
     spec: NoiseSpec, dt: float, n_steps: int, master_seed: int, stream_id: int = 0
 ) -> NoisePath:
-    """The first n_steps rows of increment_rows, held as one array."""
+    """The first n_steps rows of the path keyed by (master_seed, stream_id),
+    member_rows of the one stream, held as one array."""
     dw_hat = np.empty((n_steps,) + spec.grid.shape, dtype=np.complex128)
-    for j, row in enumerate(increment_rows(spec, dt, master_seed, stream_id, n_steps)):
-        dw_hat[j] = row
+    for j, rows in enumerate(member_rows(spec, dt, master_seed, [stream_id], n_steps)):
+        dw_hat[j] = rows[0]
     return NoisePath(grid=spec.grid, dt=dt, dw_hat=dw_hat)
 
 

@@ -353,6 +353,18 @@ class TestNonFiniteSnapshot:
             diagnostics.ito_ledger(with_nan_snapshot(stochastic_traj()))
 
 
+@pytest.mark.parametrize("column, error", [
+    ([0.0, 1e-60, 1.0], "norm table column grad_l12o5^6 (running sum) underflows at snapshot 1 "
+                        "(t = 0.1)"),
+    ([0.0, 0.0, 1.0], None),  # a zero field
+    ([1.0, 1e-60, 1e-60], None),  # a sixth power lost in a normal running sum
+], ids=["underflow", "zero", "normal-sum"])
+def test_a_running_sum_of_sixth_powers_underflows(column, error):
+    # x1 = 0.0 would be read off a column of nonzero norms whose sixth powers all underflow
+    got = diagnostics._checked({"grad_l12o5": np.array(column)}, np.arange(3) * 0.1, None, {})
+    assert (None if got is None else str(got)) == error
+
+
 class TestSnapshotNormTable:
     def run_all(self, traj):
         diagnostics.ito_ledger(traj)

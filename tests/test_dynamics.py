@@ -288,12 +288,14 @@ class TestSolveStochastic:
 
     @pytest.mark.parametrize("scheme", ["direct", "dpd"])
     def test_stepwise_draws_match_the_whole_path(self, scheme):
-        # above stride 1 solve draws its path step by step and keeps none; the
-        # snapshots are those of a stride-1 run, which draws it whole
+        # at stride 4 solve keeps the path it stepped on, generate_noise_path's,
+        # as at stride 1; the snapshots are every 4th of the stride-1 run's
         cfg = replace(self.stochastic_config(scheme, seed=5, stream=2), snapshot_stride=4)
         traj = dynamics.solve(cfg)
         every = dynamics.solve(replace(cfg, snapshot_stride=1))
-        assert traj.noise_path is None and every.noise_path is not None
+        whole = noise.generate_noise_path(cfg.noise, cfg.dt, cfg.n_steps, 5, stream_id=2)
+        assert traj.noise_path.dw_hat.tobytes() == whole.dw_hat.tobytes()
+        assert every.noise_path.dw_hat.tobytes() == whole.dw_hat.tobytes()
         assert np.array_equal(traj.v, every.v[::4])
         assert scheme == "direct" or np.array_equal(traj.psi, every.psi[::4])
 
@@ -438,20 +440,44 @@ class TestDuhamelResidual:
 
     @pytest.mark.parametrize("scheme", ["direct", "dpd"])
     def test_drawn_rows_match_a_prescribed_path(self, scheme):
-        # at stride 2 solve keeps no path and duhamel_residual draws the rows it
-        # needs; a run given the same path up front keeps it and reads it
+        # at stride 2 solve keeps the path it drew, and duhamel_residual reads
+        # it; a run given the same path up front keeps it and reads it
         cfg = replace(TestSolveStochastic().stochastic_config(scheme, seed=3, stream=1),
                       snapshot_stride=2)
         drawn = dynamics.solve(cfg)
         path = noise.generate_noise_path(cfg.noise, cfg.dt, cfg.n_steps, 3, stream_id=1)
         given = dynamics.solve(replace(cfg, prescribed_path=path))
-        assert drawn.noise_path is None and given.noise_path is path
+        assert drawn.noise_path.dw_hat.tobytes() == path.dw_hat.tobytes()
+        assert given.noise_path is path
         residuals = [
             [dynamics.duhamel_residual(t, i) for i in range(drawn.n_snapshots)]
             for t in (drawn, given)
         ]
         assert residuals[0] == residuals[1]
         assert 0 < residuals[0][-1] < 1e-2
+
+    @pytest.mark.parametrize("scheme", ["direct", "dpd"])
+    def test_sweep_draws_no_rows(self, monkeypatch, scheme):
+        # a residual at every snapshot of a 20-step stride-2 run once redrew
+        # the rows up to it by key on each call: 110 step_rng calls
+        cfg = replace(TestSolveStochastic().stochastic_config(scheme, seed=3, stream=1),
+                      snapshot_stride=2)
+        traj = dynamics.solve(cfg)
+        path = noise.generate_noise_path(cfg.noise, cfg.dt, cfg.n_steps, 3, stream_id=1)
+        given = dynamics.solve(replace(cfg, prescribed_path=path))
+        calls = []
+        step_rng = noise.step_rng
+        monkeypatch.setattr(noise, "step_rng", lambda *key: calls.append(key) or step_rng(*key))
+        swept = [dynamics.duhamel_residual(traj, i) for i in range(traj.n_snapshots)]
+        assert calls == []
+        assert swept == [dynamics.duhamel_residual(given, i) for i in range(given.n_snapshots)]
+
+    def test_stochastic_run_without_its_path_is_refused(self):
+        # such a trajectory is only built by hand; it once redrew its rows by key
+        traj = dynamics.solve(replace(
+            TestSolveStochastic().stochastic_config("direct", seed=3), snapshot_stride=2))
+        with pytest.raises(UsageError, match="duhamel_residual needs the trajectory's noise path"):
+            dynamics.duhamel_residual(replace(traj, noise_path=None), -1)
 
     @staticmethod
     def reference_residual(traj, i):
@@ -719,7 +745,7 @@ class TestPhaseTableStepper:
         u_hat for direct, v_hat (no noise) and Psi_hat (from zero) for dpd,
         one transform each way."""
         full = lattice.schrodinger_phase(cfg.grid, cfg.dt)
-        rows = noise.increment_rows(cfg.noise, cfg.dt, cfg.master_seed, 0, cfg.n_steps)
+        rows = (r[0] for r in noise.member_rows(cfg.noise, cfg.dt, cfg.master_seed, [0], cfg.n_steps))
         field = cfg.initial_v.values.reshape(cfg.grid.shape) + (1.0 if cfg.scheme == "direct" else 0.0)
         a_hat = dynamics.stochastic_convolution(
             np.fft.fftn(field), (None,) * cfg.n_steps if cfg.scheme == "dpd" else rows, full)

@@ -657,6 +657,35 @@ class TestCli:
         assert cli.main(["ensemble", "--config", cfgfile]) == 0
         assert capsys.readouterr().out == "n_members = 3\nn_failed = 3\n"
 
+    # |grad v| is about 1e-150 on this box, so |grad v|^4 underflowed before the
+    # cell measure (1.6e298) multiplied it: simulate once printed grad_L2t_L4x,
+    # grad_L6t_L12/5x and x1 as 0.0 with grad_Linft_L2x = 0.363, exit 0
+    UNDERFLOW = (BASE_CONFIG.replace("dim = 2", "dim = 2\nbox_length = 1e150")
+                 .replace("points_per_axis = 16", "points_per_axis = 8")
+                 .replace("width = 0.8", "width = 1e149").replace("dt = 0.005", "dt = 0.01")
+                 .replace("size = 3", "size = 1"))
+
+    def test_underflowing_norms_exit_two(self, tmp_path, capsys):
+        cfgfile = self.write_config(tmp_path, self.UNDERFLOW + f"\n[output]\ndir = {tmp_path}/out\n")
+        assert cli.main(["simulate", "--config", cfgfile]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: norm table column grad_l4 underflows at snapshot 0 (t = 0)\n")
+        assert os.listdir(os.path.join(tmp_path, "out")) == []
+        assert cli.main(["ensemble", "--config", cfgfile]) == 0
+        assert capsys.readouterr().out == "n_members = 1\nn_failed = 1\n"
+
+    @pytest.mark.parametrize("scheme", ["direct", "dpd"])
+    def test_vacuum_reports_zero_norms(self, tmp_path, capsys, scheme):
+        # a zero field's norms are 0.0, not an underflow
+        doc = (BASE_CONFIG.replace("scheme = direct", f"scheme = {scheme}")
+               .replace("kind = multiplier\namplitude = 0.2\nsigma = 3.0", "kind = zero")
+               .replace("kind = gaussian_bump\namplitude = 0.2\nwidth = 0.8", "kind = constant"))
+        cfgfile = self.write_config(tmp_path, doc + f"\n[output]\ndir = {tmp_path}/out\n")
+        assert cli.main(["simulate", "--config", cfgfile]) == 0
+        out = capsys.readouterr().out
+        for name in ("grad_L2t_L4x", "grad_L6t_L12/5x", "grad_Linft_L2x", "L6_tx_u_minus_1", "x1"):
+            assert f"\n{name} = 0.0\n" in out
+
     def test_noise_stats_overflow_exit_two(self, tmp_path, capsys):
         # noise-stats once printed E_psi_H1_sq = inf and standard_error = nan, exit 0
         doc = (BASE_CONFIG.replace("points_per_axis = 16", "points_per_axis = 8")

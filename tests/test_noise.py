@@ -238,7 +238,7 @@ class TestNoisePath:
         # rows drawn one at a time, and a shorter path, have the whole path's bytes
         spec = noise.multiplier_noise(small_grid(), 0.2, 3.0)
         whole = noise.generate_noise_path(spec, 0.01, 7, master_seed=9, stream_id=2)
-        rows = list(noise.increment_rows(spec, 0.01, 9, 2, 7))
+        rows = [r[0] for r in noise.member_rows(spec, 0.01, 9, [2], 7)]
         assert np.array(rows).tobytes() == whole.dw_hat.tobytes()
         short = noise.generate_noise_path(spec, 0.01, 3, master_seed=9, stream_id=2)
         assert short.dw_hat.tobytes() == whole.dw_hat[:3].tobytes()
@@ -251,7 +251,7 @@ class TestNoisePath:
             keys.append(key)
             return step_rng(*key)
         monkeypatch.setattr(noise, "step_rng", counting)
-        rows = noise.increment_rows(noise.multiplier_noise(small_grid(), 0.2, 3.0), 0.01, 9, 2, 7)
+        rows = noise.member_rows(noise.multiplier_noise(small_grid(), 0.2, 3.0), 0.01, 9, [2], 7)
         assert keys == []
         next(rows)
         next(rows)

@@ -272,15 +272,31 @@ BLOW_UP = {  # scheme -> noise amplitude that makes the solve blow up
 }
 
 
+OUTPUTS = ("trajectory.bin", "noise_path.bin", "diagnostics.csv", "summary.txt")
+
+
 @pytest.mark.parametrize("scheme, failure", [
-    ("direct", "solve"), ("dpd", "solve"), ("direct", "norm table")])
-def test_failed_simulate_leaves_no_outputs(tmp_path, scheme, failure):
-    # the writers stream into temporary files while the run steps
+    ("direct", "solve"), ("dpd", "solve"), ("direct", "norm table"), ("direct", "full disk")]
+    + [("direct", name) for name in OUTPUTS])
+def test_failed_simulate_leaves_no_outputs(tmp_path, monkeypatch, scheme, failure):
+    # the four files are written as temporary files and take their names
+    # last; a failed write or rename removes every one of them.  The binaries
+    # were once published before diagnostics.csv and summary.txt were
+    # written in place, and a failed rename left the others as *.tmp
     cfgfile = write_config(tmp_path, n=8, scheme=scheme)
+    out_dir = os.path.join(tmp_path, "out")
+    if failure in OUTPUTS:  # a directory of its name blocks the file
+        os.makedirs(os.path.join(out_dir, failure))
+    if failure == "full disk":  # the CSV's write fails after one line
+        def emit_csv(ledger, path):
+            with open(path, "w") as fh:
+                fh.write("time,energy\n")
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(harness, "emit_csv", emit_csv)
     doc = open(cfgfile).read()
     if failure == "solve":
         doc = doc.replace("amplitude = 0.3", f"amplitude = {BLOW_UP[scheme]}")
-    else:  # test_overflowing_norms_exit_two's initial data
+    elif failure == "norm table":  # test_overflowing_norms_exit_two's initial data
         doc = doc.replace("amplitude = 0.2\nwidth", "amplitude = 1e150\nwidth")
     with open(cfgfile, "w") as fh:
         fh.write(doc)
@@ -289,9 +305,13 @@ def test_failed_simulate_leaves_no_outputs(tmp_path, scheme, failure):
     assert code == 2 and out == ""
     if failure == "norm table":
         assert err == "runtime failure: norm table column grad_l4 is not finite at snapshot 0 (t = 0)\n"
-    else:
+    elif failure == "solve":
         assert err.startswith("runtime failure: non-finite field value detected at step ")
-    assert os.listdir(os.path.join(tmp_path, "out")) == []
+    elif failure == "full disk":
+        assert err == "runtime failure: [Errno 28] No space left on device\n"
+    else:
+        assert err.startswith("runtime failure: [Errno 21] Is a directory: ")
+    assert os.listdir(out_dir) == ([failure] if failure in OUTPUTS else [])
 
 
 @pytest.mark.parametrize("scheme, bad_v, bad_psi", [
