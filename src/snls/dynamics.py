@@ -14,9 +14,11 @@ deterministic_cubic (i u_t + Lap u = |u|^2 u, the gauge image of GP).
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 import struct
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import List, Optional, Sequence
@@ -377,15 +379,19 @@ def member_bytes(config: SolverConfig) -> int:
     for dpd the held dpd_work arrays, four complex and one real, 5 rounded
     up, which a lockstep's dpd levels share); its share of a one-snapshot
     block (its coefficient rows and their physical copy, a noise row and
-    its physical dw); the norm pass's held work over it (one derivative row per gradient field, for
-    dpd the v* rows and a stack of v*_hat and psi_hat, and half-size real
-    arrays: the squares of each gradient field, for dpd those of grad v,
-    and three more); and for a stochastic scheme its row of the normals
-    noise.member_rows holds.  It keeps no snapshots and no path."""
+    its physical dw), and of the second set of coefficient and noise rows
+    that a pipelined lockstep (one snapshot over the batch tops
+    lattice.BLOCK_BYTES, as in any batch harness.BATCH_BYTES limits) fills
+    while its sink reads the first; the norm pass's held work over it (one
+    derivative row per gradient field, for dpd the v* rows and a stack of
+    v*_hat and psi_hat, and half-size real arrays: the squares of each
+    gradient field, for dpd those of grad v, and three more); and for a
+    stochastic scheme its row of the normals noise.member_rows holds.  It
+    keeps no snapshots and no path."""
     dpd = config.scheme == "dpd"
     arrays = 2 if dpd else 1  # v and Psi for dpd; so too the gradient fields, v* and Psi
     norm_pass = arrays + (3 if dpd else 0) + (arrays + 1)
-    rows = (arrays + (5 if dpd else 4) + 2 * arrays + 2 + norm_pass
+    rows = (arrays + (5 if dpd else 4) + 3 * arrays + 3 + norm_pass
             + (1 if config.stochastic else 0))
     return rows * config.grid.total_points * 16
 
@@ -451,7 +457,30 @@ def _zero_failed(state: tuple, failures: list, j: int, dt: float) -> bool:
     return None not in failures
 
 
-def _run(config: SolverConfig, m_count: int, factor: int, sink):
+def _deliver(sink, config: SolverConfig, first: int, hats: list, dw_hat) -> None:
+    """Hand sink the block of snapshots first onward whose coefficient rows
+    _run holds in hats, with its noise rows dw_hat (None when not kept):
+    their physical copy is made first, one inverse FFT per array into held
+    memory, and snapshot 0's rows are the initial state, so they take no
+    transform of their own."""
+    g, held = config.grid, hats[0].shape[1]
+    physical = [lattice.held(name, hats[0].shape) for name in ("block.v", "block.psi")[:len(hats)]]
+    back = slice(0 if first else 1, held)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a_hat, a in zip(hats, physical):
+            if back.start < held:  # no empty transform for a block of snapshot 0 alone
+                np.fft.ifftn(a_hat[:, back], axes=g.axes, out=a[:, back])
+    if first == 0:
+        for a, a0 in zip(physical, (config.initial_v.mesh, 0.0)):
+            a[:, 0] = a0
+    dpd = len(hats) == 2
+    sink(SnapshotBlock(
+        grid=g, start=first, times=config.snapshot_times[first:first + held], v=physical[0],
+        psi=physical[1] if dpd else None, dw_hat=dw_hat, v_hat=hats[0],
+        psi_hat=hats[1] if dpd else None))
+
+
+def _run(config: SolverConfig, m_count: int, factor: int, sink, pipe):
     """One run of M members stepped as one (M, *grid.shape) state, as a
     generator: lockstep primes it, then sends it every row at a dt factor
     times finer ((M, *grid.shape), or lattice-shaped for every member
@@ -468,11 +497,12 @@ def _run(config: SolverConfig, m_count: int, factor: int, sink):
     dpd those of v and Psi); a block stores each snapshot's coefficients as
     they come, in arrays the run holds from block to block, and when it is
     full hands them to sink as the block's coefficients with their
-    physical copy, one inverse FFT per array into held memory.  u_hat less
-    the constant's mode N^d is v_hat, so v = ifftn(v_hat) rounds to the
-    size of v, not of 1 + v, as the coefficients the norm pass reads do.
-    Snapshot 0's rows are the initial state: initial_v as given (Psi = 0)
-    and its transform, so they take no transform of their own.
+    physical copy (_deliver).  u_hat less the constant's mode N^d is
+    v_hat, so v = ifftn(v_hat) rounds to the size of v, not of 1 + v, as
+    the coefficients the norm pass reads do.  Given a pipe (a _Consumer,
+    else None), the run fills two sets of these arrays in turn and puts
+    each block's _deliver to the pipe, which returns once the block
+    before, the last to use the other set, is done.
 
     A member whose state is not finite after step j (from 0) gets
     BlowUpError(j + 1) in failures and its rows are zeroed, so later steps
@@ -496,15 +526,17 @@ def _run(config: SolverConfig, m_count: int, factor: int, sink):
     blocks = list(lattice.row_blocks(n_snap, m_count * g.total_points * 16))
     size = m_count * (blocks[0].stop - blocks[0].start) * g.total_points  # the largest block
     # a block's coefficient rows and noise rows, held from block to block
-    store_bufs = [np.empty(size, dtype=np.complex128) for _ in state]
-    row_buf = np.empty(size, dtype=np.complex128) if keep else None
+    sets = [([np.empty(size, dtype=np.complex128) for _ in state],
+             np.empty(size, dtype=np.complex128) if keep else None)
+            for _ in range(1 if pipe is None else 2)]
 
     def shaped(buf, n):
         return buf[:m_count * n * g.total_points].reshape((m_count, n) + g.shape)
 
-    for sl in blocks:
+    for k, sl in enumerate(blocks):
         first, stop = sl.start, sl.stop  # the block of snapshots first .. stop - 1
         steps = range(first * stride, min(stop, n_snap - 1) * stride)
+        store_bufs, row_buf = sets[k % len(sets)]
         stores = [shaped(buf, stop - first) for buf in store_bufs]
         dw_hat = shaped(row_buf, len(steps)) if keep else None
         _store(stores, 0, state)
@@ -534,24 +566,44 @@ def _run(config: SolverConfig, m_count: int, factor: int, sink):
         hats = [a[:, :held] for a in stores]
         if not dpd:  # v_hat = u_hat less the constant's mode
             hats[0][(Ellipsis,) + (0,) * g.dim] -= g.total_points
-        physical = [lattice.held(name, (m_count, held) + g.shape)
-                    for name in ("block.v", "block.psi")[:len(state)]]
-        back = slice(0 if first else 1, held)  # snapshot 0 is physical already: no transform
-        with np.errstate(over="ignore", invalid="ignore"):
-            for a_hat, a in zip(hats, physical):
-                if back.start < held:  # no empty transform for a block of snapshot 0 alone
-                    np.fft.ifftn(a_hat[:, back], axes=g.axes, out=a[:, back])
-        if first == 0:
-            for a, a0 in zip(physical, (v0, 0.0)):
-                a[:, 0] = a0
-        sink(SnapshotBlock(
-            grid=g, start=first, times=config.snapshot_times[first:first + held],
-            v=physical[0], psi=physical[1] if dpd else None,
-            dw_hat=None if dw_hat is None else dw_hat[:, :end - steps.start],
-            v_hat=hats[0], psi_hat=hats[1] if dpd else None))
+        job = partial(_deliver, sink, config, first, hats,
+                      None if dw_hat is None else dw_hat[:, :end - steps.start])
+        if pipe is None:
+            job()
+        else:
+            pipe.put(job)
         if None not in failures:
             break
     return failures
+
+
+class _Consumer(threading.Thread):
+    """The thread that runs a pipelined lockstep's sinks, in a copy of its
+    maker's context (numpy's errstate is in it).  put(job) waits until the
+    job before has returned and hands job over, None to end the thread; it
+    raises what a job raised, and from then on hands over only None."""
+
+    def __init__(self):
+        super().__init__(target=contextvars.copy_context().run, args=(self._serve,), daemon=True)
+        self.job = self.error = None
+        self.handed, self.free = threading.Semaphore(0), threading.Semaphore(1)
+        self.start()
+
+    def _serve(self) -> None:
+        while self.handed.acquire() and self.job is not None:
+            try:
+                self.job()
+            except BaseException as exc:  # put raises it on the caller's thread
+                self.error = exc
+            self.free.release()
+
+    def put(self, job) -> None:
+        self.free.acquire()
+        if self.error is not None and job is not None:
+            self.free.release()  # for put(None)
+            raise self.error
+        self.job = job
+        self.handed.release()
 
 
 def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) -> list:
@@ -570,7 +622,13 @@ def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) 
     may have a prescribed path; each of these, and a dt that is not a
     whole multiple of the finest, raises UsageError naming the field.  No
     row is drawn once every level has returned.  Returns per level the
-    members' failures: BlowUpError, naming the level's own step, or None."""
+    members' failures: BlowUpError, naming the level's own step, or None.
+
+    One level whose snapshot over the members tops lattice.BLOCK_BYTES is
+    pipelined, with the serial path's bits: a _Consumer thread makes each
+    block's physical rows and calls the sink while this thread draws and
+    steps the next block.  A sink's exception is raised here, and the
+    thread ends before the held memory goes, whatever ends the call."""
     noisy = [c for c in configs if c.stochastic]
     for name, levels in (("grid", configs), ("t_final", configs), ("noise", noisy),
                          ("master_seed", noisy)):
@@ -595,7 +653,9 @@ def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) 
     else:  # drawn for the stochastic levels' one noise and seed, if any
         rows = (noise_mod.member_rows(noisy[0].noise, dt_fine, noisy[0].master_seed, stream_ids,
                                       n_fine) if noisy else itertools.repeat(None, n_fine))
-    runs = [_run(c, len(stream_ids), f, sink) for c, f, sink in zip(configs, factors, sinks)]
+    pipe = (_Consumer() if len(configs) == 1 and (
+        len(stream_ids) * configs[0].grid.total_points * 16 >= lattice.BLOCK_BYTES) else None)
+    runs = [_run(c, len(stream_ids), f, sink, pipe) for c, f, sink in zip(configs, factors, sinks)]
     failures, live = [None] * len(runs), list(range(len(runs)))
     try:
         for run in runs:
@@ -610,7 +670,12 @@ def lockstep(configs: Sequence[SolverConfig], stream_ids: Sequence[int], sinks) 
             if not live:  # every level has returned: draw no more rows
                 break
     finally:
+        if pipe is not None:
+            pipe.put(None)
+            pipe.join()
         lattice.release_held()  # the blocks' held memory, the dpd work, and the sinks'
+    if pipe is not None and pipe.error is not None:
+        raise pipe.error  # the last block's sink raised
     return failures
 
 

@@ -158,6 +158,29 @@ def test_block_size_invariance(tmp_path, monkeypatch, scheme, dim, n, t_final):
         assert run_cli(["converge", "--config", cfgfile, "--out", out, "--dts", dts]) == (0, want[4], "")
 
 
+@pytest.mark.parametrize("scheme", ["direct", "dpd", "deterministic_gp", "deterministic_cubic"])
+@pytest.mark.parametrize("dim, n, t_final", [(2, 16, 0.08), (4, 8, 0.024)], ids=["16sq", "8e4"])
+def test_ensemble_block_size_invariance(tmp_path, monkeypatch, scheme, dim, n, t_final):
+    # at one batch's snapshot rows the batch's blocks go to lockstep's
+    # consumer thread; at the default its 3 members' rows are serial
+    cfgfile = write_config(tmp_path, dim=dim, n=n, scheme=scheme, t_final=t_final)
+    with open(cfgfile) as fh:
+        doc = fh.read().replace("[ensemble]\n", "[ensemble]\nsize = 3\n")
+    with open(cfgfile, "w") as fh:
+        fh.write(doc)
+    consumers, consumer = [], dynamics._Consumer
+    monkeypatch.setattr(dynamics, "_Consumer", lambda: consumers.append(1) or consumer())
+    outputs = []
+    for threaded, block_bytes in enumerate((lattice.BLOCK_BYTES, 3 * n**dim * 16)):
+        monkeypatch.setattr(lattice, "BLOCK_BYTES", block_bytes)
+        out = os.path.join(tmp_path, str(block_bytes))
+        code, stdout, _ = run_cli(["ensemble", "--config", cfgfile, "--out", out])
+        assert code == 0 and len(consumers) == threaded
+        outputs.append((stdout.replace(out, "<out>"), read_files(out)))
+    assert outputs[0] == outputs[1]
+    assert "ensemble_report.txt" in outputs[0][1]
+
+
 def count_draws(monkeypatch):
     """The (seed, stream, step) keys of the noise.step_rng calls from now on."""
     calls, draw = [], noise.step_rng

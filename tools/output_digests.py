@@ -2,12 +2,14 @@
 
     PYTHONPATH=src python tools/output_digests.py
 
-The matrix is 112 runs of snls.cli.main: 2-d 16^2 and 4-d 8^4 grids, each
-of the four schemes, zero or multiplier noise, and for each of these 16
-configs seven runs: simulate (snapshots written), partition of its
+The matrix is 168 runs of snls.cli.main: 2-d 16^2, 4-d 8^4 and 2-d 128^2
+grids, each of the four schemes, zero or multiplier noise, and for each of
+these 24 configs seven runs: simulate (snapshots written), partition of its
 trajectory.bin, ensemble with --workers 1 and 2, verify-energy --halvings 2,
 a 3-level converge, and noise-stats.  Every run writes into its own folder
-of one temporary directory.
+of one temporary directory.  One 128^2 field is lattice.BLOCK_BYTES, so
+there simulate and ensemble hand their blocks to dynamics.lockstep's
+consumer thread, as the 8^4 ensembles (4 members of 64 KiB) do.
 
 Each line holds the run's tag, its argv, its exit code, and the first 16
 hex digits of the sha256 of its stdout, of its stderr and of each file it
@@ -31,7 +33,7 @@ import tempfile
 
 from snls import cli
 
-GRIDS = {"16sq": (2, 16), "8e4": (4, 8)}
+GRIDS = {"16sq": (2, 16), "8e4": (4, 8), "128sq": (2, 128)}
 SCHEMES = ("direct", "dpd", "deterministic_gp", "deterministic_cubic")
 NOISES = ("zero", "multiplier")
 
