@@ -199,8 +199,8 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return 1
-    except (SnlsError, OSError, MemoryError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
+    except (SnlsError, OSError, MemoryError) as exc:  # a list's MemoryError has no message
+        print(f"runtime failure: {exc if str(exc) else type(exc).__name__}", file=sys.stderr)
         return 2
 
 

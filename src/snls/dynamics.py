@@ -144,6 +144,7 @@ class Trajectory:
     v_hat: Optional[np.ndarray] = None  # Fourier rows as solve's run held them (SnapshotBlock)
     psi_hat: Optional[np.ndarray] = None
     norms: Optional[dict] = field(default=None, init=False, repr=False, compare=False)  # snapshot_norms
+    duhamel: Optional[list] = field(default=None, init=False, repr=False, compare=False)  # duhamel_residual
 
     @property
     def n_snapshots(self) -> int:
@@ -457,12 +458,12 @@ def _zero_failed(state: tuple, failures: list, j: int, dt: float) -> bool:
     return None not in failures
 
 
-def _deliver(sink, config: SolverConfig, first: int, hats: list, dw_hat) -> None:
-    """Hand sink the block of snapshots first onward whose coefficient rows
-    _run holds in hats, with its noise rows dw_hat (None when not kept):
-    their physical copy is made first, one inverse FFT per array into held
-    memory, and snapshot 0's rows are the initial state, so they take no
-    transform of their own."""
+def _deliver(sink, config: SolverConfig, times, first: int, hats: list, dw_hat) -> None:
+    """Hand sink the block of snapshots first onward, at their run's times,
+    whose coefficient rows _run holds in hats, with its noise rows dw_hat
+    (None when not kept): their physical copy is made first, one inverse
+    FFT per array into held memory, and snapshot 0's rows are the initial
+    state, so they take no transform of their own."""
     g, held = config.grid, hats[0].shape[1]
     physical = [lattice.held(name, hats[0].shape) for name in ("block.v", "block.psi")[:len(hats)]]
     back = slice(0 if first else 1, held)
@@ -475,7 +476,7 @@ def _deliver(sink, config: SolverConfig, first: int, hats: list, dw_hat) -> None
             a[:, 0] = a0
     dpd = len(hats) == 2
     sink(SnapshotBlock(
-        grid=g, start=first, times=config.snapshot_times[first:first + held], v=physical[0],
+        grid=g, start=first, times=times[first:first + held], v=physical[0],
         psi=physical[1] if dpd else None, dw_hat=dw_hat, v_hat=hats[0],
         psi_hat=hats[1] if dpd else None))
 
@@ -522,9 +523,10 @@ def _run(config: SolverConfig, m_count: int, factor: int, sink, pipe):
     state = (np.broadcast_to(np.fft.fftn(v0 if dpd else 1.0 + v0, axes=g.axes), shape).copy(),)
     if dpd:
         state += (np.zeros(shape, dtype=np.complex128),)
-    failures, keep = [None] * m_count, noisy and stride == 1
-    blocks = list(lattice.row_blocks(n_snap, m_count * g.total_points * 16))
-    size = m_count * (blocks[0].stop - blocks[0].start) * g.total_points  # the largest block
+    failures, keep, times = [None] * m_count, noisy and stride == 1, config.snapshot_times
+    blocks = lattice.row_blocks(n_snap, m_count * g.total_points * 16)  # not listed: a huge
+    block = next(blocks)  # run's blocks would not fit in memory; the first is the largest
+    size = m_count * (block.stop - block.start) * g.total_points
     # a block's coefficient rows and noise rows, held from block to block
     sets = [([np.empty(size, dtype=np.complex128) for _ in state],
              np.empty(size, dtype=np.complex128) if keep else None)
@@ -533,7 +535,7 @@ def _run(config: SolverConfig, m_count: int, factor: int, sink, pipe):
     def shaped(buf, n):
         return buf[:m_count * n * g.total_points].reshape((m_count, n) + g.shape)
 
-    for k, sl in enumerate(blocks):
+    for k, sl in enumerate(itertools.chain([block], blocks)):
         first, stop = sl.start, sl.stop  # the block of snapshots first .. stop - 1
         steps = range(first * stride, min(stop, n_snap - 1) * stride)
         store_bufs, row_buf = sets[k % len(sets)]
@@ -566,7 +568,7 @@ def _run(config: SolverConfig, m_count: int, factor: int, sink, pipe):
         hats = [a[:, :held] for a in stores]
         if not dpd:  # v_hat = u_hat less the constant's mode
             hats[0][(Ellipsis,) + (0,) * g.dim] -= g.total_points
-        job = partial(_deliver, sink, config, first, hats,
+        job = partial(_deliver, sink, config, times, first, hats,
                       None if dw_hat is None else dw_hat[:, :end - steps.start])
         if pipe is None:
             job()
@@ -733,38 +735,36 @@ def duhamel_residual(traj: Trajectory, time_index: int) -> float:
 
     u(t) - S(t) u0 + i int_0^t S(t-t') (|u|^2-1)u dt' + i * (noise convolution),
     with trapezoid quadrature for the drift term and the increments for the
-    convolution: the Fourier rows of the trajectory's path, run through
-    stochastic_convolution and transformed back once.  Expected O(dt), not
-    zero.  A stochastic trajectory without its path raises UsageError.
+    convolution.  Expected O(dt), not zero.  A stochastic trajectory without
+    its path raises UsageError.  The first call makes every snapshot's
+    defect in one pass, kept in traj.duhamel: pulled back by S(-t_m) it is
+    S(-t_m)(u_hat_m - Psi_hat_m) - u_hat_0 + i C_m, with C_m the trapezoid
+    sum of S(-t) fftn(N(u)) up to t_m and Psi_hat_m the path's rows up to
+    step m * stride through stochastic_convolution; Parseval gives its
+    norm, (V sum_k |f_hat_k|^2)^(1/2) / N with N the grid's points.
     """
     cfg = run_config(traj, "duhamel_residual")
     if cfg.stochastic and traj.noise_path is None:
         raise UsageError("duhamel_residual needs the trajectory's noise path")
     if time_index < 0 or time_index >= traj.n_snapshots:
         raise UsageError("time_index out of range")
-    g = traj.grid
-    t = float(traj.times[time_index])
-    u_t = traj.u_snapshot(time_index).values
-    free = lattice.apply_schrodinger_group(traj.u_snapshot(0), t).values
-
-    # trapezoid of S(t-t') N(u(t')) over the snapshots up to time_index
-    ts = traj.times[: time_index + 1]
-    integrands = np.array([
-        lattice.apply_schrodinger_group(gp_nonlinearity(traj.u_snapshot(m)), t - s).values
-        for m, s in enumerate(ts)
-    ])
-    drift = lattice.trapezoid_steps(integrands, ts).sum(axis=0)
-
-    conv = 0.0
-    if cfg.stochastic:
-        # -i sum_j S(t - (j+1) dt) dW_j over the steps up to t
-        psi_hat = stochastic_convolution(np.zeros(g.shape, dtype=np.complex128),
-                                         traj.noise_path.dw_hat[:time_index * cfg.snapshot_stride],
-                                         lattice.schrodinger_phase(g, cfg.dt))
-        conv = np.fft.ifftn(psi_hat).ravel()
-
-    defect = u_t - free + 1j * drift - conv
-    return lattice.lebesgue_norm(ComplexField(g, defect), 2.0)
+    if traj.duhamel is None:
+        g, stride, times, defects = traj.grid, cfg.snapshot_stride, traj.times, []
+        rows = traj.noise_path.dw_hat if cfg.stochastic else [None] * cfg.n_steps
+        full, psi_hat = lattice.schrodinger_phase(g, cfg.dt), np.zeros(g.shape, dtype=complex)
+        for m, t in enumerate(times):
+            u, back = traj.u_snapshot(m), lattice.schrodinger_phase(g, -t)
+            integrand, u_hat = back * np.fft.fftn(gp_nonlinearity(u).mesh), np.fft.fftn(u.mesh)
+            if m == 0:
+                u0_hat, drift = u_hat, 0.0
+            else:
+                drift += 0.5 * (t - times[m - 1]) * (last + integrand)
+                stochastic_convolution(psi_hat, rows[(m - 1) * stride:m * stride], full)
+            defect = back * (u_hat - psi_hat) - u0_hat + 1j * drift
+            defects.append(math.sqrt(g.volume * np.vdot(defect, defect).real) / g.total_points)
+            last = integrand
+        traj.duhamel = defects
+    return traj.duhamel[time_index]
 
 
 def gauge_transform(traj: Trajectory) -> Trajectory:

@@ -479,6 +479,39 @@ class TestDuhamelResidual:
         with pytest.raises(UsageError, match="duhamel_residual needs the trajectory's noise path"):
             dynamics.duhamel_residual(replace(traj, noise_path=None), -1)
 
+    @pytest.mark.parametrize("scheme", ["direct", "dpd"])
+    def test_stochastic_defect_is_first_order_in_dt(self, scheme):
+        # one 200-step path at dt = 1e-3, coarsened by 8, 4, 2 and 1: each
+        # halving of dt halves the defect at T = 0.2 (1.996-2.007 on seeds 0-3)
+        g = grid2d()
+        spec = noise.multiplier_noise(g, 0.3, 3.0)
+        fine = noise.generate_noise_path(spec, 1e-3, 200, master_seed=0)
+        res = []
+        for factor in (8, 4, 2, 1):
+            path = noise.coarsen_noise_path(fine, factor)
+            traj = dynamics.solve(dynamics.SolverConfig(
+                grid=g, t_final=0.2, dt=path.dt, scheme=scheme, noise=spec,
+                initial_v=dynamics.initial_gaussian_bump(g, 0.3, 0.5), prescribed_path=path))
+            res.append(dynamics.duhamel_residual(traj, traj.n_snapshots - 1))
+        for coarse, finer in zip(res, res[1:]):
+            assert 1.9 <= coarse / finer <= 2.1
+
+    @pytest.mark.parametrize("scheme", ["direct", "dpd"])
+    def test_sweep_makes_linear_transforms(self, monkeypatch, scheme):
+        # every call once integrated over every earlier snapshot again, each
+        # through the free group's round trip: about 525 FFTs over a sweep
+        # of 21 snapshots; one pass takes two forward transforms a snapshot
+        traj = dynamics.solve(TestSolveStochastic().stochastic_config(scheme, seed=3))
+        calls = []
+        for name in ("fftn", "ifftn"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name,
+                                lambda *a, _real=real, **kw: calls.append(1) or _real(*a, **kw))
+        swept = [dynamics.duhamel_residual(traj, i) for i in range(traj.n_snapshots)]
+        monkeypatch.undo()
+        assert traj.n_snapshots == 21 and len(calls) <= 2 * traj.n_snapshots + 2
+        assert swept == [dynamics.duhamel_residual(traj, i) for i in range(traj.n_snapshots)]
+
     @staticmethod
     def reference_residual(traj, i):
         """duhamel_residual with the noise convolution summed increment by
@@ -783,6 +816,20 @@ class TestPhaseTableStepper:
         monkeypatch.setattr(lattice, "BLOCK_BYTES", g.total_points * 16)
         cfg = replace(stepper_config(scheme, g, n_steps=6), noise=noise.zero_noise(g))
         assert self.count_ffts(monkeypatch, cfg) == 1 + 2 * 6 + arrays * 6
+
+    def test_blocks_are_made_as_they_come(self, monkeypatch):
+        # _run once listed every block of a run before its first step: a
+        # run of 1.1e13 steps outgrew memory before it began
+        g = grid2d(8)
+        # two snapshots a block, so the sink runs on this thread, not beside the stepper
+        monkeypatch.setattr(lattice, "BLOCK_BYTES", 2 * g.total_points * 16)
+        made, row_blocks = [], lattice.row_blocks
+        monkeypatch.setattr(lattice, "row_blocks", lambda *args: (
+            made.append(sl) or sl for sl in row_blocks(*args)))
+        seen = []
+        dynamics.lockstep([stepper_config("dpd", g, n_steps=6)], [0],
+                          [lambda block: seen.append((block.start, len(made)))])
+        assert seen == [(0, 1), (2, 2), (4, 3), (6, 4)]
 
     def test_fft_budget_per_step_zero_noise_dpd(self, monkeypatch):
         # with no increments Psi stays zero, and the step still transforms

@@ -1,5 +1,6 @@
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -601,6 +602,39 @@ class TestCli:
         assert cli.main(["simulate", "--config", cfgfile]) == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime failure: ") and err.count("\n") == 1
+
+    def test_a_bare_memory_error_is_named(self, tmp_path, capsys, monkeypatch):
+        # a list that outgrows memory raises MemoryError with no message,
+        # and the line once read "runtime failure: " and nothing more: an
+        # exception with no message is named by its type
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(harness, "residual_refinement_study", exhausted)
+        cfgfile = self.write_config(tmp_path, BASE_CONFIG + f"\n[output]\ndir = {tmp_path}/out\n")
+        assert cli.main(["verify-energy", "--config", cfgfile]) == 2
+        assert capsys.readouterr().err == "runtime failure: MemoryError\n"
+
+    def test_a_huge_step_count_fails_at_once_under_a_memory_cap(self, tmp_path):
+        # --halvings 40 asks for 1.1e13 steps at the finest level.  _run once
+        # listed the run's blocks, and _deliver made the whole run's times
+        # for each block: uncapped, the kernel killed the process; capped,
+        # the list's MemoryError printed no message.  Now the first level
+        # whose times do not fit fails to allocate them, and numpy's
+        # message names the allocation.  Only ever run capped.
+        doc = (BASE_CONFIG.replace("dt = 0.005", "dt = 0.01").replace("t_final = 0.05", "t_final = 0.1")
+               + f"\n[output]\ndir = {tmp_path}/out\n")
+        cfgfile = self.write_config(tmp_path, doc)
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        run = subprocess.run(
+            [sys.executable, "-m", "snls.cli", "verify-energy", "--config", cfgfile, "--halvings", "40"],
+            preexec_fn=cap, capture_output=True, text=True, timeout=60,
+            env=dict(FRESH_ENV, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))
+        assert run.returncode == 2
+        assert run.stderr.startswith("runtime failure: Unable to allocate ")
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_two(self, tmp_path, capsys, workers):
