@@ -109,17 +109,19 @@ class NormAccumulator:
     it is asked for.  Each column has one formula whatever the others are,
     so its bits do not depend on them.
 
-    It reads the block's Fourier rows, v_hat and psi_hat, and for a block
-    without them (a file's) transforms v and psi forward itself, one fftn
-    each.  Its gradient takes one inverse FFT per axis
+    Its gradient is taken from the physical rows every block holds, one
+    forward and one inverse FFT along each axis in turn
     (lattice.spectral_derivatives) over a stack of every member's rows:
-    v*_hat = v_hat + psi_hat and, when the partition's columns are made for
-    dpd, psi_hat.  As each axis's derivative arrives, its squares are added
-    to |grad v*|^2 (and |grad Psi|^2), and for the partition those of
-    d_j v = d_j v* - d_j Psi to |grad v|^2, so the pass holds one
-    derivative buffer.  Powers of |grad| are taken of its square, with no
-    root: |grad|^{12/5} = (|grad|^2)^1.2.  ham3 reads the block's physical
-    and Fourier noise rows.  Every block-sized array is held memory
+    v* = v + psi and, when the partition's columns are made for dpd, psi.
+    So a stepper's block and its rows read back from a file give the same
+    bits, and a file's block takes no forward transform.  As each axis's
+    derivative arrives, its squares are added to |grad v*|^2 (and
+    |grad Psi|^2), and for the partition those of d_j v = d_j v* - d_j Psi
+    to |grad v|^2, so the pass holds one derivative buffer.  Powers of
+    |grad| are taken of its square, with no root: |grad|^{12/5} =
+    (|grad|^2)^1.2.  ham3 reads the block's physical and Fourier noise
+    rows, and v*_hat: the stepper's v_hat (+ psi_hat), or one fftn of v*
+    for a block without them.  Every block-sized array is held memory
     (lattice.held), so no block allocates one.  A non-finite snapshot
     raises UsageError naming it.  Columns are kept per member, and
     tables() checks each member's on its own.  A name not in COLUMNS
@@ -144,9 +146,15 @@ class NormAccumulator:
         n, size = m_count * b, g.total_points
         rows = (n, size)
         dpd = block.psi is not None
-        w = block.v.reshape(rows)  # v* rows
-        if dpd:
-            w = np.add(w, block.psi.reshape(rows), out=held("norms.w", rows))
+        parts = dpd and bool(want & set(PARTITION_COLUMNS))
+        if dpd:  # the gradient's stack: v* = v + Psi, then Psi for the partition
+            stack = held("norms.stack", (2 if parts else 1,) + block.v.shape)
+            np.add(block.v, block.psi, out=stack[0])
+            if parts:
+                np.copyto(stack[1], block.psi)
+        else:
+            stack = block.v[np.newaxis]
+        w = stack[0].reshape(rows)  # v* rows
         finite = np.isfinite(w.view(np.float64), out=held("norms.finite", (n, 2 * size), bool))
         finite = finite.all(axis=1)
         if not finite.all():
@@ -170,21 +178,6 @@ class NormAccumulator:
             total += np.square(f.real, out=r)
             total += np.square(f.imag, out=r)
 
-        def forward(given, a, name):  # the stepper's rows, else fftn of the physical ones
-            if given is not None or a is None:
-                return given
-            return np.fft.fftn(a, axes=g.axes, out=held(name, a.shape))
-
-        v_hat = forward(block.v_hat, block.v, "norms.v_hat")
-        psi_hat = forward(block.psi_hat, block.psi, "norms.psi_hat")
-        parts = dpd and bool(want & set(PARTITION_COLUMNS))
-        if dpd:  # the gradient's stack: v*_hat, then psi_hat for the partition
-            stack = held("norms.stack", (2 if parts else 1,) + v_hat.shape)
-            w_hat = np.add(v_hat, psi_hat, out=stack[0])
-            if parts:
-                np.copyto(stack[1], psi_hat)
-        else:
-            w_hat, stack = v_hat, v_hat[np.newaxis]
         if want & _GRADIENT:  # every gradient column reads grad_l12o5 or its alias
             # |grad v*|^2 and, for the partition, |grad Psi|^2 and |grad v|^2,
             # summed axis by axis as each derivative of the stack arrives
@@ -233,7 +226,15 @@ class NormAccumulator:
                 # weight on the zero mode).
                 shape = (m_count, steps, size)
                 w_s, q_s = (a.reshape(m_count, b, size)[:, :steps] for a in (w, q))
-                w_hat_s = w_hat.reshape(m_count, b, size)[:, :steps]
+                if block.v_hat is None:  # a file's block: one fftn of v*
+                    w_hat_s = np.fft.fftn(stack[0][:, :steps], axes=g.axes,
+                                          out=held("norms.w_hat", block.dw_hat.shape))
+                elif dpd:  # else the stepper's rows, as it held them
+                    w_hat_s = np.add(block.v_hat[:, :steps], block.psi_hat[:, :steps],
+                                     out=held("norms.w_hat", block.dw_hat.shape))
+                else:
+                    w_hat_s = block.v_hat[:, :steps]
+                w_hat_s = w_hat_s.reshape(shape)
                 dw, dw_hat = (a.reshape(shape) for a in (block.dw, block.dw_hat))
                 r_s = held("norms.r", shape, np.float64)
                 # term and lap take the memory of abs2, read no more, and of q

@@ -384,8 +384,8 @@ def member_bytes(config: SolverConfig) -> int:
     that a pipelined lockstep (one snapshot over the batch tops
     lattice.BLOCK_BYTES, as in any batch harness.BATCH_BYTES limits) fills
     while its sink reads the first; the norm pass's held work over it (one
-    derivative row per gradient field, for dpd the v* rows and a stack of
-    v*_hat and psi_hat, and half-size real arrays: the squares of each
+    derivative row per gradient field, for dpd a stack of the v* and Psi
+    rows and ham3's v*_hat, and half-size real arrays: the squares of each
     gradient field, for dpd those of grad v, and three more); and for a
     stochastic scheme its row of the normals noise.member_rows holds.  It
     keeps no snapshots and no path."""
@@ -410,9 +410,10 @@ class SnapshotBlock:
     v_hat and psi_hat (None without Psi) are the Fourier rows of v and Psi
     as the stepper held them (for direct and the deterministic schemes its
     u_hat = fftn(1 + v) less the constant's mode).  They are None for any
-    other block, a file's or that of a trajectory without Fourier rows,
-    and the norm pass then transforms v and psi itself.  The pass never
-    reads their zero mode.  dw is made once, when first read, from dw_hat.
+    other block, a file's or that of a trajectory without Fourier rows.
+    The norm pass reads them, never their zero mode, only for ham3's
+    Laplacian term, and takes one fftn of v* for a block without them.
+    dw is made once, when first read, from dw_hat.
 
     How long the arrays are valid: a block made by _run holds its physical
     rows and dw in held memory (lattice.held) and its Fourier rows in its

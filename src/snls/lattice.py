@@ -54,13 +54,16 @@ class GridSpec:
     def volume(self) -> float:
         return self.box_length**self.dim
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """Per-axis wavenumbers 2*pi*m/L in FFT bin order, Nyquist positive."""
+        """Per-axis wavenumbers 2*pi*m/L in FFT bin order, Nyquist positive;
+        built once per grid and read-only."""
         n = self.points_per_axis
         m = np.arange(n)
         m = np.where(m <= n // 2, m, m - n)
-        return 2.0 * np.pi * m / self.box_length
+        k = 2.0 * np.pi * m / self.box_length
+        k.flags.writeable = False
+        return k
 
     @property
     def axes(self) -> tuple:
@@ -247,26 +250,29 @@ def apply_schrodinger_group(field: ComplexField, t: float) -> ComplexField:
     return ComplexField(field.grid, np.fft.ifftn(uhat).ravel())
 
 
-def spectral_derivatives(grid: GridSpec, uhat: np.ndarray, out: np.ndarray):
-    """Yield d_j u = ifftn(i k_j uhat) for each axis j in turn, of one field
-    or of a stack of fields given as their forward transform uhat over the
-    trailing grid axes.  Each derivative is made and transformed in place in
-    out, uhat's shape, and lasts until the next is yielded.  The zero mode
-    of uhat is not read."""
-    for km in grid.wavenumber_mesh():
-        np.multiply(1j * km, uhat, out=out)
-        np.fft.ifftn(out, s=grid.shape, axes=grid.axes, out=out)
+def spectral_derivatives(grid: GridSpec, u: np.ndarray, out: np.ndarray):
+    """Yield d_j u = ifft(i k_j fft(u, axis=j), axis=j) for each axis j in
+    turn, of one physical field or of a stack of them over the trailing
+    grid axes: one forward and one inverse pass along axis j alone, 2 dim
+    passes in all.  Each derivative is made in place in out, u's shape, and
+    lasts until the next is yielded."""
+    ik = 1j * grid.wavenumbers
+    for axis in grid.axes:
+        np.fft.fft(u, axis=axis, out=out)
+        out *= ik.reshape((-1,) + (1,) * (-1 - axis))  # k_j along axis j
+        np.fft.ifft(out, axis=axis, out=out)
         yield out
 
 
 def gradient_magnitude(field: ComplexField) -> np.ndarray:
-    """|grad u|(x) = (sum_axes |d_j u|^2)^{1/2} by spectral derivatives, flat:
-    the squares of each derivative's real and imaginary parts, summed."""
+    """|grad u|(x) = (sum_axes |d_j u|^2)^{1/2}, flat, for spacetime_norm, by
+    the n-d route d_j u = ifftn(i k_j fftn(u)): the tests' reference for
+    spectral_derivatives, as laplacian is for ham3's Laplacian term."""
     grid, uhat = field.grid, np.fft.fftn(field.mesh)
     squares = np.zeros(grid.total_points)
     part = np.empty_like(squares)
-    for d in spectral_derivatives(grid, uhat, np.empty_like(uhat)):
-        flat = d.reshape(squares.shape)
+    for km in grid.wavenumber_mesh():
+        flat = np.fft.ifftn(1j * km * uhat).reshape(squares.shape)
         squares += np.square(flat.real, out=part)
         squares += np.square(flat.imag, out=part)
     return np.sqrt(squares, out=part)

@@ -603,32 +603,107 @@ def test_4d_pass_matches_per_snapshot_reference(monkeypatch, scheme):
 
 @pytest.mark.parametrize("scheme", ["direct", "dpd", "deterministic_gp"])
 def test_streamed_blocks_take_no_forward_transform(tmp_path, monkeypatch, scheme):
-    # the pass reads the Fourier rows the stepper hands it; a file's blocks
-    # carry none, and each is transformed forward once per array
+    # the gradient is taken from the physical rows every block holds, and
+    # ham3 reads the Fourier rows the stepper hands it: a file's blocks take
+    # no forward transform, and read back with the run's noise path, one
+    # fftn of v* a block, for ham3's Laplacian term
     g = grid2d()
     monkeypatch.setattr(lattice, "BLOCK_BYTES", 7 * g.total_points * 16)
     cfg = dynamics.SolverConfig(
         grid=g, t_final=0.1, dt=0.005, scheme=scheme, noise=noise.multiplier_noise(g, 0.2, 3.0),
         initial_v=dynamics.initial_gaussian_bump(g, 0.2, 0.8), master_seed=4)
-    forward, real = [], np.fft.fftn
+    forward, per_block, real_add = [], [], diagnostics.NormAccumulator.add
+    real = np.fft.fftn
     monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: forward.append(1) or real(*a, **k))
 
-    def counted(acc, counts):
-        def add(block):
-            before = len(forward)
-            acc.add(block)
-            counts.append(len(forward) - before)
-        return add
-
-    streamed = []
-    dynamics.lockstep([cfg], [0], [counted(diagnostics.NormAccumulator(g), streamed)])
-    assert streamed == [0, 0, 0]
-    fname = os.path.join(tmp_path, "t.bin")
-    dynamics.write_trajectory(dynamics.solve(cfg), fname)
-    grid, _, _, blocks = dynamics.trajectory_blocks(fname)
-    from_file, add = [], counted(diagnostics.NormAccumulator(grid), [])
-    for block in blocks:
+    def add(acc, block):  # each add's forward transforms, in per_block
         before = len(forward)
-        add(block)
-        from_file.append(len(forward) - before)
-    assert from_file == [2 if scheme == "dpd" else 1] * 3
+        real_add(acc, block)
+        per_block.append(len(forward) - before)
+
+    monkeypatch.setattr(diagnostics.NormAccumulator, "add", add)
+    dynamics.lockstep([cfg], [0], [diagnostics.NormAccumulator(g).add])
+    assert per_block == [0, 0, 0]
+    fname, pname = os.path.join(tmp_path, "t.bin"), os.path.join(tmp_path, "p.bin")
+    traj = dynamics.solve(cfg)
+    dynamics.write_trajectory(traj, fname)
+    per_block.clear()
+    grid, _, _, blocks = dynamics.trajectory_blocks(fname)
+    diagnostics.norm_table(grid, blocks)
+    assert per_block == [0, 0, 0]
+    if cfg.stochastic:
+        noise.write_noise_path(traj.noise_path, pname)
+        back = replace(dynamics.read_trajectory(fname), config=cfg,
+                       noise_path=noise.read_noise_path(pname, g.box_length))
+        per_block.clear()
+        diagnostics.ito_ledger(back)
+        assert per_block == [1, 1, 1]
+
+
+def streamed_and_written(tmp_path, cfg):
+    """The run's table as solve_tables streams it while a TrajectoryWriter
+    writes its file, and the file's name."""
+    fname = os.path.join(tmp_path, "t.bin")
+    with dynamics.TrajectoryWriter(fname, cfg.grid, cfg.scheme, cfg.n_snapshots,
+                                   cfg.dt * cfg.snapshot_stride) as writer:
+        ((streamed,),) = diagnostics.solve_tables([cfg], [0], [writer])
+    return streamed, fname
+
+
+def read_back_table(fname):
+    grid, _, _, blocks = dynamics.trajectory_blocks(fname)
+    return diagnostics.norm_table(grid, blocks)
+
+
+def four_block_config(monkeypatch, g, scheme):
+    """11 snapshots in blocks of three, the last one partial."""
+    monkeypatch.setattr(lattice, "BLOCK_BYTES", 3 * g.total_points * 16)
+    return dynamics.SolverConfig(
+        grid=g, t_final=0.02, dt=0.002, scheme=scheme, noise=noise.multiplier_noise(g, 0.4, 3.5),
+        initial_v=dynamics.initial_gaussian_bump(g, 0.2, 0.8), master_seed=5)
+
+
+@pytest.mark.parametrize("g", [grid2d(), make_grid(4, 8, TWO_PI)], ids=["16^2", "8^4"])
+@pytest.mark.parametrize("scheme", ["direct", "dpd"])
+def test_a_table_read_back_from_its_file_is_the_streamed_table(tmp_path, monkeypatch, g, scheme):
+    # the file holds the physical rows the stepper's blocks held, and the
+    # gradient is taken of those, so every column both make has the same
+    # bits
+    streamed, fname = streamed_and_written(tmp_path, four_block_config(monkeypatch, g, scheme))
+    from_file = read_back_table(fname)
+    assert from_file.norms.keys() == set(streamed.norms) - {"ham3_steps"}
+    for key, col in from_file.norms.items():
+        assert np.array_equal(col, streamed.norms[key]), key
+
+
+@pytest.mark.parametrize("g", [grid2d(), make_grid(4, 8, TWO_PI)], ids=["16^2", "8^4"])
+@pytest.mark.parametrize("scheme", ["direct", "dpd"])
+@pytest.mark.parametrize("source", ["stepper", "file"])
+def test_the_gradient_takes_one_axis_pass_each_way(tmp_path, monkeypatch, g, scheme, source):
+    # per block, one fft and one ifft along each axis over the whole stack
+    # of gradient fields (v*, and Psi for dpd's partition columns), and no
+    # n-d transform: a stepper block's ham3 reads its Fourier rows.  Its
+    # physical noise rows dw are made when first read; they are read here
+    # before add, so the count is the pass's own
+    cfg = four_block_config(monkeypatch, g, scheme)
+    fname = streamed_and_written(tmp_path, cfg)[1] if source == "file" else None
+    calls, per_block, real_add = {}, [], diagnostics.NormAccumulator.add
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def add(acc, block):
+        if block.dw_hat is not None:
+            assert block.dw is not None
+        calls.clear()
+        real_add(acc, block)
+        per_block.append(dict(calls))
+
+    monkeypatch.setattr(diagnostics.NormAccumulator, "add", add)
+    if fname:
+        read_back_table(fname)
+    else:
+        diagnostics.solve_tables([cfg], [0])
+    assert per_block == [{"fft": g.dim, "ifft": g.dim}] * 4

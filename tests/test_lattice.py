@@ -57,6 +57,12 @@ class TestMakeGrid:
             if abs(k) != nyquist:
                 assert -k in ks
 
+    def test_wavenumbers_built_once_and_read_only(self):
+        g = make_grid(3, 8, 1.3)
+        assert g.wavenumbers is g.wavenumbers
+        with pytest.raises(ValueError):
+            g.wavenumbers[0] = 1.0
+
     @pytest.mark.parametrize("bad", [(0, 8, 1.0), (5, 8, 1.0), (2, 12, 1.0), (2, 4, 1.0), (2, 8, -1.0)])
     def test_rejects_bad_configs(self, bad):
         with pytest.raises(ConfigurationError):
@@ -99,6 +105,29 @@ class TestSchrodingerGroup:
             assert sobolev_norm(out, s, homogeneous=True) == pytest.approx(
                 sobolev_norm(f, s, homogeneous=True), rel=1e-10
             )
+
+
+class TestSpectralDerivatives:
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_one_axis_passes_match_the_nd_route(self, dim, n):
+        # d_j u from one fft and one ifft along axis j against the n-d route
+        # ifftn(i k_j fftn(u)), on a stack of two random complex fields,
+        # whose Nyquist modes are not zero; and the sum of their squares
+        # against gradient_magnitude, which takes that route
+        g = make_grid(dim, n, 3.0)
+        fields = [random_field(g, 10 * dim + n + i) for i in range(2)]
+        stack = np.stack([f.mesh for f in fields])
+        squares = np.zeros((2, g.total_points))
+        derivatives = lattice.spectral_derivatives(g, stack, np.empty_like(stack))
+        for km, d in zip(g.wavenumber_mesh(), derivatives):
+            for f, total, got in zip(fields, squares, d):
+                want = np.fft.ifftn(1j * km * np.fft.fftn(f.mesh))
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+                total += np.abs(got.ravel()) ** 2
+        for f, total in zip(fields, squares):
+            want = lattice.gradient_magnitude(f) ** 2
+            assert np.max(np.abs(total - want)) <= 1e-14 * np.max(want)
 
 
 class TestSobolevNorm:
