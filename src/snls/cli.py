@@ -147,7 +147,8 @@ def _cmd_converge(args) -> int:
         except ValueError:
             raise UsageError(f"--dts must be comma-separated numbers, got {args.dts!r}") from None
     else:
-        dts = harness.dt_levels(rc.dt, range(args.levels - 1, -1, -1), f"--levels {args.levels}")
+        levels = 3 if args.levels is None else args.levels
+        dts = harness.dt_levels(rc.dt, range(levels - 1, -1, -1), f"--levels {levels}")
     study = harness.convergence_study(rc, dts)
     for dt, err in zip(study["dts"][:-1], study["errors_vs_finest"]):
         print(f"dt = {dt!r}  error = {err!r}")
@@ -186,8 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None)
         p.set_defaults(func=fn)
     sub.choices["verify-energy"].add_argument("--halvings", type=int, default=3)
-    sub.choices["converge"].add_argument("--dts", default=None, help="comma-separated dt list")
-    sub.choices["converge"].add_argument("--levels", type=int, default=3)
+    levels = sub.choices["converge"].add_mutually_exclusive_group()
+    levels.add_argument("--dts", default=None, help="comma-separated dt list")
+    levels.add_argument("--levels", type=int, default=None, help="dt levels (default 3)")
     sub.choices["partition"].add_argument("--trajectory", required=True)
     return parser
 

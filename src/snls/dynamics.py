@@ -232,9 +232,10 @@ def dpd_nonlinearity(v_field: ComplexField, psi_field: ComplexField) -> ComplexF
     return ComplexField(v_field.grid, out)
 
 
-def _phase_substep(u: np.ndarray, dt: float, offset: float) -> np.ndarray:
+def _phase_substep(u: np.ndarray, dt: float, offset: float, work=None) -> np.ndarray:
     """Exact integrator of i u_t = (|u|^2 - offset) u pointwise on an array:
-    offset 1 for the GP equation, 0 for the cubic one.
+    offset 1 for the GP equation, 0 for the cubic one.  Writes into work =
+    (f, theta), complex and real arrays of u's shape, else new ones; returns f.
 
     The product is always u * f with f the held exponential: with FMA, f * u
     rounds differently, and numpy's temporary elision would pick one order or
@@ -242,10 +243,10 @@ def _phase_substep(u: np.ndarray, dt: float, offset: float) -> np.ndarray:
     members are stacked with it.  f = cos(theta) + i sin(-theta) for
     theta = (|u|^2 - offset) dt has the bits of exp(-1j * theta), with no
     complex temporary."""
-    theta = np.abs(u) ** 2
+    f, theta = work or (np.empty(u.shape, dtype=np.complex128), np.empty(u.shape))
+    np.square(np.abs(u, out=theta), out=theta)
     theta -= offset
     theta *= dt
-    f = np.empty(u.shape, dtype=np.complex128)
     np.cos(theta, out=f.real)
     np.sin(np.negative(theta, out=theta), out=f.imag)
     np.multiply(u, f, out=f)
@@ -274,30 +275,32 @@ def _over_table(fft, a: np.ndarray, table: np.ndarray, out=None) -> np.ndarray:
     return fft(a, s=table.shape, axes=tuple(range(-table.ndim, 0)), out=out)
 
 
-def _add_increment(a_hat: np.ndarray, dw_hat: Optional[np.ndarray]) -> np.ndarray:
-    """a_hat - i * dw_hat in place, the step's additive noise; a_hat without noise."""
+def _add_increment(a_hat: np.ndarray, dw_hat: Optional[np.ndarray], scratch=None) -> np.ndarray:
+    """a_hat - i * dw_hat in place, the step's additive noise, with i * dw_hat
+    in scratch (free, a_hat's shape) if given; a_hat without noise."""
     if dw_hat is not None:
-        a_hat -= 1j * dw_hat
+        a_hat -= np.multiply(1j, dw_hat, out=scratch)
     return a_hat
 
 
-def stochastic_convolution(psi_hat: np.ndarray, rows, full: np.ndarray) -> np.ndarray:
+def stochastic_convolution(psi_hat: np.ndarray, rows, full: np.ndarray, scratch=None) -> np.ndarray:
     """Psi_hat <- full * Psi_hat - i * row in place for each row in order
     (None without noise), full = schrodinger_phase(grid, dt); returns psi_hat.
     _dpd_step advances Psi by it, so from zero it gives each member of a
-    stack of rows the Psi_hat of a dpd run on them, bit for bit."""
+    stack of rows the Psi_hat of a dpd run on them, bit for bit.  scratch
+    is _add_increment's."""
     for dw_hat in rows:
         psi_hat *= full
-        _add_increment(psi_hat, dw_hat)
+        _add_increment(psi_hat, dw_hat, scratch)
     return psi_hat
 
 
 def dpd_work(shape: tuple) -> tuple:
     """The work arrays of strang_step_dpd for a state of this shape, held
-    memory (lattice.held): w, the stage argument, the stage and the running
-    stage sum (complex), and |w|^2 - 1 (real).  They hold nothing from one
-    step to the next, so runs that ask for them in one shape, as the dpd
-    levels of a lockstep do, share one set."""
+    memory (lattice.held): w, the stage argument (later i * dw_hat), the
+    stage and the running stage sum (complex), and |w|^2 - 1 (real).  They
+    hold nothing from one step to the next, so runs that ask for them in
+    one shape, as a lockstep's levels do, share one set."""
     return (tuple(lattice.held(f"dpd.{name}", shape) for name in ("w", "s", "k", "acc"))
             + (lattice.held("dpd.r", shape, np.float64),))
 
@@ -339,13 +342,15 @@ def strang_step_dpd(dt: float, work: tuple) -> np.ndarray:
     return acc
 
 
-def _strang_step(state: tuple, dw_hat, half: np.ndarray, dt: float, offset: float) -> tuple:
-    """direct and the deterministic schemes, state (u_hat,): half free step,
-    the exact phase substep, half free step, then the increment."""
-    u = _phase_substep(_over_table(np.fft.ifftn, state[0] * half, half), dt, offset)
-    u_hat = _over_table(np.fft.fftn, u, half)
+def _strang_step(state: tuple, dw_hat, half: np.ndarray, dt: float, offset: float, work) -> tuple:
+    """direct and the deterministic schemes, state (u_hat,), transformed in
+    place: half free step, the exact phase substep into work's held (f,
+    theta), half free step, then the increment through f.  No allocation."""
+    u_hat = np.multiply(state[0], half, out=state[0])
+    f = _phase_substep(_over_table(np.fft.ifftn, u_hat, half, out=u_hat), dt, offset, work)
+    _over_table(np.fft.fftn, f, half, out=u_hat)
     u_hat *= half
-    return (_add_increment(u_hat, dw_hat),)
+    return (_add_increment(u_hat, dw_hat, f),)
 
 
 def _dpd_step(state: tuple, dw_hat, half: np.ndarray, full: np.ndarray, dt: float,
@@ -368,7 +373,7 @@ def _dpd_step(state: tuple, dw_hat, half: np.ndarray, full: np.ndarray, dt: floa
     delta *= half
     v_hat *= full
     v_hat += delta
-    return v_hat, stochastic_convolution(psi_hat, (dw_hat,), full)
+    return v_hat, stochastic_convolution(psi_hat, (dw_hat,), full, work[1])
 
 
 # --- full solve -----------------------------------------------------------
@@ -376,12 +381,12 @@ def _dpd_step(state: tuple, dw_hat, half: np.ndarray, full: np.ndarray, dt: floa
 
 def member_bytes(config: SolverConfig) -> int:
     """Bytes one member of a streamed batch holds, about, in fields: its
-    state arrays and the step's temporaries (4 fields for the Strang step;
-    for dpd the held dpd_work arrays, four complex and one real, 5 rounded
-    up, which a lockstep's dpd levels share); its share of a one-snapshot
-    block (its coefficient rows and their physical copy, a noise row and
-    its physical dw), and of the second set of coefficient and noise rows
-    that a pipelined lockstep (one snapshot over the batch tops
+    state arrays and the step's held work, which a lockstep's levels share
+    (for the Strang step f and theta, 2 rounded up; for dpd the dpd_work
+    arrays, 5 rounded up); its share of a one-snapshot block (its
+    coefficient rows and their physical copy, a noise row and its physical
+    dw), and of the second set of coefficient and noise rows that a
+    pipelined lockstep (one snapshot over the batch tops
     lattice.BLOCK_BYTES, as in any batch harness.BATCH_BYTES limits) fills
     while its sink reads the first; the norm pass's held work over it (one
     derivative row per gradient field, for dpd a stack of the v* and Psi
@@ -392,7 +397,7 @@ def member_bytes(config: SolverConfig) -> int:
     dpd = config.scheme == "dpd"
     arrays = 2 if dpd else 1  # v and Psi for dpd; so too the gradient fields, v* and Psi
     norm_pass = arrays + (3 if dpd else 0) + (arrays + 1)
-    rows = (arrays + (5 if dpd else 4) + 3 * arrays + 3 + norm_pass
+    rows = (arrays + (5 if dpd else 2) + 3 * arrays + 3 + norm_pass
             + (1 if config.stochastic else 0))
     return rows * config.grid.total_points * 16
 
@@ -488,9 +493,9 @@ def _run(config: SolverConfig, m_count: int, factor: int, sink, pipe):
     times finer ((M, *grid.shape), or lattice-shaped for every member
     alike; None when no level draws noise), and it returns the members'
     failures.  A stochastic run steps on the rows, a step summing its
-    factor rows in order into a copy of the first, the bits
-    coarsen_noise_path gives; any other run steps without them.  A dpd
-    run fetches its dpd_work arrays when primed.
+    factor rows in order into the run's one copy of the first, the bits
+    coarsen_noise_path gives; any other run steps without them.  A run
+    fetches its step's held work when primed, and no step allocates.
 
     The snapshots go to sink in SnapshotBlocks of consecutive snapshots, at
     most lattice.BLOCK_BYTES of v rows over all members and at least one
@@ -519,12 +524,14 @@ def _run(config: SolverConfig, m_count: int, factor: int, sink, pipe):
         step = partial(_dpd_step, half=half, full=full, dt=dt, work=dpd_work(shape))
     else:
         offset = 0.0 if config.scheme == "deterministic_cubic" else 1.0
-        step = partial(_strang_step, half=half, dt=dt, offset=offset)
+        step = partial(_strang_step, half=half, dt=dt, offset=offset, work=(
+            lattice.held("strang.f", shape), lattice.held("strang.theta", shape, np.float64)))
     del half, full  # the step holds the tables it uses, and no other is kept
     state = (np.broadcast_to(np.fft.fftn(v0 if dpd else 1.0 + v0, axes=g.axes), shape).copy(),)
     if dpd:
         state += (np.zeros(shape, dtype=np.complex128),)
     failures, keep, times = [None] * m_count, noisy and stride == 1, config.snapshot_times
+    coarse = np.empty(shape, dtype=np.complex128) if noisy and factor > 1 else None  # a row sum
     blocks = lattice.row_blocks(n_snap, m_count * g.total_points * 16)  # not listed: a huge
     block = next(blocks)  # run's blocks would not fit in memory; the first is the largest
     size = m_count * (block.stop - block.start) * g.total_points
@@ -549,7 +556,7 @@ def _run(config: SolverConfig, m_count: int, factor: int, sink, pipe):
             if not noisy:
                 row = None  # the rows are another level's
             if factor > 1 and row is not None:
-                row = row.copy()  # the fine rows are every level's
+                coarse[...], row = row, coarse  # the fine rows are all levels'
                 for _ in range(factor - 1):
                     row += yield
             else:

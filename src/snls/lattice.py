@@ -159,8 +159,13 @@ def make_grid(dim: int, points_per_axis: int, box_length: float) -> GridSpec:
 
 
 def all_finite(values: np.ndarray) -> bool:
-    """True when every entry of a complex array is finite."""
-    return bool(np.all(np.isfinite(values.view(np.float64))))
+    """True when every entry of a complex array is finite.  A nan or an
+    infinity makes the sum of its floats non-finite, so the exact scan (and
+    its bool array) runs only then, or when finite values overflow the sum."""
+    flat = values.view(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(flat, axis=None)
+    return math.isfinite(total) or bool(np.all(np.isfinite(flat)))
 
 
 def field_from_mesh(grid: GridSpec, mesh_values: np.ndarray) -> ComplexField:

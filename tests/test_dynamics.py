@@ -1,5 +1,7 @@
 import copy
 import os
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -918,3 +920,81 @@ class TestPhaseTableStepper:
         spec = noise.multiplier_noise(g, 0.5, 3.0)
         assert spec.multiplier_profile() is spec.multiplier_profile()
         assert not spec.multiplier_profile().flags.writeable
+
+
+class TestStepAllocations:
+    """After its first step the step loop allocates no field: the step's
+    work, the state's transforms and a coarse level's row sum are held."""
+
+    @staticmethod
+    def field_allocations(configs, stream_ids) -> int:
+        """Fields (one member's bytes each) allocated while a lockstep of
+        configs runs, from the end of every level's second step to the end
+        of the run, outside noise.member_rows, whose row is new each step,
+        and the blocks' _deliver.  tracemalloc keeps no record of a freed
+        array, so the count is taken between trace events: the peak above
+        the memory in use at one event, in whole fields, is what the code
+        run since that event made (less what it freed first, which an
+        eighth of a field of slack covers).  It counts numpy's own buffers
+        too, for an operand it casts or broadcasts, but these hold at most
+        8,192 values (its default buffer size): less than a field on grids
+        of more points."""
+        field = configs[0].grid.total_points * 16
+        step_codes = {dynamics._strang_step.__code__, dynamics._dpd_step.__code__}
+        skip_codes = {dynamics._deliver.__code__, noise.member_rows.__code__}
+        steps, gap = {}, {"counted": False, "mark": 0, "fields": 0}
+
+        def trace(frame, event, arg):
+            current, peak = tracemalloc.get_traced_memory()
+            if gap["counted"]:
+                gap["fields"] += (peak - gap["mark"] + field // 8) // field
+            if event == "return" and frame.f_code in step_codes:
+                steps[frame.f_back] = steps.get(frame.f_back, 0) + 1  # per level: its _run frame
+            caller = frame
+            while caller is not None and caller.f_code not in skip_codes:
+                caller = caller.f_back
+            gap["counted"] = caller is None and len(steps) == len(configs) and min(steps.values()) >= 2
+            tracemalloc.reset_peak()
+            gap["mark"] = tracemalloc.get_traced_memory()[0]
+            return trace
+
+        tracing, tracer = tracemalloc.is_tracing(), sys.gettrace()
+        tracemalloc.start()
+        sys.settrace(trace)
+        try:
+            failures = dynamics.lockstep(configs, stream_ids, [lambda block: None] * len(configs))
+        finally:
+            sys.settrace(tracer)
+            if not tracing:
+                tracemalloc.stop()
+        assert failures == [[None] * len(stream_ids)] * len(configs)
+        assert all(n >= 3 for n in steps.values())
+        return gap["fields"]
+
+    @pytest.mark.parametrize("scheme", ["direct", "dpd", "deterministic_gp"])
+    @pytest.mark.parametrize("dts", [(0.01,), (0.01, 0.02, 0.04)], ids=["one-level", "three-levels"])
+    def test_no_field_is_allocated_per_step(self, monkeypatch, scheme, dts):
+        # 128^2, more points than numpy's buffers hold; blocks of several
+        # snapshots, so that one level runs serially, on the traced thread
+        monkeypatch.setattr(lattice, "BLOCK_BYTES", 1 << 22)
+        g = grid2d(128)
+        configs = [stepper_config(scheme, g, n_steps=16, amplitude=0.2)]
+        configs += [replace(configs[0], dt=dt) for dt in dts[1:]]
+        assert self.field_allocations(configs, [0, 1]) == 0
+
+    def test_the_phase_substep_returns_its_own_array(self):
+        # the stepper's phase substep writes into held memory; the public
+        # one must not, even while a run holds that memory
+        g = grid2d(8)
+        u = dynamics.initial_gaussian_bump(g, 0.5, 0.8)
+        outs = []
+
+        def sink(block):
+            held = list(lattice._HELD.values())
+            assert any(buf.dtype == np.float64 for buf in held)  # the Strang step's theta
+            out = dynamics.nonlinear_phase_substep(u, 0.01)
+            outs.append(out.values)
+            assert not any(np.shares_memory(out.values, buf) for buf in held)
+
+        dynamics.lockstep([stepper_config("direct", g, n_steps=4)], [0], [sink])
+        assert len(outs) == 1 and not np.shares_memory(outs[0], u.values)

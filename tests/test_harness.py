@@ -544,6 +544,34 @@ class TestCli:
         assert cli.main(["converge", "--config", cfgfile, "--dts", "0.01,0.005,0.00125"]) == 0
         assert "observed_order" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["--levels", "3", "--dts", "0.01,0.005,0.0025"],
+                                      ["--dts", "0.01,0.005,0.0025", "--levels", "4"]])
+    def test_converge_takes_levels_or_dts_not_both(self, tmp_path, capsys, argv):
+        # --levels was once dropped without a word when --dts was given
+        cfgfile = self.write_config(tmp_path, BASE_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["converge", "--config", cfgfile] + argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "--levels" in err and "--dts" in err and "not allowed" in err
+
+    def test_converge_runs_three_levels_by_default(self, tmp_path, capsys):
+        cfgfile = self.write_config(tmp_path, BASE_CONFIG.replace("t_final = 0.05", "t_final = 0.04"))
+        assert cli.main(["converge", "--config", cfgfile]) == 0
+        default = capsys.readouterr().out
+        assert cli.main(["converge", "--config", cfgfile, "--levels", "3"]) == 0
+        assert capsys.readouterr().out == default and default.count("error = ") == 2
+
+    def test_a_blow_up_names_its_step(self, tmp_path, capsys):
+        # sigma < 0 grows the noise with |k|: after the first step the
+        # state reaches 6e302, after the second it is not finite
+        doc = (BASE_CONFIG.replace("points_per_axis = 16", "points_per_axis = 8")
+               .replace("dt = 0.005", "dt = 1e-2").replace("t_final = 0.05", "t_final = 0.04")
+               .replace("sigma = 3.0", "sigma = -400").replace("width = 0.8", "width = 0.5")
+               + f"\n[output]\ndir = {tmp_path}/out\n")
+        assert cli.main(["simulate", "--config", self.write_config(tmp_path, doc)]) == 2
+        assert ("non-finite field value detected at step 2 (t = 0.02)"
+                in capsys.readouterr().err)
+
     def test_converge_makes_no_out_directory(self, tmp_path, capsys):
         # converge writes no file, yet once left an empty --out directory behind
         out = os.path.join(tmp_path, "out")

@@ -281,3 +281,28 @@ class TestX1Norm:
 
         got = x1_norm(fields, times, SpacetimeInterval(0, 2))
         assert got == pytest.approx(oracle(), rel=1e-10)
+
+
+class TestAllFinite:
+    # all_finite sums the floats first and scans them only when the sum is
+    # not finite: an overflowing sum of finite values must still read finite
+    @pytest.mark.parametrize("values, finite", [
+        ([1.5e308, 1.5e308], True),
+        ([1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j], True),
+        ([np.nan], False),
+        ([np.inf], False),
+        ([-np.inf], False),
+        ([1.0, np.nan], False),
+        ([np.inf, -np.inf], False),
+        ([complex(1.0, np.nan), 2.0], False),
+        ([0.0, 1.0], True),
+        ([], True),
+    ])
+    def test_one_sum_then_the_exact_scan(self, values, finite):
+        assert lattice.all_finite(np.array(values, dtype=np.complex128)) is finite
+
+    def test_a_stack_of_fields(self):
+        a = np.full((3, 8, 8), 1e308 + 1e308j)
+        assert lattice.all_finite(a)
+        a[2, 7, 7] = complex(np.nan, 0.0)
+        assert not lattice.all_finite(a)
