@@ -297,7 +297,8 @@ def run_ensemble(rc: RunConfig) -> EnsembleReport:
     per-member without aborting the ensemble."""
     check_ledger_stride(rc)
     batches = _batches(rc)
-    workers = min(rc.workers, len(batches))  # fork starts every worker at the first submit
+    # fork starts every requested worker at the first submit: no more than batches or CPUs
+    workers = min(rc.workers, len(batches), os.cpu_count() or 1)
     if workers > 1:
         # multiprocessing, socket, subprocess and more: a serial run never loads them
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor

@@ -460,10 +460,3 @@ def read_rows(fh, grid: GridSpec, count: int, first: int = 0, out=None) -> np.nd
     if not finite.all():
         raise FormatError(f"{fh.name}: field {first + int(np.argmin(finite))} holds a non-finite value")
     return values
-
-
-def read_fields(fh, grid: GridSpec, count: int) -> np.ndarray:
-    """Read the `count` fields that make up the rest of an open binary file
-    (check_payload, then read_rows)."""
-    check_payload(fh, grid, count)
-    return read_rows(fh, grid, count)

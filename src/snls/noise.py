@@ -272,7 +272,8 @@ def read_noise_path(filename: str, box_length: float) -> NoisePath:
     with open(filename, "rb") as fh:
         dim, n, steps, dt = lattice.read_header(fh, NOISE_MAGIC, _NOISE_HEADER)
         grid = lattice.header_grid(fh, dim, n, box_length, dt)
-        values = lattice.read_fields(fh, grid, steps)
+        lattice.check_payload(fh, grid, steps)
+        values = lattice.read_rows(fh, grid, steps)
     np.fft.fftn(values, axes=grid.axes, out=values)
     return NoisePath(grid=grid, dt=dt, dw_hat=values)
 

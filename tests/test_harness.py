@@ -184,7 +184,8 @@ class TestRunEnsemble:
         assert np.isfinite(rep.aggregates["sup_energy_mean"])
         assert rep.provenance["config_hash"] == rc.config_hash()
 
-    def test_pool_matches_serial(self):
+    def test_pool_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on a 1-CPU machine too
         rc = harness.parse_config(BASE_CONFIG)
         serial = harness.run_ensemble(rc)
         rc2 = harness.parse_config(BASE_CONFIG + "\nworkers = 2\n"
@@ -195,7 +196,8 @@ class TestRunEnsemble:
             assert a["final_energy"] == b["final_energy"]
             assert a["sup_energy"] == b["sup_energy"]
 
-    def test_pool_opens_one_worker_per_batch(self, monkeypatch):
+    @pytest.fixture
+    def serial_pool(self, monkeypatch):
         # fork starts every requested worker at the first submit; a fake pool
         # records the request and maps serially, so no process starts
         opened = []
@@ -213,11 +215,26 @@ class TestRunEnsemble:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        return opened
+
+    def test_pool_opens_one_worker_per_batch(self, monkeypatch, serial_pool):
         rc = replace(harness.parse_config(BASE_CONFIG), ensemble_size=2)
         serial = harness.run_ensemble(rc)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert harness.run_ensemble(replace(rc, workers=64)) == serial
-        assert opened == [2]
+        assert serial_pool == [2]
+
+    @pytest.mark.parametrize("cpus", [3, None])
+    def test_pool_opens_no_more_workers_than_cpus(self, monkeypatch, serial_pool, cpus):
+        # five one-member batches; no more workers than CPUs, and a serial
+        # run when the count is unknown
+        rc = replace(harness.parse_config(BASE_CONFIG), ensemble_size=5, workers=5)
+        assert len(harness._batches(rc)) == 5
+        serial = harness.run_ensemble(replace(rc, workers=1))
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert harness.run_ensemble(rc) == serial
+        assert serial_pool == ([cpus] if cpus else [])
 
     def test_members_differ(self):
         rc = harness.parse_config(BASE_CONFIG)
@@ -225,8 +242,9 @@ class TestRunEnsemble:
         finals = [m["final_energy"] for m in rep.members]
         assert len(set(finals)) == 3
 
-    def test_some_members_blow_up(self):
+    def test_some_members_blow_up(self, monkeypatch):
         # rough noise drives dpd's RK4 substep unstable on most streams, not all
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on a 1-CPU machine too
         doc = (BASE_CONFIG.replace("points_per_axis = 16", "points_per_axis = 8")
                .replace("dt = 0.005", "dt = 0.01").replace("scheme = direct", "scheme = dpd")
                .replace("amplitude = 0.2\nsigma = 3.0", "amplitude = 80\nsigma = 1.0"))
@@ -264,6 +282,7 @@ class TestRunEnsemble:
     def test_batch_size_invariance(self, tmp_path, monkeypatch, doc, size):
         rc = replace(harness.parse_config(doc), ensemble_size=size)
         member_bytes = dynamics.member_bytes(harness.build_solver_config(rc))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on a 1-CPU machine too
 
         def report(batch, workers=1):
             monkeypatch.setattr(harness, "BATCH_BYTES", batch * member_bytes)
@@ -841,7 +860,11 @@ class TestRunIdentity:
 
 
 class TestWorkerCrash:
-    # forked workers inherit the patched module attribute; 2 processes start
+    # forked workers inherit the patched module attribute; 2 processes start,
+    # on a 1-CPU machine too (the pool is capped at the CPU count)
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     def test_run_ensemble_names_the_ensemble(self, monkeypatch):
         monkeypatch.setattr(harness, "_member_summary", _die_in_worker)
